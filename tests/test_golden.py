@@ -1,0 +1,66 @@
+"""Byte-for-byte command line outputs against the recorded golden files.
+
+Each case runs ``hexrep.cli.main`` in-process and compares its exit code,
+stdout and stderr with ``golden/cases.json`` and ``golden/<case>.out.gz``.
+When an output change is intended, rewrite the golden files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import gzip
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hexrep.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "verify-table": ["verify", "--all", "--nmax", "200"],
+    "verify-json": ["verify", "--all", "--nmax", "200", "--format", "json"],
+    "verify-csv": ["verify", "--all", "--nmax", "200", "--format", "csv"],
+    **{
+        f"s2k-{k}-{method}": ["s2k", "--k", str(k), "--n", "1..250", "--method", method]
+        for k in (7, 9, 11, 12, 14)
+        for method in ("formula", "decomposition")
+    },
+    "tau-paper-formula": ["tau", "--method", "paper-formula", "--n", "1..30"],
+    "lsum-L_12_4-csv": ["lsum", "L_12_4", "--n", "1..300", "--format", "csv"],
+    "lsum-bad": ["lsum", "BAD", "--n", "-1"],
+}
+
+
+def run_case(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden(case):
+    expected = json.loads((GOLDEN / "cases.json").read_text())[case]
+    assert expected["argv"] == CASES[case]
+    code, out, err = run_case(CASES[case])
+    assert code == expected["code"]
+    assert err == expected["stderr"]
+    with gzip.open(GOLDEN / f"{case}.out.gz", "rt", newline="") as fh:
+        assert out == fh.read()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    recorded = {}
+    for case, argv in CASES.items():
+        code, out, err = run_case(argv)
+        recorded[case] = {"argv": argv, "code": code, "stderr": err}
+        # mtime=0 keeps the gzip bytes reproducible
+        with open(GOLDEN / f"{case}.out.gz", "wb") as raw, gzip.GzipFile(
+            fileobj=raw, mode="wb", mtime=0
+        ) as fh:
+            fh.write(out.encode())
+    (GOLDEN / "cases.json").write_text(json.dumps(recorded, indent=1) + "\n")
