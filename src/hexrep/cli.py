@@ -8,6 +8,7 @@ Values print bare when integral and as p/q otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -120,11 +121,10 @@ def _cmd_tau(args, out) -> int:
 
 
 def _cmd_lsum(args, out) -> int:
-    spec = lattice.lomadze_spec(args.name)
+    lattice.lomadze_spec(args.name)  # an unknown name fails before --n is read
     n_values = _parse_n_spec(args.n)
-    precision = _working_precision(args, n_values)
-    rows = [(n, lattice.lomadze_sum(spec, n, precision)) for n in n_values]
-    _print_values(rows, args.format, out)
+    values = lattice.lomadze_values(args.name, _working_precision(args, n_values))
+    _print_values([(n, values[n]) for n in n_values], args.format, out)
     return 0
 
 
@@ -182,6 +182,7 @@ def _cmd_verify(args, out) -> int:
     return 0 if verification_passed(reports, strict=args.strict) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexrep",

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import lattice
 from .arith import (
     CHI3,
     CHI_TRIVIAL,
@@ -131,13 +130,6 @@ def eisenstein_twisted(
     return QSeries(
         [c0] + [sigma_twisted(k - 1, chi, psi, n) for n in range(1, precision + 1)]
     )
-
-
-def theta_Fk(k: int, precision: int) -> QSeries:
-    """Theta series of F_k: the k-th power of the one-block series."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return lattice.theta_series(k, precision)
 
 
 @lru_cache(maxsize=None)

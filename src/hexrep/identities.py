@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import forms, lattice
-from .arith import CHI3, CHI_TRIVIAL, rho_star, sigma, sigma_star, sigma_twisted
+from .arith import CHI3, CHI_TRIVIAL, bernoulli, rho_star, sigma, sigma_star, sigma_twisted
+from .lattice import lomadze_values
 from .series import DEFAULT_PRECISION, QSeries
 
 
@@ -31,42 +32,25 @@ def _exact(value):
     return value
 
 
-# -- convolution conventions -------------------------------------------------
+# -- divisor convolutions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvolutionConvention:
-    """Lower bound (1 or 0) for both indices in sums over a + b = n.
+def _conv(power, cusp, n, with_zero=False, scale=1):
+    """sum(sigma_power(a) * cusp[b]) over scale*a + b = n with a, b >= 1.
 
-    With lower bound 0, sigma_r(0) takes the boundary constants below and
-    cusp coefficient sequences take the value 0 at index 0.
+    with_zero also takes a = 0, where sigma_r(0) is the constant term
+    -B_(r+1) / (2(r+1)) of its Eisenstein series (1/240, -1/504, 1/480 for
+    r = 3, 5, 7); b = 0 adds nothing because cusp sequences vanish there.
     """
-
-    lower_bound: int
-
-    #: Boundary values sigma_r(0) for the 0-inclusive convention.
-    SIGMA_AT_ZERO = {3: Fraction(1, 240), 5: Fraction(-1, 504), 7: Fraction(1, 480)}
-    #: Cusp expansions vanish at index 0.
-    CUSP_AT_ZERO = 0
-
-
-NATURALS = ConvolutionConvention(lower_bound=1)
-NATURALS_WITH_ZERO = ConvolutionConvention(lower_bound=0)
-
-
-def _conv(power, cusp, n, convention=NATURALS, scale=1):
-    """sum(sigma_power(a) * cusp[b]) over scale*a + b = n under the convention."""
     total = 0
     for a in range(1, (n - 1) // scale + 1):
         total += sigma(power, a) * cusp[n - scale * a]
-    if convention.lower_bound == 0:
-        # a = 0 contributes the boundary constant; b = 0 contributes nothing
-        # because cusp sequences vanish there.
-        total += ConvolutionConvention.SIGMA_AT_ZERO[power] * cusp[n]
+    if with_zero:
+        total += -bernoulli(power + 1) / (2 * (power + 1)) * cusp[n]
     return total
 
 
-# -- cached coefficient tables ------------------------------------------------
+# -- coefficient tables -------------------------------------------------------
 
 
 def _resolve_precision(n: int, precision: int | None) -> int:
@@ -77,57 +61,49 @@ def _resolve_precision(n: int, precision: int | None) -> int:
     return precision
 
 
-@lru_cache(maxsize=None)
 def _form_coeffs(name: str, precision: int) -> tuple:
     return forms.named_form(name, precision).series.coeffs
 
 
 @lru_cache(maxsize=None)
-def _lomadze(name: str, precision: int) -> tuple:
-    return lattice.lomadze_values(name, precision)
-
-
-@lru_cache(maxsize=None)
 def tau_10_3_2_values(precision: int) -> tuple:
     """Weight-10 coefficient sequence, defined as L_10_6(n) / 120 (exact)."""
-    return tuple(_exact(Fraction(v, 120)) for v in _lomadze("L_10_6", precision))
+    return tuple(_exact(Fraction(v, 120)) for v in lomadze_values("L_10_6", precision))
 
 
-# -- per-n scalar formulas ----------------------------------------------------
+# -- the odd weights ----------------------------------------------------------
+
+#: F_k = a E_k(chi3, 1) + b E_k(1, chi3) + sum(c * cusp) for k = 7, 9, 11, as
+#: k: (a, b, ((c, cusp form name), ...)).  The large coefficient a goes with
+#: the series twisted on the cofactor (zero constant term) and b with the one
+#: twisted on the divisor; the assignment is forced: the other pairing
+#: already fails at n = 2, while this one matches the counts at every n and
+#: gives the constant term exactly 1.  The paper restates the Eisenstein
+#: part as (a / 3^((k-1)/2)) rho*_(k-1), printed as 3/7, 27/809 and 3/1847.
+ODD_WEIGHTS = {
+    7: (Fraction(81, 7), Fraction(-3, 7), ((Fraction(216, 7), "delta_7_3"),)),
+    9: (Fraction(2187, 809), Fraction(27, 809), ((Fraction(1119744, 809), "delta_9_3_1"), (Fraction(41472, 809), "delta_9_3_2"))),
+    11: (Fraction(729, 1847), Fraction(-3, 1847), ((Fraction(60588, 9235), "delta_11_3_1"), (Fraction(545292, 9235), "delta_11_3_2"))),
+}
 
 
-def s14_formula(n: int, precision: int | None = None):
-    """Printed weight-7 statement: (3/7) rho*_6(n) + (216/7) tau_7_3(n).
+def _cusp_part(k: int, n: int, precision: int):
+    return sum(c * _form_coeffs(name, precision)[n] for c, name in ODD_WEIGHTS[k][2])
+
+
+def theorem_formula(k: int, n: int, precision: int | None = None):
+    """Printed statement for k in ODD_WEIGHTS: (a / 3^((k-1)/2)) rho*_(k-1)(n) + cusp part.
 
     Uses the literal rho* definition, which the rho-star reports show to be
     inconsistent with the counts; kept as stated so the discrepancy is
     measurable.
     """
     N = _resolve_precision(n, precision)
-    tau = _form_coeffs("delta_7_3", N)
-    return _exact(Fraction(3, 7) * rho_star(6, n) + Fraction(216, 7) * tau[n])
+    a = ODD_WEIGHTS[k][0]
+    return _exact(a / 3 ** ((k - 1) // 2) * rho_star(k - 1, n) + _cusp_part(k, n, N))
 
 
-def s18_formula(n: int, precision: int | None = None):
-    """Printed weight-9 statement with rho*_8 and the two weight-9 basis forms."""
-    N = _resolve_precision(n, precision)
-    t1 = _form_coeffs("delta_9_3_1", N)
-    t2 = _form_coeffs("delta_9_3_2", N)
-    return _exact(
-        Fraction(27, 809) * rho_star(8, n)
-        + Fraction(41472, 809) * (27 * t1[n] + t2[n])
-    )
-
-
-def s22_formula(n: int, precision: int | None = None):
-    """Printed weight-11 statement with rho*_10 and the two weight-11 basis forms."""
-    N = _resolve_precision(n, precision)
-    t1 = _form_coeffs("delta_11_3_1", N)
-    t2 = _form_coeffs("delta_11_3_2", N)
-    return _exact(
-        Fraction(3, 1847) * rho_star(10, n)
-        + Fraction(60588, 9235) * (t1[n] + 9 * t2[n])
-    )
+# -- per-n scalar formulas ----------------------------------------------------
 
 
 def s24_formula(n: int, precision: int | None = None):
@@ -139,8 +115,8 @@ def s24_formula(n: int, precision: int | None = None):
     return _exact(
         Fraction(6552, 73 * 691) * sigma_star(11, n)
         + Fraction(29824, 691) * tau[n]
-        + Fraction(240 * 1186848, 50443) * _conv(3, tau83, n, NATURALS_WITH_ZERO)
-        - Fraction(504 * 261344, 50443) * _conv(5, tau63, n, NATURALS_WITH_ZERO)
+        + Fraction(240 * 1186848, 50443) * _conv(3, tau83, n, with_zero=True)
+        - Fraction(504 * 261344, 50443) * _conv(5, tau63, n, with_zero=True)
     )
 
 
@@ -155,8 +131,8 @@ def s28_formula(n: int, precision: int | None = None):
         + Fraction(107264, 1093) * tau[n]
         + Fraction(107264 * 12, 1093)
         * (_conv(1, tau, n) - 3 * _conv(1, tau, n, scale=3))
-        + Fraction(12448 * 504, 1093) * _conv(5, tau83, n, NATURALS_WITH_ZERO)
-        - Fraction(3016 * 480, 1093) * _conv(7, tau63, n, NATURALS_WITH_ZERO)
+        + Fraction(12448 * 504, 1093) * _conv(5, tau83, n, with_zero=True)
+        - Fraction(3016 * 480, 1093) * _conv(7, tau63, n, with_zero=True)
     )
 
 
@@ -167,9 +143,9 @@ def lomadze_s24(n: int, precision: int | None = None):
         Fraction(1, 73 * 691)
         * (
             6552 * sigma_star(11, n)
-            + Fraction(291096, 35) * _lomadze("L_12_8", N)[n]
-            + 864 * _lomadze("L_12_6", N)[n]
-            + 360 * _lomadze("L_12_4", N)[n]
+            + Fraction(291096, 35) * lomadze_values("L_12_8", N)[n]
+            + 864 * lomadze_values("L_12_6", N)[n]
+            + 360 * lomadze_values("L_12_4", N)[n]
         )
     )
 
@@ -179,26 +155,22 @@ def lomadze_s28(n: int, precision: int | None = None):
     N = _resolve_precision(n, precision)
     return _exact(
         Fraction(12, 1093) * sigma_star(13, n)
-        + Fraction(188954, 803355) * _lomadze("L_14_10", N)[n]
-        + Fraction(1728, 267785) * _lomadze("L_14_8", N)[n]
-        + Fraction(288, 191275) * _lomadze("L_14_6", N)[n]
+        + Fraction(188954, 803355) * lomadze_values("L_14_10", N)[n]
+        + Fraction(1728, 267785) * lomadze_values("L_14_8", N)[n]
+        + Fraction(288, 191275) * lomadze_values("L_14_6", N)[n]
     )
 
 
 def tau_from_lattice_sums(n: int, precision: int | None = None):
     """Ramanujan tau from finite lattice sums and two divisor convolutions."""
     N = _resolve_precision(n, precision)
-    l_12_8 = _lomadze("L_12_8", N)
-    l_12_6 = _lomadze("L_12_6", N)
-    l_cal4 = _lomadze("Lcal_4", N)
-    l_6_2 = _lomadze("L_6_2", N)
-    l_8_4 = _lomadze("L_8_4", N)
+    l_6_2 = lomadze_values("L_6_2", N)
     inner = (
-        Fraction(36387, 35) * l_12_8[n]
-        + 108 * l_12_6[n]
-        + Fraction(1, 3) * l_cal4[n]
+        Fraction(36387, 35) * lomadze_values("L_12_8", N)[n]
+        + 108 * lomadze_values("L_12_6", N)[n]
+        + Fraction(1, 3) * lomadze_values("Lcal_4", N)[n]
         - Fraction(32668, 12) * l_6_2[n]
-        - 329680 * _conv(3, l_8_4, n)
+        - 329680 * _conv(3, lomadze_values("L_8_4", N), n)
         + 1372056 * _conv(5, l_6_2, n)
     )
     return _exact(Fraction(1, 73 * 3728) * inner)
@@ -211,144 +183,66 @@ FORMULA_KS = (7, 9, 11, 12, 14)
 def s2k_from_divisor_sums(k: int, n: int, precision: int | None = None):
     """Per-n scalar formula for s_2k, k in FORMULA_KS.
 
-    For the odd weights the Eisenstein part pairs the large coefficient
-    with the cofactor-twisted divisor sum, matching the decomposition
-    series; the printed rho* restatement is measured separately by the
-    rho-star reports.
+    For the odd weights this is a sigma(chi3, 1) + b sigma(1, chi3) + cusp
+    part, read off ODD_WEIGHTS as the decomposition series is; the printed
+    rho* restatement is measured separately by the rho-star reports.
     """
     N = _resolve_precision(n, precision)
-    if k == 7:
-        tau = _form_coeffs("delta_7_3", N)
-        return _exact(
-            Fraction(
-                81 * sigma_twisted(6, CHI3, CHI_TRIVIAL, n)
-                - 3 * sigma_twisted(6, CHI_TRIVIAL, CHI3, n)
-                + 216 * tau[n],
-                7,
-            )
-        )
-    if k == 9:
-        t1 = _form_coeffs("delta_9_3_1", N)
-        t2 = _form_coeffs("delta_9_3_2", N)
-        return _exact(
-            Fraction(
-                2187 * sigma_twisted(8, CHI3, CHI_TRIVIAL, n)
-                + 27 * sigma_twisted(8, CHI_TRIVIAL, CHI3, n)
-                + 1119744 * t1[n]
-                + 41472 * t2[n],
-                809,
-            )
-        )
-    if k == 11:
-        t1 = _form_coeffs("delta_11_3_1", N)
-        t2 = _form_coeffs("delta_11_3_2", N)
-        return _exact(
-            Fraction(729, 1847) * sigma_twisted(10, CHI3, CHI_TRIVIAL, n)
-            - Fraction(3, 1847) * sigma_twisted(10, CHI_TRIVIAL, CHI3, n)
-            + Fraction(60588, 9235) * t1[n]
-            + Fraction(545292, 9235) * t2[n]
-        )
     if k == 12:
         return s24_formula(n, precision)
     if k == 14:
         return s28_formula(n, precision)
-    raise ValueError(f"no closed formula for k={k}; supported: {FORMULA_KS}")
+    if k not in ODD_WEIGHTS:
+        raise ValueError(f"no closed formula for k={k}; supported: {FORMULA_KS}")
+    a, b, _ = ODD_WEIGHTS[k]
+    return _exact(
+        a * sigma_twisted(k - 1, CHI3, CHI_TRIVIAL, n)
+        + b * sigma_twisted(k - 1, CHI_TRIVIAL, CHI3, n)
+        + _cusp_part(k, n, N)
+    )
 
 
 # -- basis decompositions -----------------------------------------------------
 
 
-# In the three odd-weight combinations below, the large coefficient goes
-# with the Eisenstein series twisted on the cofactor (zero constant term)
-# and the small one with the series twisted on the divisor.  The assignment
-# is forced: the other pairing already fails at n = 2, while this one
-# matches the counts at every n and gives the constant term exactly 1.
-
-
 @lru_cache(maxsize=None)
-def decomposition_F7(precision: int) -> QSeries:
-    """Weight-7 combination of two twisted Eisenstein series and the newform."""
-    e_cof = forms.eisenstein_twisted(7, CHI3, CHI_TRIVIAL, precision)
-    e_div = forms.eisenstein_twisted(7, CHI_TRIVIAL, CHI3, precision)
-    cusp = forms.named_form("delta_7_3", precision).series
-    return Fraction(81, 7) * e_cof - Fraction(3, 7) * e_div + Fraction(216, 7) * cusp
-
-
-@lru_cache(maxsize=None)
-def decomposition_F9(precision: int) -> QSeries:
-    e_cof = forms.eisenstein_twisted(9, CHI3, CHI_TRIVIAL, precision)
-    e_div = forms.eisenstein_twisted(9, CHI_TRIVIAL, CHI3, precision)
-    c1 = forms.named_form("delta_9_3_1", precision).series
-    c2 = forms.named_form("delta_9_3_2", precision).series
-    return (
-        Fraction(2187, 809) * e_cof
-        + Fraction(27, 809) * e_div
-        + Fraction(1119744, 809) * c1
-        + Fraction(41472, 809) * c2
-    )
-
-
-@lru_cache(maxsize=None)
-def decomposition_F11(precision: int) -> QSeries:
-    e_cof = forms.eisenstein_twisted(11, CHI3, CHI_TRIVIAL, precision)
-    e_div = forms.eisenstein_twisted(11, CHI_TRIVIAL, CHI3, precision)
-    c1 = forms.named_form("delta_11_3_1", precision).series
-    c2 = forms.named_form("delta_11_3_2", precision).series
-    return (
-        Fraction(729, 1847) * e_cof
-        - Fraction(3, 1847) * e_div
-        + Fraction(60588, 9235) * c1
-        + Fraction(545292, 9235) * c2
-    )
-
-
-@lru_cache(maxsize=None)
-def decomposition_F12(precision: int) -> QSeries:
-    e12 = forms.eisenstein_classical(12, precision)
-    e4 = forms.eisenstein_classical(4, precision)
-    e6 = forms.eisenstein_classical(6, precision)
-    delta = forms.named_form("delta", precision).series
-    d83 = forms.named_form("delta_8_3", precision).series
-    d63 = forms.named_form("delta_6_3", precision).series
-    return (
-        Fraction(1, 730) * e12
-        + Fraction(729, 730) * e12.scale_argument(3)
-        + Fraction(29824, 691) * delta
-        + Fraction(1186848, 50443) * (e4 * d83)
-        + Fraction(261344, 50443) * (e6 * d63)
-    )
-
-
-@lru_cache(maxsize=None)
-def decomposition_F14(precision: int) -> QSeries:
-    e14 = forms.eisenstein_classical(14, precision)
-    e8 = forms.eisenstein_classical(8, precision)
-    e6 = forms.eisenstein_classical(6, precision)
-    d83 = forms.named_form("delta_8_3", precision).series
-    d63 = forms.named_form("delta_6_3", precision).series
-    return (
-        -Fraction(1, 2186) * e14
-        + Fraction(2187, 2186) * e14.scale_argument(3)
-        - Fraction(3016, 1093) * (e8 * d63)
-        - Fraction(12448, 1093) * (e6 * d83)
-        + Fraction(107264, 1093) * forms.quasimodular_combination(precision)
-    )
-
-
-_DECOMPOSITIONS = {
-    7: decomposition_F7,
-    9: decomposition_F9,
-    11: decomposition_F11,
-    12: decomposition_F12,
-    14: decomposition_F14,
-}
-
-
 def decomposition(k: int, precision: int) -> QSeries:
-    try:
-        return _DECOMPOSITIONS[k](precision)
-    except KeyError:
-        raise ValueError(f"no decomposition for k={k}; supported: {FORMULA_KS}") from None
+    """The basis combination equal to the theta series of F_k, k in FORMULA_KS."""
+    if k in ODD_WEIGHTS:
+        a, b, cusps = ODD_WEIGHTS[k]
+        series = a * forms.eisenstein_twisted(k, CHI3, CHI_TRIVIAL, precision)
+        series += b * forms.eisenstein_twisted(k, CHI_TRIVIAL, CHI3, precision)
+        for c, name in cusps:
+            series += c * forms.named_form(name, precision).series
+        return series
+    if k == 12:
+        e12 = forms.eisenstein_classical(12, precision)
+        e4 = forms.eisenstein_classical(4, precision)
+        e6 = forms.eisenstein_classical(6, precision)
+        delta = forms.named_form("delta", precision).series
+        d83 = forms.named_form("delta_8_3", precision).series
+        d63 = forms.named_form("delta_6_3", precision).series
+        return (
+            Fraction(1, 730) * e12
+            + Fraction(729, 730) * e12.scale_argument(3)
+            + Fraction(29824, 691) * delta
+            + Fraction(1186848, 50443) * (e4 * d83)
+            + Fraction(261344, 50443) * (e6 * d63)
+        )
+    if k == 14:
+        e14 = forms.eisenstein_classical(14, precision)
+        e8 = forms.eisenstein_classical(8, precision)
+        e6 = forms.eisenstein_classical(6, precision)
+        d83 = forms.named_form("delta_8_3", precision).series
+        d63 = forms.named_form("delta_6_3", precision).series
+        return (
+            -Fraction(1, 2186) * e14
+            + Fraction(2187, 2186) * e14.scale_argument(3)
+            - Fraction(3016, 1093) * (e8 * d63)
+            - Fraction(12448, 1093) * (e6 * d83)
+            + Fraction(107264, 1093) * forms.quasimodular_combination(precision)
+        )
+    raise ValueError(f"no decomposition for k={k}; supported: {FORMULA_KS}")
 
 
 # -- reports -------------------------------------------------------------------
@@ -517,16 +411,23 @@ def check_decomposition(k: int, n_max: int, precision: int | None = None) -> Ide
     )
 
 
+def check_against_counts(
+    name: str, k: int, formula, n_max: int, precision: int | None = None, note: str = ""
+) -> IdentityReport:
+    """A per-n formula for s_2k, formula(n, precision), against the brute-force counts."""
+    N = _resolve_precision(n_max, precision)
+    ref = lattice.s2k_bruteforce(k, N)
+    return _pointwise_report(name, n_max, lambda n: formula(n, N), lambda n: ref[n], note=note)
+
+
 def check_s2k_theorem(k: int, n_max: int, precision: int | None = None) -> IdentityReport:
     """Printed rho*-based statement for weight k in {7, 9, 11} against brute force."""
-    N = _resolve_precision(n_max, precision)
-    formula = {7: s14_formula, 9: s18_formula, 11: s22_formula}[k]
-    ref = lattice.s2k_bruteforce(k, N)
-    return _pointwise_report(
+    return check_against_counts(
         f"s{2 * k}-theorem",
+        k,
+        partial(theorem_formula, k),
         n_max,
-        lambda n: formula(n, N),
-        lambda n: ref[n],
+        precision,
         note=(
             "uses the printed rho* definition; mismatches are expected and "
             "quantified by the rho-star reports"
@@ -535,72 +436,25 @@ def check_s2k_theorem(k: int, n_max: int, precision: int | None = None) -> Ident
 
 
 def check_rho_star(ell: int, n_max: int, precision: int | None = None) -> IdentityReport:
-    """Printed rho*_ell against the value the decomposition forces from the counts."""
+    """Printed rho*_ell against the value the decomposition forces from the counts.
+
+    Solving s_2k(n) = (a / 3^(ell/2)) rho*_ell(n) + cusp part for rho*, with
+    k = ell + 1, gives (s_2k(n) - cusp part) 3^(ell/2) / a.
+    """
     N = _resolve_precision(n_max, precision)
-    k = {6: 7, 8: 9, 10: 11}[ell]
+    k = ell + 1
+    a = ODD_WEIGHTS[k][0]
     ref = lattice.s2k_bruteforce(k, N)
-    if ell == 6:
-        tau = _form_coeffs("delta_7_3", N)
-
-        def implied(n):
-            return Fraction(7 * ref[n] - 216 * tau[n], 3)
-
-    elif ell == 8:
-        t1 = _form_coeffs("delta_9_3_1", N)
-        t2 = _form_coeffs("delta_9_3_2", N)
-
-        def implied(n):
-            return Fraction(809 * ref[n] - 41472 * (27 * t1[n] + t2[n]), 27)
-
-    else:
-        t1 = _form_coeffs("delta_11_3_1", N)
-        t2 = _form_coeffs("delta_11_3_2", N)
-
-        def implied(n):
-            return Fraction(1847, 3) * ref[n] - Fraction(20196, 5) * (t1[n] + 9 * t2[n])
-
     return _pointwise_report(
         f"rho-star-{ell}",
         n_max,
         lambda n: rho_star(ell, n),
-        implied,
+        lambda n: (ref[n] - _cusp_part(k, n, N)) * 3 ** (ell // 2) / a,
         note=(
             "lhs is the printed definition, rhs the value forced by the "
             "brute-force counts and the cusp coefficients; entries listed "
             "under mismatches quantify the difference"
         ),
-    )
-
-
-def check_s24_formula(n_max: int, precision: int | None = None) -> IdentityReport:
-    N = _resolve_precision(n_max, precision)
-    ref = lattice.s2k_bruteforce(12, N)
-    return _pointwise_report(
-        "s24-formula", n_max, lambda n: s24_formula(n, N), lambda n: ref[n]
-    )
-
-
-def check_s28_formula(n_max: int, precision: int | None = None) -> IdentityReport:
-    N = _resolve_precision(n_max, precision)
-    ref = lattice.s2k_bruteforce(14, N)
-    return _pointwise_report(
-        "s28-formula", n_max, lambda n: s28_formula(n, N), lambda n: ref[n]
-    )
-
-
-def check_lomadze_s24(n_max: int, precision: int | None = None) -> IdentityReport:
-    N = _resolve_precision(n_max, precision)
-    ref = lattice.s2k_bruteforce(12, N)
-    return _pointwise_report(
-        "lomadze-s24", n_max, lambda n: lomadze_s24(n, N), lambda n: ref[n]
-    )
-
-
-def check_lomadze_s28(n_max: int, precision: int | None = None) -> IdentityReport:
-    N = _resolve_precision(n_max, precision)
-    ref = lattice.s2k_bruteforce(14, N)
-    return _pointwise_report(
-        "lomadze-s28", n_max, lambda n: lomadze_s28(n, N), lambda n: ref[n]
     )
 
 
@@ -613,40 +467,27 @@ def check_tau_eq(n_max: int, precision: int | None = None) -> IdentityReport:
     )
 
 
-def newform_coeff_identities(n_max: int, precision: int | None = None) -> list[IdentityReport]:
-    """The six coefficient identities tying cusp expansions to finite sums."""
+#: The newform coefficient identities, weights 6 to 11.
+NEWFORM_NAMES = tuple(f"newform-w{w}" for w in range(6, 12))
+
+#: scale * sum(c * cusp(n)) = m * L(n), as (scale, ((c, cusp form name), ...), m, sum name);
+#: weight 10 has no independent cusp expansion and is checked on its own.
+NEWFORM_SUMS = {
+    "newform-w6": (12, ((1, "delta_6_3"),), 1, "L_6_2"),
+    "newform-w7": (30, ((1, "delta_7_3"),), 1, "L_7_3"),
+    "newform-w8": (108, ((1, "delta_8_3"),), 1, "L_8_4"),
+    "newform-w9": (168, ((27, "delta_9_3_1"), (1, "delta_9_3_2")), 1, "L_9_5"),
+    "newform-w11": (81, ((1, "delta_11_3_1"), (9, "delta_11_3_2")), 5, "L_11_7"),
+}
+
+
+def check_newform(name: str, n_max: int, precision: int | None = None) -> IdentityReport:
+    """One coefficient identity tying a cusp expansion to a finite sum."""
     N = _resolve_precision(n_max, precision)
-    tau63 = _form_coeffs("delta_6_3", N)
-    tau73 = _form_coeffs("delta_7_3", N)
-    tau83 = _form_coeffs("delta_8_3", N)
-    t91 = _form_coeffs("delta_9_3_1", N)
-    t92 = _form_coeffs("delta_9_3_2", N)
-    t111 = _form_coeffs("delta_11_3_1", N)
-    t112 = _form_coeffs("delta_11_3_2", N)
-    l62 = _lomadze("L_6_2", N)
-    l73 = _lomadze("L_7_3", N)
-    l84 = _lomadze("L_8_4", N)
-    l95 = _lomadze("L_9_5", N)
-    l106 = _lomadze("L_10_6", N)
-    l117 = _lomadze("L_11_7", N)
-    reports = [
-        _pointwise_report(
-            "newform-w6", n_max, lambda n: 12 * tau63[n], lambda n: l62[n]
-        ),
-        _pointwise_report(
-            "newform-w7", n_max, lambda n: 30 * tau73[n], lambda n: l73[n]
-        ),
-        _pointwise_report(
-            "newform-w8", n_max, lambda n: 108 * tau83[n], lambda n: l84[n]
-        ),
-        _pointwise_report(
-            "newform-w9",
-            n_max,
-            lambda n: 168 * (27 * t91[n] + t92[n]),
-            lambda n: l95[n],
-        ),
-        _pointwise_report(
-            "newform-w10",
+    if name == "newform-w10":
+        l106 = lomadze_values("L_10_6", N)
+        return _pointwise_report(
+            name,
             n_max,
             lambda n: l106[n] % 120,
             lambda n: 0,
@@ -655,15 +496,21 @@ def newform_coeff_identities(n_max: int, precision: int | None = None) -> list[I
                 "exact divisibility by 120 is the verifiable content here; the "
                 "values themselves are exercised by the convolution identities"
             ),
-        ),
-        _pointwise_report(
-            "newform-w11",
-            n_max,
-            lambda n: 81 * (t111[n] + 9 * t112[n]),
-            lambda n: 5 * l117[n],
-        ),
-    ]
-    return reports
+        )
+    scale, cusps, m, sum_name = NEWFORM_SUMS[name]
+    cusps = [(c, _form_coeffs(form, N)) for c, form in cusps]
+    values = lomadze_values(sum_name, N)
+    return _pointwise_report(
+        name,
+        n_max,
+        lambda n: scale * sum(c * coeffs[n] for c, coeffs in cusps),
+        lambda n: m * values[n],
+    )
+
+
+def newform_coeff_identities(n_max: int, precision: int | None = None) -> list[IdentityReport]:
+    """The six coefficient identities tying cusp expansions to finite sums."""
+    return [check_newform(name, n_max, precision) for name in NEWFORM_NAMES]
 
 
 def ramanujan_convolution(n_max: int, precision: int | None = None) -> IdentityReport:
@@ -678,15 +525,15 @@ def ramanujan_convolution(n_max: int, precision: int | None = None) -> IdentityR
     )
 
 
-def _e2_delta_rhs(n, tau, tau63, tau83, tau1032, convention):
+def _e2_delta_rhs(n, tau, tau63, tau83, tau1032, with_zero=False):
     return (
         Fraction(3 - n, 72) * tau[n]
         - Fraction(1, 576) * tau63[n]
         - Fraction(1, 96) * tau83[n]
         - Fraction(1, 64) * tau1032[n]
-        - Fraction(5, 6) * _conv(7, tau63, n, convention)
-        + Fraction(21, 4) * _conv(5, tau83, n, convention)
-        - Fraction(15, 4) * _conv(3, tau1032, n, convention)
+        - Fraction(5, 6) * _conv(7, tau63, n, with_zero)
+        + Fraction(21, 4) * _conv(5, tau83, n, with_zero)
+        - Fraction(15, 4) * _conv(3, tau1032, n, with_zero)
     )
 
 
@@ -704,7 +551,7 @@ def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityRe
     tau1032 = tau_10_3_2_values(N)
     lhs = tuple(_exact(_conv(1, tau, n, scale=3)) for n in range(1, n_max + 1))
     rhs_plain = tuple(
-        _exact(_e2_delta_rhs(n, tau, tau63, tau83, tau1032, NATURALS))
+        _exact(_e2_delta_rhs(n, tau, tau63, tau83, tau1032))
         for n in range(1, n_max + 1)
     )
     if lhs == rhs_plain:
@@ -716,7 +563,7 @@ def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityRe
             note="inner sums taken over a, b >= 1; no boundary terms needed",
         )
     rhs_zero = tuple(
-        _exact(_e2_delta_rhs(n, tau, tau63, tau83, tau1032, NATURALS_WITH_ZERO))
+        _exact(_e2_delta_rhs(n, tau, tau63, tau83, tau1032, with_zero=True))
         for n in range(1, n_max + 1)
     )
     if lhs == rhs_zero:
@@ -747,12 +594,12 @@ def s28_convolution_identity(n_max: int, precision: int | None = None) -> Identi
     convolutions are empty and the right side must vanish.
     """
     N = _resolve_precision(n_max, precision)
-    l62 = _lomadze("L_6_2", N)
-    l84 = _lomadze("L_8_4", N)
-    l106 = _lomadze("L_10_6", N)
-    l14_10 = _lomadze("L_14_10", N)
-    l14_8 = _lomadze("L_14_8", N)
-    l14_6 = _lomadze("L_14_6", N)
+    l62 = lomadze_values("L_6_2", N)
+    l84 = lomadze_values("L_8_4", N)
+    l106 = lomadze_values("L_10_6", N)
+    l14_10 = lomadze_values("L_14_10", N)
+    l14_8 = lomadze_values("L_14_8", N)
+    l14_6 = lomadze_values("L_14_6", N)
 
     def lhs(n):
         return (
@@ -782,36 +629,16 @@ def s28_convolution_identity(n_max: int, precision: int | None = None) -> Identi
 
 # -- the registry and the full run ----------------------------------------------
 
-_NEWFORM_SLOTS = {
-    "newform-w6": 0,
-    "newform-w7": 1,
-    "newform-w8": 2,
-    "newform-w9": 3,
-    "newform-w10": 4,
-    "newform-w11": 5,
-}
-
 IDENTITY_BUILDERS = {
-    "f7-decomposition": lambda n, N: check_decomposition(7, n, N),
-    "f9-decomposition": lambda n, N: check_decomposition(9, n, N),
-    "f11-decomposition": lambda n, N: check_decomposition(11, n, N),
-    "f12-decomposition": lambda n, N: check_decomposition(12, n, N),
-    "f14-decomposition": lambda n, N: check_decomposition(14, n, N),
-    "s14-theorem": lambda n, N: check_s2k_theorem(7, n, N),
-    "s18-theorem": lambda n, N: check_s2k_theorem(9, n, N),
-    "s22-theorem": lambda n, N: check_s2k_theorem(11, n, N),
-    "rho-star-6": lambda n, N: check_rho_star(6, n, N),
-    "rho-star-8": lambda n, N: check_rho_star(8, n, N),
-    "rho-star-10": lambda n, N: check_rho_star(10, n, N),
-    "s24-formula": check_s24_formula,
-    "s28-formula": check_s28_formula,
-    "lomadze-s24": check_lomadze_s24,
-    "lomadze-s28": check_lomadze_s28,
+    **{f"f{k}-decomposition": partial(check_decomposition, k) for k in FORMULA_KS},
+    **{f"s{2 * k}-theorem": partial(check_s2k_theorem, k) for k in ODD_WEIGHTS},
+    **{f"rho-star-{k - 1}": partial(check_rho_star, k - 1) for k in ODD_WEIGHTS},
+    "s24-formula": partial(check_against_counts, "s24-formula", 12, s24_formula),
+    "s28-formula": partial(check_against_counts, "s28-formula", 14, s28_formula),
+    "lomadze-s24": partial(check_against_counts, "lomadze-s24", 12, lomadze_s24),
+    "lomadze-s28": partial(check_against_counts, "lomadze-s28", 14, lomadze_s28),
     "tau-eq": check_tau_eq,
-    **{
-        name: (lambda n, N, _i=i: newform_coeff_identities(n, N)[_i])
-        for name, i in _NEWFORM_SLOTS.items()
-    },
+    **{name: partial(check_newform, name) for name in NEWFORM_NAMES},
     "ramanujan-convolution": ramanujan_convolution,
     "e2-delta-convolution": e2_delta_convolution,
     "s28-convolution": s28_convolution_identity,

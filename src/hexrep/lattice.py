@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .series import QSeries
+from .series import DEFAULT_PRECISION, QSeries
 
 #: x1-power orders carried by the moment tables.  Odd orders vanish
 #: identically (x -> -x is a solution-set involution negating x1).
@@ -122,66 +122,6 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
     return MomentTable(k, t, tuple(values))
 
 
-# -- direct (nested-loop) oracles used by the test suite --------------------
-
-
-def f1_moments_direct(n_max: int) -> dict[int, list[int]]:
-    """Plain box enumeration over (x, y); independent of the discriminant method."""
-    bound = isqrt(4 * n_max // 3) + 1
-    rows: dict[int, list[int]] = {t: [0] * (n_max + 1) for t in MOMENT_ORDERS}
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            n = x * x + x * y + y * y
-            if n <= n_max:
-                for t in MOMENT_ORDERS:
-                    rows[t][n] += x**t
-    return rows
-
-
-def f2_moments_direct(n_max: int) -> dict[int, list[int]]:
-    """Four-variable nested-loop enumeration of F_2; exponential-cost test oracle."""
-    bound = isqrt(4 * n_max // 3) + 1
-    rows: dict[int, list[int]] = {t: [0] * (n_max + 1) for t in MOMENT_ORDERS}
-    rng = range(-bound, bound + 1)
-    for x1 in rng:
-        for x2 in rng:
-            b1 = x1 * x1 + x1 * x2 + x2 * x2
-            if b1 > n_max:
-                continue
-            powers = [x1**t for t in MOMENT_ORDERS]
-            for x3 in rng:
-                for x4 in rng:
-                    n = b1 + x3 * x3 + x3 * x4 + x4 * x4
-                    if n <= n_max:
-                        for i, t in enumerate(MOMENT_ORDERS):
-                            rows[t][n] += powers[i]
-    return rows
-
-
-def s2k_direct_recursive(k: int, n: int) -> int:
-    """Count solutions of F_k = n by explicit coordinate recursion over blocks.
-
-    Enumerates the (x, y) pairs of each block with pruning; only usable for
-    small n, but fully independent of the series convolution path.
-    """
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    pairs = []  # (value, x, y) with value <= n
-    bound = isqrt(4 * n // 3) + 1
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            v = x * x + x * y + y * y
-            if v <= n:
-                pairs.append(v)
-
-    def count(block: int, remaining: int) -> int:
-        if block == k:
-            return 1 if remaining == 0 else 0
-        return sum(count(block + 1, remaining - v) for v in pairs if v <= remaining)
-
-    return count(0, n)
-
-
 # -- the catalog of finite sums ---------------------------------------------
 
 
@@ -270,19 +210,21 @@ def lomadze_spec(name: str) -> LomadzeSumSpec:
 
 
 def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> int:
-    """Evaluate the finite sum at n using the moment tables of its block form."""
+    """The catalog sum at n, read from its table of values up to the precision.
+
+    The precision defaults to max(n, DEFAULT_PRECISION), so a loop over n
+    builds one table.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if precision is None:
-        precision = n
+        precision = max(n, DEFAULT_PRECISION)
     if n > precision:
         raise ValueError(f"n={n} exceeds the table precision {precision}")
-    return sum(
-        spec.coefficient(t, n) * moment_table(spec.blocks, t, precision)[n]
-        for t, _ in spec.terms
-    )
+    return lomadze_values(spec.name, precision)[n]
 
 
+@lru_cache(maxsize=None)
 def lomadze_values(name: str, precision: int) -> tuple[int, ...]:
     """All values L(0..precision) of the named sum (L(0) = 0 for every catalog entry)."""
     spec = lomadze_spec(name)

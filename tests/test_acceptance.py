@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import f2_moments_direct
+
 from hexrep import forms, identities, lattice
 from hexrep.cli import main
 from hexrep.series import QSeries
@@ -22,7 +24,7 @@ def _announce(label, detail):
 
 def test_criterion_1_theta_oracle():
     start = time.monotonic()
-    direct = lattice.f2_moments_direct(30)
+    direct = f2_moments_direct(30)
     assert list(lattice.s2k_bruteforce(2, 30)[:31]) == direct[0][:31]
     tables = {k: lattice.s2k_bruteforce(k, N) for k in range(1, 15)}
     one = tables[1]

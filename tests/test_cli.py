@@ -123,6 +123,15 @@ def test_value_json_round_trip(capsys):
     assert rows[0] == {"n": 1, "value": 72}
 
 
+def test_repeated_calls_share_no_parser_state(capsys):
+    # the parser is built once; a second call must not see the first call's options
+    argv = ["verify", "--identity", "tau-eq", "--nmax", "3", "--format", "json"]
+    for _ in range(2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [r["name"] for r in json.loads(out)] == ["tau-eq"]
+
+
 def test_explicit_precision_must_cover_request(capsys):
     code, _, err = run(capsys, "tau", "--n", "50", "--precision", "10")
     assert code == 2 and "precision" in err

@@ -18,8 +18,8 @@ from hexrep.forms import (
     eta_quotient,
     named_form,
     quasimodular_combination,
-    theta_Fk,
 )
+from hexrep.lattice import s2k_bruteforce
 from hexrep.series import QSeries
 
 TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
@@ -155,11 +155,12 @@ def test_delta_7_3_spot_coefficients():
 
 
 def test_theta_Fk():
-    assert theta_Fk(1, 4).coeffs == (1, 6, 0, 6, 6)
-    assert theta_Fk(2, 2).coefficient(1) == 12
-    assert theta_Fk(12, 0).coefficient(0) == 1
+    # the theta series of F_k, as the brute-force counts s_2k(0..precision)
+    assert s2k_bruteforce(1, 4) == (1, 6, 0, 6, 6)
+    assert s2k_bruteforce(2, 2)[1] == 12
+    assert s2k_bruteforce(12, 0)[0] == 1
     with pytest.raises(ValueError):
-        theta_Fk(0, 5)
+        s2k_bruteforce(0, 5)
 
 
 def test_quasimodular_combination():

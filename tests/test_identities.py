@@ -9,9 +9,6 @@ from hexrep import forms, identities, lattice
 from hexrep.identities import (
     DOCUMENTED_DISCREPANCIES,
     IDENTITY_NAMES,
-    NATURALS,
-    NATURALS_WITH_ZERO,
-    ConvolutionConvention,
     IdentityReport,
     PrecisionTooLow,
     UnknownIdentity,
@@ -25,13 +22,13 @@ from hexrep.identities import (
     newform_coeff_identities,
     ramanujan_convolution,
     report_from_json_dict,
-    s14_formula,
     s24_formula,
     s28_convolution_identity,
     s28_formula,
     s2k_from_divisor_sums,
     tau_10_3_2_values,
     tau_from_lattice_sums,
+    theorem_formula,
     verification_passed,
     verify_all,
 )
@@ -40,19 +37,25 @@ N = 200
 
 
 def test_convention_constants():
-    assert ConvolutionConvention.SIGMA_AT_ZERO[3] == Fraction(1, 240)
-    assert ConvolutionConvention.SIGMA_AT_ZERO[5] == Fraction(-1, 504)
-    assert ConvolutionConvention.SIGMA_AT_ZERO[7] == Fraction(1, 480)
-    assert ConvolutionConvention.CUSP_AT_ZERO == 0
-    assert NATURALS.lower_bound == 1 and NATURALS_WITH_ZERO.lower_bound == 0
+    # a unit cusp sequence at index 1 isolates the a = 0 term at n = 1
+    unit = [0, 1]
+    for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
+        assert _conv(power, unit, 1) == 0  # plain sums start at a = 1
+        assert _conv(power, unit, 1, with_zero=True) == sigma_at_zero
+    # cusp expansions vanish at index 0, so b = 0 never contributes
+    for name in forms.CATALOG_NAMES:
+        assert forms.named_form(name, 5).series.coeffs[0] == 0
 
 
 def test_boundary_term_of_zero_inclusive_convolution():
+    # a = 0 adds sigma_r(0) * cusp[n], with the boundary constants sigma_r(0)
     tau83 = forms.named_form("delta_8_3", 30).series.coeffs
-    for n in (1, 5, 12):
-        plain = _conv(3, tau83, n, NATURALS)
-        with_zero = _conv(3, tau83, n, NATURALS_WITH_ZERO)
-        assert with_zero - plain == Fraction(1, 240) * tau83[n]
+    assert tau83[0] == 0  # so b = 0 adds nothing
+    for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
+        for n in (1, 5, 12):
+            plain = _conv(power, tau83, n)
+            with_zero = _conv(power, tau83, n, with_zero=True)
+            assert with_zero - plain == sigma_at_zero * tau83[n]
 
 
 def test_decompositions_equal_brute_force():
@@ -72,7 +75,7 @@ def test_decomposition_constant_terms_are_one():
 
 def test_s14_formula_printed_variant():
     # the printed rho* gives 216/7 at n = 1 while the count is 42
-    assert s14_formula(1, N) == Fraction(216, 7)
+    assert theorem_formula(7, 1, N) == Fraction(216, 7)
     assert lattice.s2k_bruteforce(7, 1)[1] == 42
     assert decomposition(7, N).coefficient(1) == 42
 
@@ -231,6 +234,23 @@ def test_verify_all_policy():
     assert not verification_passed(reports, strict=True)
     failing = {r.name for r in reports if not r.all_match}
     assert failing == set(DOCUMENTED_DISCREPANCIES)
+
+
+def test_verify_all_builds_one_report_per_identity(monkeypatch):
+    built = []
+
+    class CountingReport(IdentityReport):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self.name)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the registry builds each newform report on its own")
+
+    monkeypatch.setattr(identities, "IdentityReport", CountingReport)
+    monkeypatch.setattr(identities, "newform_coeff_identities", fail)
+    reports = verify_all(5, "all", N)
+    assert built == [r.name for r in reports] == list(IDENTITY_NAMES)
 
 
 def test_verify_all_contracts():

@@ -4,20 +4,20 @@ from math import isqrt
 
 import pytest
 
+from oracles import f1_moments_direct, f2_moments_direct, s2k_direct_recursive
+
+from hexrep import lattice
 from hexrep.lattice import (
     LOMADZE_BY_NAME,
     MOMENT_ORDERS,
     UnknownSum,
     enumerate_f1,
-    f1_moments_direct,
-    f2_moments_direct,
     lomadze_catalog,
     lomadze_spec,
     lomadze_sum,
     lomadze_values,
     moment_table,
     s2k_bruteforce,
-    s2k_direct_recursive,
     theta_series,
 )
 
@@ -164,3 +164,12 @@ def test_lomadze_precision_contract():
     spec = lomadze_spec("L_6_2")
     with pytest.raises(ValueError):
         lomadze_sum(spec, 10, precision=5)
+
+
+def test_lomadze_sum_loop_builds_one_table():
+    # one table at the default precision serves every n up to it
+    spec = lomadze_spec("L_12_4")
+    lattice.moment_table.cache_clear()
+    values = [lomadze_sum(spec, n) for n in range(1, 201)]
+    assert lattice.moment_table.cache_info().currsize <= 5
+    assert values == list(lomadze_values("L_12_4", 200)[1:])
