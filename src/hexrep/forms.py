@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .arith import (
     CHI3,
@@ -64,13 +65,16 @@ class EtaQuotientSpec:
 
 @lru_cache(maxsize=None)
 def _euler_core(scale: int, precision: int) -> QSeries:
-    """prod(1 - q^(scale * j), j >= 1) truncated at the working precision."""
+    """prod(1 - q^(scale * j), j >= 1) truncated at the working precision.
+
+    By Euler's pentagonal number theorem the product is
+    sum((-1)^k q^(scale * k(3k-1)/2)) over all integers k.
+    """
     coeffs = [0] * (precision + 1)
-    coeffs[0] = 1
-    for m in range(scale, precision + 1, scale):
-        for i in range(precision, m - 1, -1):
-            if coeffs[i - m]:
-                coeffs[i] -= coeffs[i - m]
+    bound = isqrt(precision // scale)  # k(3k-1)/2 >= k^2
+    for k in range(-bound, bound + 1):
+        if (e := scale * k * (3 * k - 1) // 2) <= precision:
+            coeffs[e] = -1 if k % 2 else 1
     return QSeries(coeffs)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import forms, lattice
-from .arith import CHI3, CHI_TRIVIAL, bernoulli, rho_star, sigma, sigma_star, sigma_twisted
+from .arith import CHI3, CHI_TRIVIAL, bernoulli, rho_star, sigma_star, sigma_twisted
 from .lattice import lomadze_values
 from .series import DEFAULT_PRECISION, QSeries
 
@@ -35,19 +35,29 @@ def _exact(value):
 # -- divisor convolutions ------------------------------------------------------
 
 
-def _conv(power, cusp, n, with_zero=False, scale=1):
-    """sum(sigma_power(a) * cusp[b]) over scale*a + b = n with a, b >= 1.
+def _coeffs(name: str, precision: int) -> tuple:
+    """Coefficients 0..precision of a catalog cusp form or a catalog finite sum."""
+    if name in forms.CATALOG_NAMES:
+        return forms.named_form(name, precision).series.coeffs
+    return lomadze_values(name, precision)
 
-    with_zero also takes a = 0, where sigma_r(0) is the constant term
-    -B_(r+1) / (2(r+1)) of its Eisenstein series (1/240, -1/504, 1/480 for
-    r = 3, 5, 7); b = 0 adds nothing because cusp sequences vanish there.
+
+@lru_cache(maxsize=None)
+def _conv(power: int, name: str, precision: int, with_zero: bool = False, scale: int = 1) -> tuple:
+    """The table over n <= precision of sum(sigma_power(a) * x[b]), scale*a + b = n, a, b >= 1.
+
+    x is the named sequence of `_coeffs`.  The sigma series is
+    sigma_r(0) (E_(r+1) - 1), where sigma_r(0) = -B_(r+1) / (2(r+1)) is
+    1/240, -1/504, 1/480 for r = 3, 5, 7; with_zero adds the a = 0 term
+    sigma_r(0) x[n].  b = 0 adds nothing: x[0] = 0.
     """
-    total = 0
-    for a in range(1, (n - 1) // scale + 1):
-        total += sigma(power, a) * cusp[n - scale * a]
+    sigma_at_zero = -bernoulli(power + 1) / (2 * (power + 1))
+    sigmas = sigma_at_zero * (forms.eisenstein_classical(power + 1, precision) - 1)
+    x = QSeries(_coeffs(name, precision))
+    product = sigmas.scale_argument(scale) * x
     if with_zero:
-        total += -bernoulli(power + 1) / (2 * (power + 1)) * cusp[n]
-    return total
+        product += sigma_at_zero * x
+    return product.coeffs
 
 
 # -- coefficient tables -------------------------------------------------------
@@ -59,10 +69,6 @@ def _resolve_precision(n: int, precision: int | None) -> int:
     if n > precision:
         raise PrecisionTooLow(f"n={n} exceeds the working precision {precision}")
     return precision
-
-
-def _form_coeffs(name: str, precision: int) -> tuple:
-    return forms.named_form(name, precision).series.coeffs
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +94,7 @@ ODD_WEIGHTS = {
 
 
 def _cusp_part(k: int, n: int, precision: int):
-    return sum(c * _form_coeffs(name, precision)[n] for c, name in ODD_WEIGHTS[k][2])
+    return sum(c * _coeffs(name, precision)[n] for c, name in ODD_WEIGHTS[k][2])
 
 
 def theorem_formula(k: int, n: int, precision: int | None = None):
@@ -109,30 +115,26 @@ def theorem_formula(k: int, n: int, precision: int | None = None):
 def s24_formula(n: int, precision: int | None = None):
     """s_24(n) from starred divisor sums, tau, and two boundary convolutions."""
     N = _resolve_precision(n, precision)
-    tau = _form_coeffs("delta", N)
-    tau83 = _form_coeffs("delta_8_3", N)
-    tau63 = _form_coeffs("delta_6_3", N)
+    tau = _coeffs("delta", N)
     return _exact(
         Fraction(6552, 73 * 691) * sigma_star(11, n)
         + Fraction(29824, 691) * tau[n]
-        + Fraction(240 * 1186848, 50443) * _conv(3, tau83, n, with_zero=True)
-        - Fraction(504 * 261344, 50443) * _conv(5, tau63, n, with_zero=True)
+        + Fraction(240 * 1186848, 50443) * _conv(3, "delta_8_3", N, with_zero=True)[n]
+        - Fraction(504 * 261344, 50443) * _conv(5, "delta_6_3", N, with_zero=True)[n]
     )
 
 
 def s28_formula(n: int, precision: int | None = None):
     """s_28(n) from starred divisor sums, tau convolutions, and two boundary convolutions."""
     N = _resolve_precision(n, precision)
-    tau = _form_coeffs("delta", N)
-    tau83 = _form_coeffs("delta_8_3", N)
-    tau63 = _form_coeffs("delta_6_3", N)
+    tau = _coeffs("delta", N)
     return _exact(
         Fraction(12, 1093) * sigma_star(13, n)
         + Fraction(107264, 1093) * tau[n]
         + Fraction(107264 * 12, 1093)
-        * (_conv(1, tau, n) - 3 * _conv(1, tau, n, scale=3))
-        + Fraction(12448 * 504, 1093) * _conv(5, tau83, n, with_zero=True)
-        - Fraction(3016 * 480, 1093) * _conv(7, tau63, n, with_zero=True)
+        * (_conv(1, "delta", N)[n] - 3 * _conv(1, "delta", N, scale=3)[n])
+        + Fraction(12448 * 504, 1093) * _conv(5, "delta_8_3", N, with_zero=True)[n]
+        - Fraction(3016 * 480, 1093) * _conv(7, "delta_6_3", N, with_zero=True)[n]
     )
 
 
@@ -164,14 +166,13 @@ def lomadze_s28(n: int, precision: int | None = None):
 def tau_from_lattice_sums(n: int, precision: int | None = None):
     """Ramanujan tau from finite lattice sums and two divisor convolutions."""
     N = _resolve_precision(n, precision)
-    l_6_2 = lomadze_values("L_6_2", N)
     inner = (
         Fraction(36387, 35) * lomadze_values("L_12_8", N)[n]
         + 108 * lomadze_values("L_12_6", N)[n]
         + Fraction(1, 3) * lomadze_values("Lcal_4", N)[n]
-        - Fraction(32668, 12) * l_6_2[n]
-        - 329680 * _conv(3, lomadze_values("L_8_4", N), n)
-        + 1372056 * _conv(5, l_6_2, n)
+        - Fraction(32668, 12) * lomadze_values("L_6_2", N)[n]
+        - 329680 * _conv(3, "L_8_4", N)[n]
+        + 1372056 * _conv(5, "L_6_2", N)[n]
     )
     return _exact(Fraction(1, 73 * 3728) * inner)
 
@@ -461,7 +462,7 @@ def check_rho_star(ell: int, n_max: int, precision: int | None = None) -> Identi
 def check_tau_eq(n_max: int, precision: int | None = None) -> IdentityReport:
     """The lattice-sum expression for tau against the eta-power expansion."""
     N = _resolve_precision(n_max, precision)
-    tau = _form_coeffs("delta", N)
+    tau = _coeffs("delta", N)
     return _pointwise_report(
         "tau-eq", n_max, lambda n: tau_from_lattice_sums(n, N), lambda n: tau[n]
     )
@@ -498,7 +499,7 @@ def check_newform(name: str, n_max: int, precision: int | None = None) -> Identi
             ),
         )
     scale, cusps, m, sum_name = NEWFORM_SUMS[name]
-    cusps = [(c, _form_coeffs(form, N)) for c, form in cusps]
+    cusps = [(c, _coeffs(form, N)) for c, form in cusps]
     values = lomadze_values(sum_name, N)
     return _pointwise_report(
         name,
@@ -516,24 +517,12 @@ def newform_coeff_identities(n_max: int, precision: int | None = None) -> list[I
 def ramanujan_convolution(n_max: int, precision: int | None = None) -> IdentityReport:
     """sum(sigma(a) tau(b), a + b = n) = (1 - n) tau(n) / 24, exactly."""
     N = _resolve_precision(n_max, precision)
-    tau = _form_coeffs("delta", N)
+    tau = _coeffs("delta", N)
     return _pointwise_report(
         "ramanujan-convolution",
         n_max,
-        lambda n: _conv(1, tau, n),
+        lambda n: _conv(1, "delta", N)[n],
         lambda n: Fraction((1 - n) * tau[n], 24),
-    )
-
-
-def _e2_delta_rhs(n, tau, tau63, tau83, tau1032, with_zero=False):
-    return (
-        Fraction(3 - n, 72) * tau[n]
-        - Fraction(1, 576) * tau63[n]
-        - Fraction(1, 96) * tau83[n]
-        - Fraction(1, 64) * tau1032[n]
-        - Fraction(5, 6) * _conv(7, tau63, n, with_zero)
-        + Fraction(21, 4) * _conv(5, tau83, n, with_zero)
-        - Fraction(15, 4) * _conv(3, tau1032, n, with_zero)
     )
 
 
@@ -545,45 +534,39 @@ def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityRe
     recorded in the report note.
     """
     N = _resolve_precision(n_max, precision)
-    tau = _form_coeffs("delta", N)
-    tau63 = _form_coeffs("delta_6_3", N)
-    tau83 = _form_coeffs("delta_8_3", N)
+    tau = _coeffs("delta", N)
+    tau63 = _coeffs("delta_6_3", N)
+    tau83 = _coeffs("delta_8_3", N)
     tau1032 = tau_10_3_2_values(N)
-    lhs = tuple(_exact(_conv(1, tau, n, scale=3)) for n in range(1, n_max + 1))
-    rhs_plain = tuple(
-        _exact(_e2_delta_rhs(n, tau, tau63, tau83, tau1032))
-        for n in range(1, n_max + 1)
-    )
-    if lhs == rhs_plain:
-        return IdentityReport(
-            "e2-delta-convolution",
-            n_max,
-            lhs,
-            rhs_plain,
-            note="inner sums taken over a, b >= 1; no boundary terms needed",
+
+    def rhs(with_zero):
+        c63 = _conv(7, "delta_6_3", N, with_zero=with_zero)
+        c83 = _conv(5, "delta_8_3", N, with_zero=with_zero)
+        c106 = _conv(3, "L_10_6", N, with_zero=with_zero)  # tau_10_3_2 is L_10_6 / 120
+        return tuple(
+            _exact(
+                Fraction(3 - n, 72) * tau[n]
+                - Fraction(1, 576) * tau63[n]
+                - Fraction(1, 96) * tau83[n]
+                - Fraction(1, 64) * tau1032[n]
+                - Fraction(5, 6) * c63[n]
+                + Fraction(21, 4) * c83[n]
+                - Fraction(15, 4) * c106[n] / 120
+            )
+            for n in range(1, n_max + 1)
         )
-    rhs_zero = tuple(
-        _exact(_e2_delta_rhs(n, tau, tau63, tau83, tau1032, with_zero=True))
-        for n in range(1, n_max + 1)
+
+    lhs = tuple(_exact(c) for c in _conv(1, "delta", N, scale=3)[1 : n_max + 1])
+    conventions = (
+        (False, "inner sums taken over a, b >= 1; no boundary terms needed"),
+        (True, "inner sums over a, b >= 1 fail; the identity holds under the "
+         "0-inclusive convention with the stated boundary constants"),
     )
-    if lhs == rhs_zero:
-        return IdentityReport(
-            "e2-delta-convolution",
-            n_max,
-            lhs,
-            rhs_zero,
-            note=(
-                "inner sums over a, b >= 1 fail; the identity holds under the "
-                "0-inclusive convention with the stated boundary constants"
-            ),
-        )
-    return IdentityReport(
-        "e2-delta-convolution",
-        n_max,
-        lhs,
-        rhs_plain,
-        note="neither index convention reproduces the left side; values shown use a, b >= 1",
+    with_zero, note = next(
+        ((with_zero, note) for with_zero, note in conventions if rhs(with_zero) == lhs),
+        (False, "neither index convention reproduces the left side; values shown use a, b >= 1"),
     )
+    return IdentityReport("e2-delta-convolution", n_max, lhs, rhs(with_zero), note=note)
 
 
 def s28_convolution_identity(n_max: int, precision: int | None = None) -> IdentityReport:
@@ -600,13 +583,10 @@ def s28_convolution_identity(n_max: int, precision: int | None = None) -> Identi
     l14_10 = lomadze_values("L_14_10", N)
     l14_8 = lomadze_values("L_14_8", N)
     l14_6 = lomadze_values("L_14_6", N)
+    c62, c84, c106 = _conv(7, "L_6_2", N), _conv(5, "L_8_4", N), _conv(3, "L_10_6", N)
 
     def lhs(n):
-        return (
-            73760 * _conv(7, l62, n)
-            - Fraction(194432, 3) * _conv(5, l84, n)
-            + 60336 * _conv(3, l106, n)
-        )
+        return 73760 * c62[n] - Fraction(194432, 3) * c84[n] + 60336 * c106[n]
 
     def rhs(n):
         return (

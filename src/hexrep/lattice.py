@@ -48,6 +48,8 @@ def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
     4n - 3x^2, so |x| <= sqrt(4n/3); integer roots need the discriminant
     to be a perfect square r^2 with r = x (mod 2).  No floating point.
     """
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
     rows = {t: [0] * (precision + 1) for t in MOMENT_ORDERS}
     rows[0][0] = 1  # the zero vector is the only representation of 0
     for n in range(1, precision + 1):
@@ -69,8 +71,6 @@ def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
 
 def enumerate_f1(precision: int) -> tuple[QSeries, dict[int, MomentTable]]:
     """Theta series of one block and its x1-power moment tables, up to q^precision."""
-    if precision < 0:
-        raise ValueError("precision must be >= 0")
     rows = _f1_moment_rows(precision)
     series = QSeries(rows[0])
     tables = {t: MomentTable(1, t, rows[t]) for t in MOMENT_ORDERS}
@@ -85,8 +85,6 @@ def theta_series(k: int, precision: int) -> QSeries:
     if k == 0:
         return QSeries.one(precision)
     base, _ = enumerate_f1(precision)
-    if k == 1:
-        return base
     return theta_series(k - 1, precision) * base
 
 
@@ -105,21 +103,15 @@ def s2k_bruteforce(k: int, precision: int) -> tuple[int, ...]:
 def moment_table(k: int, t: int, precision: int) -> MomentTable:
     """M_t(k)(n) = sum of x1^t over F_k(x) = n, via the block convolution.
 
-    M_t(k)(n) = sum(M_t(1)(a) * s_2(k-1)(n - a), 0 <= a <= n).
+    M_t(k)(n) = sum(M_t(1)(a) * s_2(k-1)(n - a), 0 <= a <= n), the product
+    of the one-block moment series with the theta series of F_(k-1).
     """
     if t not in MOMENT_ORDERS:
         raise ValueError(f"moment order must be one of {MOMENT_ORDERS}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = _f1_moment_rows(precision)[t]
-    if k == 1:
-        return MomentTable(1, t, base)
-    rest = theta_series(k - 1, precision).coeffs
-    values = []
-    support = [a for a in range(precision + 1) if base[a]]
-    for n in range(precision + 1):
-        values.append(sum(base[a] * rest[n - a] for a in support if a <= n))
-    return MomentTable(k, t, tuple(values))
+    base = QSeries(_f1_moment_rows(precision)[t])
+    return MomentTable(k, t, (base * theta_series(k - 1, precision)).coeffs)
 
 
 # -- the catalog of finite sums ---------------------------------------------
@@ -212,9 +204,11 @@ def lomadze_spec(name: str) -> LomadzeSumSpec:
 def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> int:
     """The catalog sum at n, read from its table of values up to the precision.
 
-    The precision defaults to max(n, DEFAULT_PRECISION), so a loop over n
-    builds one table.
+    A spec that is not a catalog entry raises UnknownSum.  The precision
+    defaults to max(n, DEFAULT_PRECISION), so a loop over n builds one table.
     """
+    if spec != lomadze_spec(spec.name):
+        raise UnknownSum(f"spec {spec.name!r} differs from the catalog entry of that name")
     if n < 0:
         raise ValueError("n must be >= 0")
     if precision is None:

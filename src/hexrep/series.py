@@ -9,6 +9,7 @@ exact.  Instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
@@ -33,6 +34,17 @@ def _as_coeff(value) -> Coeff:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
+
+
+def _integral(coeffs: tuple) -> tuple[list[int], int]:
+    """Integers c * d for the coefficients c, with d the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _pack(ints: list[int], width: int, half: int) -> int:
+    """The int with slot i (width bytes, little-endian) holding ints[i] + half."""
+    return int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in ints), "little")
 
 
 class QSeries:
@@ -108,19 +120,27 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product truncated at the smaller precision, by Kronecker substitution.
+
+        Both sides, cleared of denominators, are evaluated at X = 2^(8w) as
+        one int each and multiplied.  The w-byte slots hold coefficients
+        offset by X/2, so signed values never carry into a neighbour; w fits
+        every input coefficient and the product bound (n+1) * max|a| * max|b|.
+        """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            a, b = self._coeffs, other._coeffs
-            out = [0] * (n + 1)
-            for i in range(n + 1):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return QSeries(out)
+            a, da = _integral(self._coeffs[: n + 1])
+            b, db = _integral(other._coeffs[: n + 1])
+            ma, mb = max(map(abs, a)), max(map(abs, b))
+            bits = max((n + 1) * ma * mb, ma, mb).bit_length() + 1
+            w = (bits + 7) // 8
+            half, size = 1 << (8 * w - 1), w * (n + 1)
+            offset = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
+            packed = (_pack(a, w, half) - offset) * (_pack(b, w, half) - offset)
+            low = ((packed + offset) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+            out = [int.from_bytes(low[i : i + w], "little") - half for i in range(0, size, w)]
+            den = da * db
+            return QSeries(out if den == 1 else [Fraction(c, den) for c in out])
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self._coeffs])
         return NotImplemented

@@ -1,5 +1,6 @@
-"""Direct (nested-loop) enumeration oracles, independent of the series and moment-table paths."""
+"""Direct (nested-loop) oracles, independent of the series kernel, the moment tables and the convolutions."""
 
+from fractions import Fraction
 from math import isqrt
 
 from hexrep.lattice import MOMENT_ORDERS
@@ -60,3 +61,41 @@ def s2k_direct_recursive(k: int, n: int) -> int:
         return sum(count(block + 1, remaining - v) for v in pairs if v <= remaining)
 
     return count(0, n)
+
+
+def mul_schoolbook(a, b) -> list:
+    """Product of two coefficient sequences by the double loop, truncated at the shorter one."""
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+#: sigma_r(0), the constant terms of the Eisenstein series E_4, E_6, E_8 scaled to sigma_r.
+SIGMA_AT_ZERO = {3: Fraction(1, 240), 5: Fraction(-1, 504), 7: Fraction(1, 480)}
+
+
+def conv_direct(power: int, x, n: int, with_zero: bool = False, scale: int = 1):
+    """sum(sigma_power(a) * x[n - scale*a]) over a >= 1 with n - scale*a >= 1, one n at a time.
+
+    Divisor sums by trial division over every d <= a; with_zero adds the
+    a = 0 term sigma_power(0) * x[n].
+    """
+    total = 0
+    for a in range(1, (n - 1) // scale + 1):
+        total += sum(d**power for d in range(1, a + 1) if a % d == 0) * x[n - scale * a]
+    if with_zero:
+        total += SIGMA_AT_ZERO[power] * x[n]
+    return total
+
+
+def euler_product_direct(scale: int, precision: int) -> list[int]:
+    """prod(1 - q^(scale*j), j >= 1) up to q^precision, one factor at a time in place."""
+    coeffs = [0] * (precision + 1)
+    coeffs[0] = 1
+    for m in range(scale, precision + 1, scale):
+        for i in range(precision, m - 1, -1):
+            coeffs[i] -= coeffs[i - m]
+    return coeffs

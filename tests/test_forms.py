@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import euler_product_direct
 
 from hexrep.arith import CHI3, CHI_TRIVIAL
 from hexrep.forms import (
@@ -13,6 +14,7 @@ from hexrep.forms import (
     NonIntegralExponent,
     ParityMismatch,
     UnknownForm,
+    _euler_core,
     eisenstein_classical,
     eisenstein_twisted,
     eta_quotient,
@@ -54,6 +56,12 @@ def naive_eta_power(factors, precision):
     assert lead % 24 == 0
     shift = lead // 24
     return tuple(([0] * shift + poly)[: precision + 1])
+
+
+@pytest.mark.parametrize("scale", (1, 3, 9))
+def test_euler_core_against_product_oracle(scale):
+    for precision in range(61):
+        assert _euler_core(scale, precision).coeffs == tuple(euler_product_direct(scale, precision))
 
 
 def test_delta_against_naive_expansion():

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from oracles import conv_direct
 
 from hexrep import forms, identities, lattice
 from hexrep.identities import (
@@ -37,14 +38,16 @@ N = 200
 
 
 def test_convention_constants():
-    # a unit cusp sequence at index 1 isolates the a = 0 term at n = 1
-    unit = [0, 1]
+    # delta_8_3 is normalized (first coefficient 1), so at n = 1 the a = 0
+    # term alone gives sigma_r(0)
     for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
-        assert _conv(power, unit, 1) == 0  # plain sums start at a = 1
-        assert _conv(power, unit, 1, with_zero=True) == sigma_at_zero
-    # cusp expansions vanish at index 0, so b = 0 never contributes
+        assert _conv(power, "delta_8_3", N)[1] == 0  # plain sums start at a = 1
+        assert _conv(power, "delta_8_3", N, with_zero=True)[1] == sigma_at_zero
+    # cusp expansions and finite sums vanish at index 0, so b = 0 never contributes
     for name in forms.CATALOG_NAMES:
         assert forms.named_form(name, 5).series.coeffs[0] == 0
+    for spec in lattice.lomadze_catalog():
+        assert lattice.lomadze_values(spec.name, 5)[0] == 0
 
 
 def test_boundary_term_of_zero_inclusive_convolution():
@@ -52,10 +55,51 @@ def test_boundary_term_of_zero_inclusive_convolution():
     tau83 = forms.named_form("delta_8_3", 30).series.coeffs
     assert tau83[0] == 0  # so b = 0 adds nothing
     for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
+        plain = _conv(power, "delta_8_3", 30)
+        with_zero = _conv(power, "delta_8_3", 30, with_zero=True)
         for n in (1, 5, 12):
-            plain = _conv(power, tau83, n)
-            with_zero = _conv(power, tau83, n, with_zero=True)
-            assert with_zero - plain == sigma_at_zero * tau83[n]
+            assert with_zero[n] - plain[n] == sigma_at_zero * tau83[n]
+
+
+#: Every convolution the identities take, as (power, sequence, with_zero, scale).
+CONVOLUTIONS = (
+    (1, "delta", False, 1),
+    (1, "delta", False, 3),
+    (3, "delta_8_3", True, 1),
+    (5, "delta_6_3", True, 1),
+    (5, "delta_8_3", False, 1),
+    (5, "delta_8_3", True, 1),
+    (7, "delta_6_3", False, 1),
+    (7, "delta_6_3", True, 1),
+    (3, "L_8_4", False, 1),
+    (5, "L_6_2", False, 1),
+    (3, "L_10_6", False, 1),
+    (3, "L_10_6", True, 1),
+    (7, "L_6_2", False, 1),
+    (5, "L_8_4", False, 1),
+)
+
+
+@pytest.mark.parametrize("power, name, with_zero, scale", CONVOLUTIONS)
+def test_conv_against_per_n_oracle(power, name, with_zero, scale):
+    x = identities._coeffs(name, 100)
+    expected = tuple(conv_direct(power, x, n, with_zero, scale) for n in range(101))
+    assert _conv(power, name, 100, with_zero=with_zero, scale=scale) == expected
+
+
+def test_convolution_list_is_complete(monkeypatch):
+    seen = set()
+    conv = identities._conv
+
+    def recording(power, name, precision, with_zero=False, scale=1):
+        seen.add((power, name, with_zero, scale))
+        return conv(power, name, precision, with_zero=with_zero, scale=scale)
+
+    monkeypatch.setattr(identities, "_conv", recording)
+    verify_all(10, "all", 10)
+    # e2-delta-convolution takes its 0-inclusive sums only when the plain
+    # convention fails; of those, only (3, L_10_6) is taken nowhere else
+    assert seen == set(CONVOLUTIONS) - {(3, "L_10_6", True, 1)}
 
 
 def test_decompositions_equal_brute_force():
@@ -170,6 +214,34 @@ def test_e2_delta_lhs_against_series_product():
         assert product.coefficient(n) == delta.coefficient(n) - 24 * report.lhs[n - 1]
 
 
+def test_e2_delta_convolution_fallback_notes(monkeypatch):
+    conv = identities._conv
+
+    def swapped(power, name, precision, with_zero=False, scale=1):
+        # the right side's sums (powers 3, 5, 7) trade conventions
+        return conv(power, name, precision, with_zero=with_zero != (power > 1), scale=scale)
+
+    monkeypatch.setattr(identities, "_conv", swapped)
+    report = e2_delta_convolution(30, N)
+    assert report.all_match
+    assert report.note == (
+        "inner sums over a, b >= 1 fail; the identity holds under the "
+        "0-inclusive convention with the stated boundary constants"
+    )
+
+    def broken(power, name, precision, with_zero=False, scale=1):
+        table = conv(power, name, precision, with_zero=with_zero, scale=scale)
+        return tuple(v + (power > 1) for v in table)
+
+    monkeypatch.setattr(identities, "_conv", broken)
+    report = e2_delta_convolution(30, N)
+    assert not report.all_match
+    # the values shown are the plain ones, each off by the added 1 in its three sums
+    shift = -Fraction(5, 6) + Fraction(21, 4) - Fraction(15, 4) / 120
+    assert report.rhs == tuple(v + shift for v in report.lhs)
+    assert report.note == "neither index convention reproduces the left side; values shown use a, b >= 1"
+
+
 def test_s28_convolution_identity():
     report = s28_convolution_identity(100, N)
     assert report.all_match
@@ -267,3 +339,11 @@ def test_default_precision_resolution():
     assert tau_from_lattice_sums(3) == 252
     with pytest.raises(PrecisionTooLow):
         s24_formula(300, 200)
+
+
+@pytest.mark.slow
+def test_verify_all_to_2000():
+    reports = verify_all(2000, precision=2000)
+    matching = {r.name for r in reports if r.all_match}
+    assert len(matching) == 19
+    assert matching == set(IDENTITY_NAMES) - DOCUMENTED_DISCREPANCIES

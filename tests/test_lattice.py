@@ -1,5 +1,6 @@
 """Enumeration, moment tables, and the finite-sum catalog."""
 
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -164,6 +165,19 @@ def test_lomadze_precision_contract():
     spec = lomadze_spec("L_6_2")
     with pytest.raises(ValueError):
         lomadze_sum(spec, 10, precision=5)
+
+
+def test_negative_precision_is_a_value_error():
+    with pytest.raises(ValueError, match="precision must be >= 0"):
+        moment_table(1, 0, -1)
+    with pytest.raises(ValueError, match="precision must be >= 0"):
+        lomadze_values("L_6_2", -1)
+
+
+def test_lomadze_sum_rejects_a_spec_outside_the_catalog():
+    spec = replace(lomadze_spec("L_6_2"), terms=((4, (1,)),))
+    with pytest.raises(UnknownSum):
+        lomadze_sum(spec, 3)
 
 
 def test_lomadze_sum_loop_builds_one_table():
