@@ -1,14 +1,14 @@
 """q-expansions of eta quotients, Eisenstein series, and the named forms catalog.
 
 Everything is produced as a QSeries at an explicitly requested precision;
-there is no global precision state.  Constructors are pure and memoized.
+there is no global precision state.  Constructors are pure and memoized,
+one grow-only entry per argument set (``series.grow_only``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .arith import (
@@ -20,7 +20,7 @@ from .arith import (
     sigma,
     sigma_twisted,
 )
-from .series import QSeries
+from .series import QSeries, grow_only, linear_combination
 
 
 class NonIntegralExponent(ValueError):
@@ -63,7 +63,7 @@ class EtaQuotientSpec:
         return lead
 
 
-@lru_cache(maxsize=None)
+@grow_only(QSeries.truncate)
 def _euler_core(scale: int, precision: int) -> QSeries:
     """prod(1 - q^(scale * j), j >= 1) truncated at the working precision.
 
@@ -78,7 +78,7 @@ def _euler_core(scale: int, precision: int) -> QSeries:
     return QSeries(coeffs)
 
 
-@lru_cache(maxsize=None)
+@grow_only(QSeries.truncate)
 def eta_quotient(spec: EtaQuotientSpec, precision: int) -> QSeries:
     """Expand prod(eta(m z)^e) as a power series up to q^precision."""
     lead = spec.leading_exponent()
@@ -93,7 +93,7 @@ def _eta(*factors: tuple[int, int]) -> EtaQuotientSpec:
     return EtaQuotientSpec(tuple(factors))
 
 
-@lru_cache(maxsize=None)
+@grow_only(QSeries.truncate)
 def eisenstein_classical(k: int, precision: int) -> QSeries:
     """Normalized Eisenstein series 1 - (2k/B_k) * sum(sigma_(k-1)(n) q^n), k even.
 
@@ -107,7 +107,7 @@ def eisenstein_classical(k: int, precision: int) -> QSeries:
     )
 
 
-@lru_cache(maxsize=None)
+@grow_only(QSeries.truncate)
 def eisenstein_twisted(
     k: int,
     chi: DirichletCharacter,
@@ -136,12 +136,12 @@ def eisenstein_twisted(
     )
 
 
-@lru_cache(maxsize=None)
+@grow_only(QSeries.truncate)
 def quasimodular_combination(precision: int) -> QSeries:
     """The weight-14 cusp expansion (1/2) * (3 E_2(3z) - E_2(z)) * delta."""
     e2 = eisenstein_classical(2, precision)
     delta = eta_quotient(_eta((1, 24)), precision)
-    return Fraction(1, 2) * (3 * e2.scale_argument(3) - e2) * delta
+    return linear_combination((Fraction(3, 2), e2.scale_argument(3)), (Fraction(-1, 2), e2)) * delta
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,9 @@ class NamedForm:
     level: int
     character: DirichletCharacter
     series: QSeries
+
+    def truncate(self, precision: int) -> "NamedForm":
+        return replace(self, series=self.series.truncate(precision))
 
 
 def _build_delta_7_3(precision: int) -> QSeries:
@@ -168,10 +171,10 @@ def _build_delta_7_3(precision: int) -> QSeries:
 
 
 def _build_delta_8_3(precision: int) -> QSeries:
-    return (
-        eta_quotient(_eta((1, 12), (3, 4)), precision)
-        + 81 * eta_quotient(_eta((1, 6), (3, 4), (9, 6)), precision)
-        + 18 * eta_quotient(_eta((1, 9), (3, 4), (9, 3)), precision)
+    return linear_combination(
+        (1, eta_quotient(_eta((1, 12), (3, 4)), precision)),
+        (81, eta_quotient(_eta((1, 6), (3, 4), (9, 6)), precision)),
+        (18, eta_quotient(_eta((1, 9), (3, 4), (9, 3)), precision)),
     )
 
 
@@ -203,7 +206,7 @@ CATALOG_NAMES = tuple(_CATALOG)
 NEWFORM_NAMES = ("delta", "delta_6_3", "delta_8_3", "delta_7_3")
 
 
-@lru_cache(maxsize=None)
+@grow_only(NamedForm.truncate)
 def named_form(name: str, precision: int) -> NamedForm:
     """Construct a catalog form; every catalog entry is cuspidal."""
     try:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from . import forms, lattice
 from .arith import CHI3, CHI_TRIVIAL, bernoulli, rho_star, sigma_star, sigma_twisted
 from .lattice import lomadze_values
-from .series import DEFAULT_PRECISION, QSeries
+from .series import DEFAULT_PRECISION, QSeries, grow_only, linear_combination, prefix
 
 
 class PrecisionTooLow(ValueError):
@@ -42,8 +42,8 @@ def _coeffs(name: str, precision: int) -> tuple:
     return lomadze_values(name, precision)
 
 
-@lru_cache(maxsize=None)
-def _conv(power: int, name: str, precision: int, with_zero: bool = False, scale: int = 1) -> tuple:
+@grow_only(prefix)
+def _conv(power: int, name: str, precision: int, *, with_zero: bool = False, scale: int = 1) -> tuple:
     """The table over n <= precision of sum(sigma_power(a) * x[b]), scale*a + b = n, a, b >= 1.
 
     x is the named sequence of `_coeffs`.  The sigma series is
@@ -56,7 +56,7 @@ def _conv(power: int, name: str, precision: int, with_zero: bool = False, scale:
     x = QSeries(_coeffs(name, precision))
     product = sigmas.scale_argument(scale) * x
     if with_zero:
-        product += sigma_at_zero * x
+        product = linear_combination((1, product), (sigma_at_zero, x))
     return product.coeffs
 
 
@@ -71,7 +71,7 @@ def _resolve_precision(n: int, precision: int | None) -> int:
     return precision
 
 
-@lru_cache(maxsize=None)
+@grow_only(prefix)
 def tau_10_3_2_values(precision: int) -> tuple:
     """Weight-10 coefficient sequence, defined as L_10_6(n) / 120 (exact)."""
     return tuple(_exact(Fraction(v, 120)) for v in lomadze_values("L_10_6", precision))
@@ -206,16 +206,16 @@ def s2k_from_divisor_sums(k: int, n: int, precision: int | None = None):
 # -- basis decompositions -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@grow_only(QSeries.truncate)
 def decomposition(k: int, precision: int) -> QSeries:
     """The basis combination equal to the theta series of F_k, k in FORMULA_KS."""
     if k in ODD_WEIGHTS:
         a, b, cusps = ODD_WEIGHTS[k]
-        series = a * forms.eisenstein_twisted(k, CHI3, CHI_TRIVIAL, precision)
-        series += b * forms.eisenstein_twisted(k, CHI_TRIVIAL, CHI3, precision)
-        for c, name in cusps:
-            series += c * forms.named_form(name, precision).series
-        return series
+        return linear_combination(
+            (a, forms.eisenstein_twisted(k, CHI3, CHI_TRIVIAL, precision)),
+            (b, forms.eisenstein_twisted(k, CHI_TRIVIAL, CHI3, precision)),
+            *((c, forms.named_form(name, precision).series) for c, name in cusps),
+        )
     if k == 12:
         e12 = forms.eisenstein_classical(12, precision)
         e4 = forms.eisenstein_classical(4, precision)
@@ -223,12 +223,12 @@ def decomposition(k: int, precision: int) -> QSeries:
         delta = forms.named_form("delta", precision).series
         d83 = forms.named_form("delta_8_3", precision).series
         d63 = forms.named_form("delta_6_3", precision).series
-        return (
-            Fraction(1, 730) * e12
-            + Fraction(729, 730) * e12.scale_argument(3)
-            + Fraction(29824, 691) * delta
-            + Fraction(1186848, 50443) * (e4 * d83)
-            + Fraction(261344, 50443) * (e6 * d63)
+        return linear_combination(
+            (Fraction(1, 730), e12),
+            (Fraction(729, 730), e12.scale_argument(3)),
+            (Fraction(29824, 691), delta),
+            (Fraction(1186848, 50443), e4 * d83),
+            (Fraction(261344, 50443), e6 * d63),
         )
     if k == 14:
         e14 = forms.eisenstein_classical(14, precision)
@@ -236,12 +236,12 @@ def decomposition(k: int, precision: int) -> QSeries:
         e6 = forms.eisenstein_classical(6, precision)
         d83 = forms.named_form("delta_8_3", precision).series
         d63 = forms.named_form("delta_6_3", precision).series
-        return (
-            -Fraction(1, 2186) * e14
-            + Fraction(2187, 2186) * e14.scale_argument(3)
-            - Fraction(3016, 1093) * (e8 * d63)
-            - Fraction(12448, 1093) * (e6 * d83)
-            + Fraction(107264, 1093) * forms.quasimodular_combination(precision)
+        return linear_combination(
+            (-Fraction(1, 2186), e14),
+            (Fraction(2187, 2186), e14.scale_argument(3)),
+            (-Fraction(3016, 1093), e8 * d63),
+            (-Fraction(12448, 1093), e6 * d83),
+            (Fraction(107264, 1093), forms.quasimodular_combination(precision)),
         )
     raise ValueError(f"no decomposition for k={k}; supported: {FORMULA_KS}")
 

@@ -9,11 +9,10 @@ one-block moment tables with s_2(k-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from math import isqrt
 
-from .series import DEFAULT_PRECISION, QSeries
+from .series import DEFAULT_PRECISION, QSeries, grow_only, prefix
 
 #: x1-power orders carried by the moment tables.  Odd orders vanish
 #: identically (x -> -x is a solution-set involution negating x1).
@@ -39,8 +38,11 @@ class MomentTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
+    def truncate(self, precision: int) -> "MomentTable":
+        return replace(self, values=self.values[: precision + 1])
 
-@lru_cache(maxsize=None)
+
+@grow_only(lambda rows, precision: {t: row[: precision + 1] for t, row in rows.items()})
 def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
     """One enumeration pass over x^2 + xy + y^2 = n for all n <= precision.
 
@@ -48,8 +50,6 @@ def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
     4n - 3x^2, so |x| <= sqrt(4n/3); integer roots need the discriminant
     to be a perfect square r^2 with r = x (mod 2).  No floating point.
     """
-    if precision < 0:
-        raise ValueError("precision must be >= 0")
     rows = {t: [0] * (precision + 1) for t in MOMENT_ORDERS}
     rows[0][0] = 1  # the zero vector is the only representation of 0
     for n in range(1, precision + 1):
@@ -77,7 +77,7 @@ def enumerate_f1(precision: int) -> tuple[QSeries, dict[int, MomentTable]]:
     return series, tables
 
 
-@lru_cache(maxsize=None)
+@grow_only(QSeries.truncate)
 def theta_series(k: int, precision: int) -> QSeries:
     """q-series whose n-th coefficient is s_2k(n), the representation count by F_k."""
     if k < 0:
@@ -99,7 +99,7 @@ def s2k_bruteforce(k: int, precision: int) -> tuple[int, ...]:
     return theta_series(k, precision).coeffs
 
 
-@lru_cache(maxsize=None)
+@grow_only(MomentTable.truncate)
 def moment_table(k: int, t: int, precision: int) -> MomentTable:
     """M_t(k)(n) = sum of x1^t over F_k(x) = n, via the block convolution.
 
@@ -205,7 +205,8 @@ def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> i
     """The catalog sum at n, read from its table of values up to the precision.
 
     A spec that is not a catalog entry raises UnknownSum.  The precision
-    defaults to max(n, DEFAULT_PRECISION), so a loop over n builds one table.
+    defaults to max(n, DEFAULT_PRECISION); the table's memo grows by
+    doubling, so a loop over n = 1..N builds O(log N) tables.
     """
     if spec != lomadze_spec(spec.name):
         raise UnknownSum(f"spec {spec.name!r} differs from the catalog entry of that name")
@@ -218,7 +219,7 @@ def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> i
     return lomadze_values(spec.name, precision)[n]
 
 
-@lru_cache(maxsize=None)
+@grow_only(prefix)
 def lomadze_values(name: str, precision: int) -> tuple[int, ...]:
     """All values L(0..precision) of the named sum (L(0) = 0 for every catalog entry)."""
     spec = lomadze_spec(name)

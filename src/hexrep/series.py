@@ -8,13 +8,87 @@ exact.  Instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 Coeff = Union[int, Fraction]
+T = TypeVar("T")
 
 DEFAULT_PRECISION = 200
+
+
+def prefix(values: tuple, precision: int) -> tuple:
+    """The entries 0..precision of a table."""
+    return values[: precision + 1]
+
+
+def grow_only(cut: Callable[[T, int], T]):
+    """Memoize f(*key, precision) in one grow-only entry per key.
+
+    Every quantity memoized this way is a table whose entry at n does not
+    depend on the precision it was computed at.  The precision is the last
+    positional parameter of f; the other arguments, and the keyword options
+    not at their defaults, form the key.  An entry holds the value at the
+    largest precision asked for so far, and the last cut made from it:
+
+    * a request at either precision is served as stored, after one dict
+      lookup;
+    * a request below the stored precision is served by cut(value,
+      precision), which then replaces the entry's last cut, so a loop over
+      n at one precision cuts once;
+    * a request above it computes at max(precision, 2 * stored) and
+      replaces the entry, so a sweep over precisions makes O(log) builds.
+
+    Entries are never replaced by smaller ones and are never dropped, so
+    the memo holds one value per key (and one cut of it).  A negative
+    precision is a ValueError.  The wrapper has ``__wrapped__``, and
+    ``stored()`` (key -> stored precision) and ``clear()`` for inspection.
+    """
+
+    def decorate(fn):
+        arity = fn.__code__.co_argcount
+        positional = fn.__code__.co_varnames[:arity]
+        defaults = fn.__kwdefaults__ or {}
+        if positional[-1:] != ("precision",):
+            raise TypeError(f"{fn.__name__}: precision must be the last positional parameter")
+        entries: dict = {}  # key -> (stored precision, value, cut precision, cut value)
+
+        @functools.wraps(fn)
+        def memo(*args, **options):
+            if len(args) < arity:  # arguments given by keyword go back in their place
+                try:
+                    args += tuple(options.pop(name) for name in positional[len(args) :])
+                except KeyError as missing:
+                    raise TypeError(f"{fn.__name__}() missing argument {missing}") from None
+            if options:  # an option given at its default names the same table
+                options = {k: v for k, v in options.items() if k not in defaults or defaults[k] != v}
+            key = args[:-1] + tuple(options.items()) if options else args[:-1]
+            precision = args[-1]
+            entry = entries.get(key)
+            if entry is not None:
+                if precision == entry[0]:
+                    return entry[1]
+                if precision == entry[2]:
+                    return entry[3]
+            if precision < 0:
+                raise ValueError("precision must be >= 0")
+            if entry is None or precision > entry[0]:
+                grown = precision if entry is None else max(precision, 2 * entry[0])
+                value = fn(*args[:-1], grown, **options)
+                entries[key] = entry = (grown, value, grown, value)
+                if grown == precision:
+                    return value
+            value = cut(entry[1], precision)
+            entries[key] = (entry[0], entry[1], precision, value)
+            return value
+
+        memo.stored = lambda: {key: entry[0] for key, entry in entries.items()}
+        memo.clear = entries.clear
+        return memo
+
+    return decorate
 
 
 class ZeroConstantTerm(ValueError):
@@ -34,6 +108,11 @@ def _as_coeff(value) -> Coeff:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
+
+
+def _normal(values: Iterable) -> tuple:
+    """Ring results as coefficients: a Fraction of denominator 1 becomes its int."""
+    return tuple(v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in values)
 
 
 def _integral(coeffs: tuple) -> tuple[list[int], int]:
@@ -64,6 +143,13 @@ class QSeries:
         self._coeffs = tuple(cs)
 
     @classmethod
+    def _trusted(cls, coeffs: tuple) -> "QSeries":
+        """A series on a tuple of coefficients this module made: already valid and normal."""
+        series = object.__new__(cls)
+        series._coeffs = coeffs
+        return series
+
+    @classmethod
     def zero(cls, precision: int) -> "QSeries":
         return cls([0], precision=precision)
 
@@ -87,11 +173,15 @@ class QSeries:
         return self._coeffs[n]
 
     def truncate(self, precision: int) -> "QSeries":
+        if precision < 0:
+            raise ValueError("precision must be >= 0")
         if precision > self.precision:
             raise OutOfPrecision(
                 f"cannot extend precision {self.precision} to {precision}"
             )
-        return QSeries(self._coeffs[: precision + 1])
+        if precision == self.precision:
+            return self
+        return QSeries._trusted(self._coeffs[: precision + 1])
 
     # -- ring operations ---------------------------------------------------
 
@@ -99,17 +189,15 @@ class QSeries:
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
             a, b = self._coeffs, other._coeffs
-            return QSeries([a[i] + b[i] for i in range(n + 1)])
+            return QSeries._trusted(_normal(a[i] + b[i] for i in range(n + 1)))
         if isinstance(other, (int, Fraction)):
-            cs = list(self._coeffs)
-            cs[0] += other
-            return QSeries(cs)
+            return QSeries._trusted((_as_coeff(self._coeffs[0] + other),) + self._coeffs[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self._coeffs])
+        return QSeries._trusted(tuple(-c for c in self._coeffs))
 
     def __sub__(self, other):
         if isinstance(other, (QSeries, int, Fraction)):
@@ -140,9 +228,11 @@ class QSeries:
             low = ((packed + offset) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
             out = [int.from_bytes(low[i : i + w], "little") - half for i in range(0, size, w)]
             den = da * db
-            return QSeries(out if den == 1 else [Fraction(c, den) for c in out])
+            return QSeries._trusted(
+                tuple(out) if den == 1 else _normal(Fraction(c, den) for c in out)
+            )
         if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self._coeffs])
+            return QSeries._trusted(_normal(c * other for c in self._coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -180,7 +270,7 @@ class QSeries:
                 if ai:
                     acc += ai * out[m - i]
             out[m] = _as_coeff(-inv0 * acc) if acc else 0
-        return QSeries(out)
+        return QSeries._trusted(tuple(out))
 
     # -- substitutions -----------------------------------------------------
 
@@ -194,7 +284,7 @@ class QSeries:
         out = [0] * (n + 1)
         for i in range(n // m + 1):
             out[m * i] = self._coeffs[i]
-        return QSeries(out)
+        return QSeries._trusted(tuple(out))
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (k >= 0); precision is preserved."""
@@ -203,7 +293,7 @@ class QSeries:
         if k == 0:
             return self
         n = self.precision
-        return QSeries(([0] * k + list(self._coeffs))[: n + 1])
+        return QSeries._trusted(((0,) * k + self._coeffs)[: n + 1])
 
     # -- comparisons -------------------------------------------------------
 
@@ -219,3 +309,24 @@ class QSeries:
         head = ", ".join(str(c) for c in self._coeffs[:6])
         tail = ", ..." if self.precision >= 6 else ""
         return f"QSeries([{head}{tail}], precision={self.precision})"
+
+
+def linear_combination(*terms: tuple[Coeff, QSeries]) -> QSeries:
+    """sum(c * s) over the (c, s) terms, truncated at the smallest precision.
+
+    Every term is cleared of denominators and the sum is taken in int
+    arithmetic over one common denominator, so each coefficient is reduced
+    once instead of once per term.
+    """
+    n = min(s.precision for _, s in terms)
+    parts = []
+    for c, s in terms:
+        ints, d = _integral(s._coeffs[: n + 1])
+        c = Fraction(c)
+        parts.append((c.numerator, c.denominator * d, ints))
+    den = lcm(*(q for _, q, _ in parts))
+    total = [0] * (n + 1)
+    for p, q, ints in parts:
+        m = p * (den // q)
+        total = [t + m * v for t, v in zip(total, ints)]
+    return QSeries._trusted(tuple(total) if den == 1 else _normal(Fraction(t, den) for t in total))

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import pytest
+from memos import clear_all
 
 from hexrep.cli import main
 
@@ -41,15 +42,27 @@ def run_case(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_cli_output_matches_golden(case):
+def check_case(case):
     expected = json.loads((GOLDEN / "cases.json").read_text())[case]
     assert expected["argv"] == CASES[case]
     code, out, err = run_case(CASES[case])
-    assert code == expected["code"]
-    assert err == expected["stderr"]
+    assert code == expected["code"], case
+    assert err == expected["stderr"], case
     with gzip.open(GOLDEN / f"{case}.out.gz", "rt", newline="") as fh:
-        assert out == fh.read()
+        assert out == fh.read(), case
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden(case):
+    check_case(case)
+
+
+def test_golden_outputs_after_a_larger_precision():
+    # every table the cases read is then a cut of one computed at 400 or more
+    clear_all()
+    assert run_case(["s2k", "--k", "14", "--n", "1..400", "--method", "decomposition"])[0] == 0
+    for case in CASES:
+        check_case(case)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from memos import clear_all
 from oracles import f1_moments_direct, f2_moments_direct, s2k_direct_recursive
 
 from hexrep import lattice
@@ -168,6 +169,9 @@ def test_lomadze_precision_contract():
 
 
 def test_negative_precision_is_a_value_error():
+    # the memo holds both keys first, so the guard must hold on a hit too
+    moment_table(1, 0, 5)
+    lomadze_values("L_6_2", 5)
     with pytest.raises(ValueError, match="precision must be >= 0"):
         moment_table(1, 0, -1)
     with pytest.raises(ValueError, match="precision must be >= 0"):
@@ -180,10 +184,30 @@ def test_lomadze_sum_rejects_a_spec_outside_the_catalog():
         lomadze_sum(spec, 3)
 
 
+def _sweep_lomadze_sum(name, n_max):
+    """lomadze_sum over n = 1..n_max from cleared memos, with every precision each memo stored."""
+    spec = lomadze_spec(name)
+    clear_all()
+    values, stored = [], {}
+    for n in range(1, n_max + 1):
+        values.append(lomadze_sum(spec, n))
+        for memo in (lattice.lomadze_values, lattice.moment_table):
+            for key, precision in memo.stored().items():
+                stored.setdefault((memo.__name__, key), set()).add(precision)
+    return values, stored
+
+
 def test_lomadze_sum_loop_builds_one_table():
     # one table at the default precision serves every n up to it
-    spec = lomadze_spec("L_12_4")
-    lattice.moment_table.cache_clear()
-    values = [lomadze_sum(spec, n) for n in range(1, 201)]
-    assert lattice.moment_table.cache_info().currsize <= 5
+    values, stored = _sweep_lomadze_sum("L_12_4", 200)
+    tables = [key for key in stored if key[0] == "moment_table"]
+    assert len(tables) <= 5
+    assert all(precisions == {200} for precisions in stored.values())
     assert values == list(lomadze_values("L_12_4", 200)[1:])
+
+
+def test_lomadze_sum_sweep_to_1000_builds_at_most_four_tables():
+    values, stored = _sweep_lomadze_sum("L_12_4", 1000)
+    assert all(len(precisions) <= 4 for precisions in stored.values())
+    assert stored[("lomadze_values", ("L_12_4",))] == {200, 400, 800, 1600}
+    assert values == list(lattice.lomadze_values.__wrapped__("L_12_4", 1000)[1:])

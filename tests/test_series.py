@@ -151,6 +151,17 @@ def test_integral_fractions_normalize_to_int():
     a = QSeries([Fraction(4, 2), Fraction(1, 3)])
     assert isinstance(a.coefficient(0), int)
     assert a.coefficient(0) == 2
+    # ring results skip the constructor's check and must come out normal too
+    half = QSeries([Fraction(1, 2), Fraction(3, 2)])
+    for result, expected in (
+        (half + half, (1, 3)),
+        (half * QSeries([2, 0]), (1, 3)),
+        (half * 2, (1, 3)),
+        (half + Fraction(1, 2), (1, Fraction(3, 2))),
+        (QSeries([Fraction(1, 3), 0]) * QSeries([3, 3]), (1, 1)),
+    ):
+        assert result.coeffs == expected
+        assert [type(c) for c in result.coeffs] == [type(c) for c in expected]
 
 
 def test_shift_and_truncate():
@@ -159,6 +170,8 @@ def test_shift_and_truncate():
     assert a.truncate(1) == QSeries([1, 2])
     with pytest.raises(OutOfPrecision):
         a.truncate(9)
+    with pytest.raises(ValueError, match="precision must be >= 0"):
+        a.truncate(-1)
 
 
 def test_scalar_arithmetic():

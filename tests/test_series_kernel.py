@@ -1,11 +1,12 @@
-"""The Kronecker-substitution product against the schoolbook double loop."""
+"""The Kronecker-substitution product and the common-denominator linear
+combination against plain per-coefficient Fraction arithmetic."""
 
 from fractions import Fraction
 
 import pytest
 from oracles import mul_schoolbook
 
-from hexrep.series import QSeries
+from hexrep.series import QSeries, linear_combination
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -27,3 +28,22 @@ coefficients = st.one_of(
 @hypothesis.example([Fraction(1, 3), Fraction(-1, 2)], [-7])
 def test_mul_matches_schoolbook(a, b):
     assert (QSeries(a) * QSeries(b)).coeffs == QSeries(mul_schoolbook(a, b)).coeffs
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(
+    st.lists(
+        st.tuples(coefficients, st.lists(coefficients, min_size=1, max_size=40)),
+        min_size=1,
+        max_size=5,
+    )
+)
+@hypothesis.example([(Fraction(1, 2), [1, 3]), (Fraction(-1, 2), [1, 1])])  # cancels to ints
+@hypothesis.example([(0, [Fraction(1, 3)])])
+def test_linear_combination_matches_fraction_sums(terms):
+    n = min(len(cs) for _, cs in terms) - 1
+    expected = [sum(Fraction(c) * cs[i] for c, cs in terms) for i in range(n + 1)]
+    result = linear_combination(*((c, QSeries(cs)) for c, cs in terms))
+    assert result.coeffs == QSeries(expected).coeffs
+    # integral values come back as ints, as the public constructor makes them
+    assert [type(v) for v in result.coeffs] == [type(v) for v in QSeries(expected).coeffs]
