@@ -1,8 +1,9 @@
 """Number-theoretic scalar functions.
 
 Dirichlet characters of conductor 1 and 3, power-of-divisor sums (plain,
-twisted and starred), and Bernoulli numbers, plain and generalized.  All
-values are exact ints or Fractions.
+twisted and starred) one n at a time or as sieved tables over n, and
+Bernoulli numbers, plain and generalized.  All values are exact ints or
+Fractions.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+
+from .series import grow_only, prefix
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,24 @@ def sigma_twisted(r: int, chi: DirichletCharacter, psi: DirichletCharacter, n: i
     return sum(psi(d) * chi(n // d) * d**r for d in divisors(n))
 
 
+@grow_only(prefix)
+def sigma_table(r: int, chi: DirichletCharacter, psi: DirichletCharacter, precision: int) -> tuple[int, ...]:
+    """sigma_twisted(r, chi, psi, n) for n = 0..precision (0 at n = 0), by one sieve over d.
+
+    Each d adds psi(d) d^r chi(m) at n = d m; the multiples m with one
+    residue mod the conductor of chi lie on one arithmetic progression.
+    """
+    out = [0] * (precision + 1)
+    f = chi.conductor
+    for d in range(1, precision + 1):
+        if w := psi(d) * d**r:
+            for a, v in enumerate(chi.values):  # chi(m) = v for the m = a mod f
+                if v:
+                    for n in range((a or f) * d, precision + 1, f * d):
+                        out[n] += v * w
+    return tuple(out)
+
+
 def rho_star(ell: int, n: int) -> int:
     """3^(ell/2) * sum of (chi3(n/d) + (-1)^(ell/2) * chi3(d)) * d^ell over d | n.
 
@@ -97,6 +118,23 @@ def sigma_star(ell: int, n: int) -> int:
     if n % 3 == 0:
         value += (-3) ** ((ell + 1) // 2) * sigma(ell, n // 3)
     return value
+
+
+def sigma_star_table(ell: int, precision: int) -> tuple[int, ...]:
+    """sigma_star(ell, n) for n = 0..precision (0 at n = 0), from the sieved sigma_ell table."""
+    sigmas = sigma_table(ell, CHI_TRIVIAL, CHI_TRIVIAL, precision)
+    c = (-3) ** ((ell + 1) // 2)
+    return tuple(v + c * sigmas[n // 3] if n % 3 == 0 else v for n, v in enumerate(sigmas))
+
+
+def rho_star_table(ell: int, precision: int) -> tuple[int, ...]:
+    """rho_star(ell, n) for n = 0..precision (0 at n = 0), from two sieved twisted tables.
+
+    rho*_ell = 3^(ell/2) (sigma_(ell; chi3, 1) + (-1)^(ell/2) sigma_(ell; 1, chi3)).
+    """
+    scale, sign = 3 ** (ell // 2), (-1) ** (ell // 2)
+    twisted = zip(sigma_table(ell, CHI3, CHI_TRIVIAL, precision), sigma_table(ell, CHI_TRIVIAL, CHI3, precision))
+    return tuple(scale * (a + sign * b) for a, b in twisted)
 
 
 # -- Bernoulli numbers -----------------------------------------------------

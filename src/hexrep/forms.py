@@ -17,8 +17,7 @@ from .arith import (
     DirichletCharacter,
     bernoulli,
     bernoulli_generalized,
-    sigma,
-    sigma_twisted,
+    sigma_table,
 )
 from .series import QSeries, grow_only, linear_combination
 
@@ -102,9 +101,7 @@ def eisenstein_classical(k: int, precision: int) -> QSeries:
     if k < 2 or k % 2:
         raise ValueError("weight must be an even integer >= 2")
     factor = Fraction(-2 * k) / bernoulli(k)
-    return QSeries(
-        [1] + [factor * sigma(k - 1, n) for n in range(1, precision + 1)]
-    )
+    return linear_combination((factor, sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, precision))) + 1
 
 
 @grow_only(QSeries.truncate)
@@ -131,9 +128,7 @@ def eisenstein_twisted(
         c0: int | Fraction = 0
     else:
         c0 = -bernoulli_generalized(k, psi) / (2 * k)
-    return QSeries(
-        [c0] + [sigma_twisted(k - 1, chi, psi, n) for n in range(1, precision + 1)]
-    )
+    return QSeries((c0,) + sigma_table(k - 1, chi, psi, precision)[1:])
 
 
 @grow_only(QSeries.truncate)

@@ -223,8 +223,11 @@ def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> i
 def lomadze_values(name: str, precision: int) -> tuple[int, ...]:
     """All values L(0..precision) of the named sum (L(0) = 0 for every catalog entry)."""
     spec = lomadze_spec(name)
-    tables = {t: moment_table(spec.blocks, t, precision) for t, _ in spec.terms}
-    return tuple(
-        sum(spec.coefficient(t, n) * tables[t][n] for t, _ in spec.terms)
-        for n in range(precision + 1)
-    )
+    values = [0] * (precision + 1)
+    for t, poly in spec.terms:
+        row = moment_table(spec.blocks, t, precision).values
+        for c in poly:  # c n^i M_t(n) for i = 0, 1, ...: row holds n^i M_t(n)
+            if c:
+                values = [s + c * v for s, v in zip(values, row)]
+            row = [n * v for n, v in enumerate(row)]
+    return tuple(values)

@@ -115,9 +115,11 @@ def _normal(values: Iterable) -> tuple:
     return tuple(v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in values)
 
 
-def _integral(coeffs: tuple) -> tuple[list[int], int]:
+def _integral(coeffs: tuple) -> tuple[tuple | list, int]:
     """Integers c * d for the coefficients c, with d the lcm of their denominators."""
     d = lcm(*(c.denominator for c in coeffs))
+    if d == 1:
+        return coeffs, 1
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
@@ -311,17 +313,19 @@ class QSeries:
         return f"QSeries([{head}{tail}], precision={self.precision})"
 
 
-def linear_combination(*terms: tuple[Coeff, QSeries]) -> QSeries:
+def linear_combination(*terms: tuple[Coeff, Union[QSeries, tuple]]) -> QSeries:
     """sum(c * s) over the (c, s) terms, truncated at the smallest precision.
 
-    Every term is cleared of denominators and the sum is taken in int
-    arithmetic over one common denominator, so each coefficient is reduced
-    once instead of once per term.
+    Each s is a series or a table of coefficients (a tuple of ints and
+    Fractions).  Every term is cleared of denominators and the sum is taken
+    in int arithmetic over one common denominator, so each coefficient is
+    reduced once instead of once per term.
     """
-    n = min(s.precision for _, s in terms)
+    tables = [s._coeffs if isinstance(s, QSeries) else s for _, s in terms]
+    n = min(map(len, tables)) - 1
     parts = []
-    for c, s in terms:
-        ints, d = _integral(s._coeffs[: n + 1])
+    for (c, _), table in zip(terms, tables):
+        ints, d = _integral(table[: n + 1])
         c = Fraction(c)
         parts.append((c.numerator, c.denominator * d, ints))
     den = lcm(*(q for _, q, _ in parts))

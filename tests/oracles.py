@@ -1,8 +1,10 @@
-"""Direct (nested-loop) oracles, independent of the series kernel, the moment tables and the convolutions."""
+"""Direct oracles: nested loops and one-n-at-a-time evaluations that the fast table paths are checked against."""
 
 from fractions import Fraction
 from math import isqrt
 
+from hexrep.arith import CHI3, CHI_TRIVIAL, rho_star, sigma_star, sigma_twisted
+from hexrep.identities import ODD_WEIGHTS, _coeffs, _conv
 from hexrep.lattice import MOMENT_ORDERS
 
 
@@ -99,3 +101,90 @@ def euler_product_direct(scale: int, precision: int) -> list[int]:
         for i in range(precision, m - 1, -1):
             coeffs[i] -= coeffs[i - m]
     return coeffs
+
+
+# -- the per-n formulas, one n at a time in Fraction arithmetic ---------------
+#
+# Each body evaluates its formula at one n: trial-division divisor sums
+# from `arith`, the cusp, finite-sum and convolution tables read at n, and
+# the printed constants in Fraction arithmetic.
+
+
+def s24_direct(n: int, N: int):
+    return (
+        Fraction(6552, 73 * 691) * sigma_star(11, n)
+        + Fraction(29824, 691) * _coeffs("delta", N)[n]
+        + Fraction(240 * 1186848, 50443) * _conv(3, "delta_8_3", N, with_zero=True)[n]
+        - Fraction(504 * 261344, 50443) * _conv(5, "delta_6_3", N, with_zero=True)[n]
+    )
+
+
+def s28_direct(n: int, N: int):
+    return (
+        Fraction(12, 1093) * sigma_star(13, n)
+        + Fraction(107264, 1093) * _coeffs("delta", N)[n]
+        + Fraction(107264 * 12, 1093) * (_conv(1, "delta", N)[n] - 3 * _conv(1, "delta", N, scale=3)[n])
+        + Fraction(12448 * 504, 1093) * _conv(5, "delta_8_3", N, with_zero=True)[n]
+        - Fraction(3016 * 480, 1093) * _conv(7, "delta_6_3", N, with_zero=True)[n]
+    )
+
+
+def lomadze_s24_direct(n: int, N: int):
+    return Fraction(1, 73 * 691) * (
+        6552 * sigma_star(11, n)
+        + Fraction(291096, 35) * _coeffs("L_12_8", N)[n]
+        + 864 * _coeffs("L_12_6", N)[n]
+        + 360 * _coeffs("L_12_4", N)[n]
+    )
+
+
+def lomadze_s28_direct(n: int, N: int):
+    return (
+        Fraction(12, 1093) * sigma_star(13, n)
+        + Fraction(188954, 803355) * _coeffs("L_14_10", N)[n]
+        + Fraction(1728, 267785) * _coeffs("L_14_8", N)[n]
+        + Fraction(288, 191275) * _coeffs("L_14_6", N)[n]
+    )
+
+
+def tau_direct(n: int, N: int):
+    inner = (
+        Fraction(36387, 35) * _coeffs("L_12_8", N)[n]
+        + 108 * _coeffs("L_12_6", N)[n]
+        + Fraction(1, 3) * _coeffs("Lcal_4", N)[n]
+        - Fraction(32668, 12) * _coeffs("L_6_2", N)[n]
+        - 329680 * _conv(3, "L_8_4", N)[n]
+        + 1372056 * _conv(5, "L_6_2", N)[n]
+    )
+    return Fraction(1, 73 * 3728) * inner
+
+
+def _cusp_part_direct(k: int, n: int, N: int):
+    return sum(c * _coeffs(name, N)[n] for c, name in ODD_WEIGHTS[k][2])
+
+
+def theorem_direct(k: int, n: int, N: int):
+    return ODD_WEIGHTS[k][0] / 3 ** ((k - 1) // 2) * rho_star(k - 1, n) + _cusp_part_direct(k, n, N)
+
+
+def s2k_odd_direct(k: int, n: int, N: int):
+    """a sigma(chi3, 1) + b sigma(1, chi3) + cusp part, for k in ODD_WEIGHTS."""
+    a, b, _ = ODD_WEIGHTS[k]
+    return (
+        a * sigma_twisted(k - 1, CHI3, CHI_TRIVIAL, n)
+        + b * sigma_twisted(k - 1, CHI_TRIVIAL, CHI3, n)
+        + _cusp_part_direct(k, n, N)
+    )
+
+
+#: The per-n oracle of each table in ``identities.FORMULAS``, by name.
+FORMULAS_DIRECT = {
+    "s14-theorem": lambda n, N: theorem_direct(7, n, N),
+    "s18-theorem": lambda n, N: theorem_direct(9, n, N),
+    "s22-theorem": lambda n, N: theorem_direct(11, n, N),
+    "s24-formula": s24_direct,
+    "s28-formula": s28_direct,
+    "lomadze-s24": lomadze_s24_direct,
+    "lomadze-s28": lomadze_s28_direct,
+    "tau-eq": tau_direct,
+}

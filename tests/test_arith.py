@@ -14,8 +14,11 @@ from hexrep.arith import (
     chi3,
     divisors,
     rho_star,
+    rho_star_table,
     sigma,
     sigma_star,
+    sigma_star_table,
+    sigma_table,
     sigma_twisted,
 )
 from hexrep.series import QSeries
@@ -104,6 +107,25 @@ def test_sigma_star_values():
     assert sigma_star(13, 2) == 8193
     with pytest.raises(ValueError):
         sigma_star(4, 1)
+
+
+def test_sigma_table_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for r in (0, 1, 3, 5, 7, 11, 13):
+        table = sigma_table(r, CHI_TRIVIAL, CHI_TRIVIAL, 600)
+        assert table[0] == 0
+        assert list(table[1:]) == [sympy.divisor_sigma(n, r) for n in range(1, 601)], r
+
+
+def test_sieved_tables_against_trial_division():
+    for r in (6, 8, 10):
+        for chi in (CHI_TRIVIAL, CHI3):
+            for psi in (CHI_TRIVIAL, CHI3):
+                table = sigma_table(r, chi, psi, 1000)
+                assert table == (0,) + tuple(sigma_twisted(r, chi, psi, n) for n in range(1, 1001))
+        assert rho_star_table(r, 1000) == (0,) + tuple(rho_star(r, n) for n in range(1, 1001))
+    for ell in (11, 13):
+        assert sigma_star_table(ell, 1000) == (0,) + tuple(sigma_star(ell, n) for n in range(1, 1001))
 
 
 def test_bernoulli_values():

@@ -1,12 +1,15 @@
 """The closed-form identities, their reports, and the verification run."""
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from oracles import conv_direct
+from memos import clear_all
+from oracles import FORMULAS_DIRECT, conv_direct, s2k_odd_direct
 
-from hexrep import forms, identities, lattice
+from hexrep import arith, forms, identities, lattice
 from hexrep.identities import (
     DOCUMENTED_DISCREPANCIES,
     IDENTITY_NAMES,
@@ -18,11 +21,11 @@ from hexrep.identities import (
     check_rho_star,
     decomposition,
     e2_delta_convolution,
+    formula_table,
     lomadze_s24,
     lomadze_s28,
     newform_coeff_identities,
     ramanujan_convolution,
-    report_from_json_dict,
     s24_formula,
     s28_convolution_identity,
     s28_formula,
@@ -96,10 +99,63 @@ def test_convolution_list_is_complete(monkeypatch):
         return conv(power, name, precision, with_zero=with_zero, scale=scale)
 
     monkeypatch.setattr(identities, "_conv", recording)
+    clear_all()  # stored formula tables would answer without a convolution
     verify_all(10, "all", 10)
     # e2-delta-convolution takes its 0-inclusive sums only when the plain
     # convention fails; of those, only (3, L_10_6) is taken nowhere else
     assert seen == set(CONVOLUTIONS) - {(3, "L_10_6", True, 1)}
+
+
+def test_formula_tables_against_per_n_oracles():
+    assert set(FORMULAS_DIRECT) == set(identities.FORMULAS)
+    clear_all()
+    for precision in (50, 300):  # built at 50, then grown
+        for name, direct in FORMULAS_DIRECT.items():
+            table = formula_table(name, precision)
+            assert len(table) == precision + 1
+            assert table[1:] == tuple(direct(n, precision) for n in range(1, precision + 1)), name
+        for k in identities.ODD_WEIGHTS:
+            values = [s2k_from_divisor_sums(k, n, precision) for n in range(1, precision + 1)]
+            assert values == [s2k_odd_direct(k, n, precision) for n in range(1, precision + 1)], k
+
+
+def _lomadze_sum(n, precision=None):
+    return lattice.lomadze_sum(lattice.lomadze_spec("L_12_4"), n, precision)
+
+
+#: Every public per-n formula, as f(n, precision).
+PER_N_FORMULAS = (
+    _lomadze_sum,
+    s24_formula,
+    s28_formula,
+    lomadze_s24,
+    lomadze_s28,
+    tau_from_lattice_sums,
+    *(partial(theorem_formula, k) for k in identities.ODD_WEIGHTS),
+    *(partial(s2k_from_divisor_sums, k) for k in identities.FORMULA_KS),
+)
+
+
+def test_per_n_formulas_reject_indices_below_their_range():
+    for formula in PER_N_FORMULAS:
+        for precision in (None, N):
+            with pytest.raises(ValueError, match="n must be >= "):
+                formula(-1, precision)
+            if formula in (tau_from_lattice_sums, _lomadze_sum):  # both defined at n = 0
+                assert formula(0, precision) == 0
+            else:
+                with pytest.raises(ValueError, match="n must be >= 1"):
+                    formula(0, precision)
+
+
+def test_verify_all_does_no_trial_division(monkeypatch):
+    def refuse(n):
+        raise AssertionError("trial division on the verify path")
+
+    monkeypatch.setattr(arith, "divisors", refuse)
+    clear_all()
+    reports = verify_all(200)
+    assert {r.name for r in reports if not r.all_match} == set(DOCUMENTED_DISCREPANCIES)
 
 
 def test_decompositions_equal_brute_force():
@@ -216,6 +272,7 @@ def test_e2_delta_lhs_against_series_product():
 
 def test_e2_delta_convolution_fallback_notes(monkeypatch):
     conv = identities._conv
+    assert e2_delta_convolution(30, N).note == "inner sums taken over a, b >= 1; no boundary terms needed"
 
     def swapped(power, name, precision, with_zero=False, scale=1):
         # the right side's sums (powers 3, 5, 7) trade conventions
@@ -229,13 +286,18 @@ def test_e2_delta_convolution_fallback_notes(monkeypatch):
         "0-inclusive convention with the stated boundary constants"
     )
 
+    requested = []
+
     def broken(power, name, precision, with_zero=False, scale=1):
+        requested.append((power, with_zero))
         table = conv(power, name, precision, with_zero=with_zero, scale=scale)
         return tuple(v + (power > 1) for v in table)
 
     monkeypatch.setattr(identities, "_conv", broken)
     report = e2_delta_convolution(30, N)
     assert not report.all_match
+    # each convention's right side is built once, the left side once
+    assert sorted(requested) == [(1, False)] + [(p, z) for p in (3, 5, 7) for z in (False, True)]
     # the values shown are the plain ones, each off by the added 1 in its three sums
     shift = -Fraction(5, 6) + Fraction(21, 4) - Fraction(15, 4) / 120
     assert report.rhs == tuple(v + shift for v in report.lhs)
@@ -281,12 +343,62 @@ def test_report_structure():
         IdentityReport("bad", 3, (1,), (1, 1, 1))
 
 
+@dataclass(frozen=True)
+class ReportSummary:
+    """The JSON-visible projection of an IdentityReport (mismatches only)."""
+
+    name: str
+    n_max: int
+    status: str
+    mismatches: tuple
+    constant_term: tuple | None = None
+    note: str = ""
+
+
+def exact(value):
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def summary(report: IdentityReport) -> ReportSummary:
+    return ReportSummary(
+        name=report.name,
+        n_max=report.n_max,
+        status=report.status,
+        mismatches=tuple((n, exact(l), exact(r)) for n, l, r in report.mismatches),
+        constant_term=None if report.constant_term is None else tuple(map(exact, report.constant_term)),
+        note=report.note,
+    )
+
+
+def decode_value(v):
+    if isinstance(v, str):
+        num, _, den = v.partition("/")
+        return Fraction(int(num), int(den))
+    return v
+
+
+def report_from_json_dict(d: dict) -> ReportSummary:
+    constant_term = None
+    if "constant_term" in d:
+        constant_term = (decode_value(d["constant_term"]["lhs"]), decode_value(d["constant_term"]["rhs"]))
+    return ReportSummary(
+        name=d["name"],
+        n_max=d["n_max"],
+        status=d["status"],
+        mismatches=tuple((m["n"], decode_value(m["lhs"]), decode_value(m["rhs"])) for m in d["mismatches"]),
+        constant_term=constant_term,
+        note=d.get("note", ""),
+    )
+
+
 def test_report_json_round_trip():
     for name in ("tau-eq", "rho-star-6", "f7-decomposition"):
         (report,) = verify_all(20, (name,), N)
         text = json.dumps(report.to_json_dict())
         parsed = report_from_json_dict(json.loads(text))
-        assert parsed == report.summary()
+        assert parsed == summary(report)
         # serialization is stable under a second round trip
         assert json.loads(text) == report.to_json_dict()
 

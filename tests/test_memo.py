@@ -16,6 +16,7 @@ from hexrep.lattice import MomentTable
 from hexrep.series import QSeries, grow_only, prefix
 
 MEMOIZED = {
+    "hexrep.arith.sigma_table",
     "hexrep.forms._euler_core",
     "hexrep.forms.eta_quotient",
     "hexrep.forms.eisenstein_classical",
@@ -29,10 +30,12 @@ MEMOIZED = {
     "hexrep.identities._conv",
     "hexrep.identities.tau_10_3_2_values",
     "hexrep.identities.decomposition",
+    "hexrep.identities.formula_table",
 }
 
 #: One call of each memoized quantity, as (memo, key arguments, keyword options).
 QUANTITIES = (
+    (arith.sigma_table, (6, CHI_TRIVIAL, CHI3), {}),
     (forms._euler_core, (3,), {}),
     (forms.eta_quotient, (forms._eta((1, 6), (3, 6)),), {}),
     (forms.eisenstein_classical, (4,), {}),
@@ -46,6 +49,7 @@ QUANTITIES = (
     (identities._conv, (5, "delta_8_3"), {"with_zero": True}),
     (identities.tau_10_3_2_values, (), {}),
     (identities.decomposition, (7,), {}),
+    (identities.formula_table, ("s28-formula",), {}),
 )
 
 
