@@ -128,7 +128,7 @@ def _cmd_lsum(args, out) -> int:
     return 0
 
 
-def _print_verify_table(reports, strict, out):
+def _print_verify_table(reports, passed, strict, out):
     for r in reports:
         tag = " [documented]" if r.name in identities.DOCUMENTED_DISCREPANCIES else ""
         if r.all_match:
@@ -151,7 +151,7 @@ def _print_verify_table(reports, strict, out):
             )
         if r.note:
             print(f"  note: {r.note}", file=out)
-    verdict = "PASS" if verification_passed(reports, strict) else "FAIL"
+    verdict = "PASS" if passed else "FAIL"
     print(f"verification: {verdict} ({len(reports)} identities, strict={strict})", file=out)
 
 
@@ -173,13 +173,14 @@ def _cmd_verify(args, out) -> int:
         selection = args.identity
     precision = args.precision if args.precision is not None else DEFAULT_PRECISION
     reports = verify_all(args.nmax, selection, precision)
+    passed = verification_passed(reports, strict=args.strict)
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2), file=out)
     elif args.format == "csv":
         _print_verify_csv(reports, out)
     else:
-        _print_verify_table(reports, args.strict, out)
-    return 0 if verification_passed(reports, strict=args.strict) else 1
+        _print_verify_table(reports, passed, args.strict, out)
+    return 0 if passed else 1
 
 
 @functools.cache

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
+from operator import mul
 
 from .arith import (
     CHI3,
@@ -62,30 +64,40 @@ class EtaQuotientSpec:
         return lead
 
 
-@grow_only(QSeries.truncate)
-def _euler_core(scale: int, precision: int) -> QSeries:
-    """prod(1 - q^(scale * j), j >= 1) truncated at the working precision.
+def _euler_core(precision: int) -> QSeries:
+    """prod(1 - q^j, j >= 1) truncated at the working precision.
 
     By Euler's pentagonal number theorem the product is
-    sum((-1)^k q^(scale * k(3k-1)/2)) over all integers k.
+    sum((-1)^k q^(k(3k-1)/2)) over all integers k.
     """
     coeffs = [0] * (precision + 1)
-    bound = isqrt(precision // scale)  # k(3k-1)/2 >= k^2
+    bound = isqrt(precision)  # k(3k-1)/2 >= k^2
     for k in range(-bound, bound + 1):
-        if (e := scale * k * (3 * k - 1) // 2) <= precision:
+        if (e := k * (3 * k - 1) // 2) <= precision:
             coeffs[e] = -1 if k % 2 else 1
-    return QSeries(coeffs)
+    return QSeries._trusted(tuple(coeffs))
+
+
+@grow_only(QSeries.truncate)
+def _eta_power(scale: int, exponent: int, precision: int) -> QSeries:
+    """prod(1 - q^(scale * j), j >= 1)^exponent: eta(scale z)^exponent without its q-power.
+
+    The power is taken of the core at precision // scale (of its inverse
+    when exponent < 0) and then spread to the powers of q^scale.
+    """
+    core = _euler_core(precision // scale)
+    power = core**exponent if exponent >= 0 else core.invert() ** -exponent
+    coeffs = [0] * (precision + 1)
+    coeffs[::scale] = power.coeffs
+    return QSeries._trusted(tuple(coeffs))
 
 
 @grow_only(QSeries.truncate)
 def eta_quotient(spec: EtaQuotientSpec, precision: int) -> QSeries:
     """Expand prod(eta(m z)^e) as a power series up to q^precision."""
     lead = spec.leading_exponent()
-    result = QSeries.one(precision)
-    for m, e in spec.factors:
-        core = _euler_core(m, precision)
-        result = result * (core**e if e >= 0 else core.invert() ** (-e))
-    return result.shift(lead)
+    powers = [_eta_power(m, e, precision) for m, e in spec.factors]
+    return reduce(mul, powers or [QSeries.one(precision)]).shift(lead)
 
 
 def _eta(*factors: tuple[int, int]) -> EtaQuotientSpec:

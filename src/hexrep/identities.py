@@ -45,8 +45,8 @@ def _conv(power: int, name: str, precision: int, *, with_zero: bool = False, sca
     sigma_r(0) = -B_(r+1) / (2(r+1)) is 1/240, -1/504, 1/480 for
     r = 3, 5, 7.  b = 0 adds nothing: x[0] = 0.
     """
-    sigmas = QSeries(sigma_table(power, CHI_TRIVIAL, CHI_TRIVIAL, precision))
-    x = QSeries(_coeffs(name, precision))
+    sigmas = QSeries._trusted(sigma_table(power, CHI_TRIVIAL, CHI_TRIVIAL, precision))
+    x = QSeries._trusted(_coeffs(name, precision))
     product = sigmas.scale_argument(scale) * x
     if with_zero:
         sigma_at_zero = -bernoulli(power + 1) / (2 * (power + 1))
@@ -188,6 +188,8 @@ def theorem_formula(k: int, n: int, precision: int | None = None):
     inconsistent with the counts; kept as stated so the discrepancy is
     measurable.
     """
+    if k not in ODD_WEIGHTS:
+        raise ValueError(f"no printed theorem for k={k}; supported: {tuple(ODD_WEIGHTS)}")
     return _entry(f"s{2 * k}-theorem", n, precision)
 
 
@@ -316,24 +318,22 @@ class IdentityReport:
 
     @property
     def entries(self) -> tuple:
-        return tuple(
-            (i + 1, self.lhs[i], self.rhs[i]) for i in range(self.n_max)
-        )
+        return tuple(zip(range(1, self.n_max + 1), self.lhs, self.rhs))
+
+    def _mismatches(self):
+        return ((n, l, r) for n, (l, r) in enumerate(zip(self.lhs, self.rhs), 1) if l != r)
 
     @property
     def mismatches(self) -> tuple:
-        return tuple(e for e in self.entries if e[1] != e[2])
+        return tuple(self._mismatches())
 
     @property
     def all_match(self) -> bool:
-        return all(l == r for _, l, r in self.entries)
+        return self.lhs == self.rhs
 
     @property
     def first_mismatch(self):
-        for entry in self.entries:
-            if entry[1] != entry[2]:
-                return entry
-        return None
+        return next(self._mismatches(), None)
 
     @property
     def status(self) -> str:
@@ -410,8 +410,11 @@ def check_rho_star(ell: int, n_max: int, precision: int | None = None) -> Identi
     Solving s_2k(n) = (a / 3^(ell/2)) rho*_ell(n) + cusp part for rho*, with
     k = ell + 1, gives (s_2k(n) - cusp part) 3^(ell/2) / a.
     """
-    N = _resolve_precision(n_max, precision)
     k = ell + 1
+    if k not in ODD_WEIGHTS:
+        supported = tuple(w - 1 for w in ODD_WEIGHTS)
+        raise ValueError(f"no printed rho* for ell={ell}; supported: {supported}")
+    N = _resolve_precision(n_max, precision)
     f = 3 ** (ell // 2) / ODD_WEIGHTS[k][0]
     forced = linear_combination((f, lattice.s2k_bruteforce(k, N)), *_cusp_terms(k, N, -f))
     return _report(

@@ -72,7 +72,7 @@ def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
 def enumerate_f1(precision: int) -> tuple[QSeries, dict[int, MomentTable]]:
     """Theta series of one block and its x1-power moment tables, up to q^precision."""
     rows = _f1_moment_rows(precision)
-    series = QSeries(rows[0])
+    series = QSeries._trusted(rows[0])
     tables = {t: MomentTable(1, t, rows[t]) for t in MOMENT_ORDERS}
     return series, tables
 
@@ -110,7 +110,7 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
         raise ValueError(f"moment order must be one of {MOMENT_ORDERS}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = QSeries(_f1_moment_rows(precision)[t])
+    base = QSeries._trusted(_f1_moment_rows(precision)[t])
     return MomentTable(k, t, (base * theta_series(k - 1, precision)).coeffs)
 
 

@@ -9,8 +9,11 @@ exact.  Instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Callable, Iterable, TypeVar, Union
 
 Coeff = Union[int, Fraction]
@@ -117,15 +120,42 @@ def _normal(values: Iterable) -> tuple:
 
 def _integral(coeffs: tuple) -> tuple[tuple | list, int]:
     """Integers c * d for the coefficients c, with d the lcm of their denominators."""
-    d = lcm(*(c.denominator for c in coeffs))
-    if d == 1:
+    if Fraction not in map(type, coeffs):
         return coeffs, 1
+    d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _pack(ints: list[int], width: int, half: int) -> int:
+def _over(ints: list, den: int) -> tuple:
+    """The coefficients ints[i] / den: ints when den divides every one, else Fractions."""
+    if den == 1:
+        return tuple(ints)
+    if any(map(den.__rmod__, ints)):  # stops at the first remainder
+        return tuple(Fraction(c, den) if c % den else c // den for c in ints)
+    return tuple(map(den.__rfloordiv__, ints))
+
+
+#: array typecodes by item size: 1, 2, 4 and 8 bytes
+_ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _pack(ints, width: int, half: int, code: str | None) -> int:
     """The int with slot i (width bytes, little-endian) holding ints[i] + half."""
-    return int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in ints), "little")
+    if code:
+        raw = array(code, map(half.__add__, ints)).tobytes()
+    else:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in ints)
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(packed: int, width: int, half: int, code: str | None, count: int) -> list:
+    """The slots 0..count-1 of packed (width bytes each), each minus half."""
+    raw = packed.to_bytes(width * count, "little")
+    if code:
+        slots = array(code)
+        slots.frombytes(raw)
+        return list(map((-half).__add__, slots))
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
 class QSeries:
@@ -216,6 +246,9 @@ class QSeries:
         one int each and multiplied.  The w-byte slots hold coefficients
         offset by X/2, so signed values never carry into a neighbour; w fits
         every input coefficient and the product bound (n+1) * max|a| * max|b|.
+        On a little-endian host a w of at most 8 is rounded up to an array
+        item size, and the slots are packed and read as array items; wider
+        slots go through bytes one coefficient at a time.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
@@ -224,17 +257,17 @@ class QSeries:
             ma, mb = max(map(abs, a)), max(map(abs, b))
             bits = max((n + 1) * ma * mb, ma, mb).bit_length() + 1
             w = (bits + 7) // 8
-            half, size = 1 << (8 * w - 1), w * (n + 1)
+            code = None
+            if w <= 8 and sys.byteorder == "little":
+                w = 1 << (w - 1).bit_length()
+                code = _ITEM_CODES[w]
+            half = 1 << (8 * w - 1)
             offset = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
-            packed = (_pack(a, w, half) - offset) * (_pack(b, w, half) - offset)
-            low = ((packed + offset) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-            out = [int.from_bytes(low[i : i + w], "little") - half for i in range(0, size, w)]
-            den = da * db
-            return QSeries._trusted(
-                tuple(out) if den == 1 else _normal(Fraction(c, den) for c in out)
-            )
+            packed = (_pack(a, w, half, code) - offset) * (_pack(b, w, half, code) - offset)
+            low = (packed + offset) & ((1 << (8 * w * (n + 1))) - 1)
+            return QSeries._trusted(_over(_unpack(low, w, half, code, n + 1), da * db))
         if isinstance(other, (int, Fraction)):
-            return QSeries._trusted(_normal(c * other for c in self._coeffs))
+            return linear_combination((other, self))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -242,35 +275,39 @@ class QSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = QSeries.one(self.precision)
+        if exponent == 0:
+            return QSeries.one(self.precision)
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse at the same precision.
 
         Uses the term-by-term recurrence b_0 = 1/a_0,
-        b_n = -(1/a_0) * sum(a_i * b_(n-i), 1 <= i <= n).
+        b_n = -(1/a_0) * sum(a_i * b_(n-i), 1 <= i <= n), summed over the
+        nonzero a_i only: O(precision * nonzero terms).
         """
         a = self._coeffs
         if a[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
         inv0 = _as_coeff(Fraction(1, 1) / a[0])
         n = self.precision
+        support = [(i, ai) for i, ai in enumerate(a) if i and ai]
         out: list = [inv0] + [0] * n
         for m in range(1, n + 1):
             acc = 0
-            for i in range(1, m + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * out[m - i]
+            for i, ai in support:
+                if i > m:
+                    break
+                acc += ai * out[m - i]
             out[m] = _as_coeff(-inv0 * acc) if acc else 0
         return QSeries._trusted(tuple(out))
 
@@ -284,8 +321,7 @@ class QSeries:
             return self
         n = self.precision
         out = [0] * (n + 1)
-        for i in range(n // m + 1):
-            out[m * i] = self._coeffs[i]
+        out[::m] = self._coeffs[: n // m + 1]
         return QSeries._trusted(tuple(out))
 
     def shift(self, k: int) -> "QSeries":
@@ -331,6 +367,5 @@ def linear_combination(*terms: tuple[Coeff, Union[QSeries, tuple]]) -> QSeries:
     den = lcm(*(q for _, q, _ in parts))
     total = [0] * (n + 1)
     for p, q, ints in parts:
-        m = p * (den // q)
-        total = [t + m * v for t, v in zip(total, ints)]
-    return QSeries._trusted(tuple(total) if den == 1 else _normal(Fraction(t, den) for t in total))
+        total = list(map(add, total, map((p * (den // q)).__mul__, ints)))
+    return QSeries._trusted(_over(total, den))

@@ -75,6 +75,15 @@ def mul_schoolbook(a, b) -> list:
     return out
 
 
+def invert_dense(a) -> list:
+    """1 / a by b_0 = 1/a_0, b_n = -(1/a_0) sum(a_i b_(n-i), 1 <= i <= n), summing over every i."""
+    inv0 = Fraction(1) / a[0]
+    out = [inv0]
+    for m in range(1, len(a)):
+        out.append(-inv0 * sum(a[i] * out[m - i] for i in range(1, m + 1)))
+    return [v.numerator if v.denominator == 1 else v for v in out]
+
+
 #: sigma_r(0), the constant terms of the Eisenstein series E_4, E_6, E_8 scaled to sigma_r.
 SIGMA_AT_ZERO = {3: Fraction(1, 240), 5: Fraction(-1, 504), 7: Fraction(1, 480)}
 

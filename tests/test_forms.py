@@ -4,7 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import euler_product_direct
+from memos import clear_all
+from oracles import euler_product_direct, invert_dense, mul_schoolbook
 
 from hexrep.arith import CHI3, CHI_TRIVIAL
 from hexrep.forms import (
@@ -14,6 +15,7 @@ from hexrep.forms import (
     NonIntegralExponent,
     ParityMismatch,
     UnknownForm,
+    _eta_power,
     _euler_core,
     eisenstein_classical,
     eisenstein_twisted,
@@ -61,7 +63,25 @@ def naive_eta_power(factors, precision):
 @pytest.mark.parametrize("scale", (1, 3, 9))
 def test_euler_core_against_product_oracle(scale):
     for precision in range(61):
-        assert _euler_core(scale, precision).coeffs == tuple(euler_product_direct(scale, precision))
+        assert _euler_core(precision).coeffs == tuple(euler_product_direct(1, precision))
+        assert _eta_power(scale, 1, precision).coeffs == tuple(euler_product_direct(scale, precision))
+
+
+def test_eta_powers_against_product_oracle():
+    clear_all()
+    for name in CATALOG_NAMES:
+        named_form(name, 5)
+    factors = sorted(_eta_power.stored())  # every eta(scale z)^exponent of the catalog
+    assert len(factors) == 13 and (3, -3) in factors
+    for scale, exponent in factors:
+        for precision in (0, 1, scale - 1, scale, 40, 97):
+            core = euler_product_direct(scale, precision)
+            if exponent < 0:
+                core = invert_dense(core)
+            power = [1] + [0] * precision
+            for _ in range(abs(exponent)):
+                power = mul_schoolbook(power, core)
+            assert _eta_power(scale, exponent, precision).coeffs == tuple(power), (scale, exponent)
 
 
 def test_delta_against_naive_expansion():

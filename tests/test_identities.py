@@ -322,6 +322,16 @@ def test_rho_star_reports():
         assert r.n_max == 50 and len(r.entries) == 50
 
 
+def test_theorem_formula_rejects_unsupported_weights():
+    with pytest.raises(ValueError, match=r"k=8; supported: \(7, 9, 11\)"):
+        theorem_formula(8, 1)
+
+
+def test_rho_star_rejects_unsupported_orders():
+    with pytest.raises(ValueError, match=r"ell=7; supported: \(6, 8, 10\)"):
+        check_rho_star(7, 5)
+
+
 def test_theorem_reports_are_documented_mismatches():
     reports = verify_all(30, ("s14-theorem", "s18-theorem", "s22-theorem"), N)
     for r in reports:
@@ -459,3 +469,11 @@ def test_verify_all_to_2000():
     matching = {r.name for r in reports if r.all_match}
     assert len(matching) == 19
     assert matching == set(IDENTITY_NAMES) - DOCUMENTED_DISCREPANCIES
+
+
+@pytest.mark.slow
+def test_verify_all_to_5000():
+    reports = verify_all(5000, precision=5000)
+    matching = {r.name for r in reports if r.all_match}
+    assert len(matching) == 19
+    assert {r.name for r in reports} - matching == DOCUMENTED_DISCREPANCIES

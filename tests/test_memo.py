@@ -17,7 +17,7 @@ from hexrep.series import QSeries, grow_only, prefix
 
 MEMOIZED = {
     "hexrep.arith.sigma_table",
-    "hexrep.forms._euler_core",
+    "hexrep.forms._eta_power",
     "hexrep.forms.eta_quotient",
     "hexrep.forms.eisenstein_classical",
     "hexrep.forms.eisenstein_twisted",
@@ -36,7 +36,7 @@ MEMOIZED = {
 #: One call of each memoized quantity, as (memo, key arguments, keyword options).
 QUANTITIES = (
     (arith.sigma_table, (6, CHI_TRIVIAL, CHI3), {}),
-    (forms._euler_core, (3,), {}),
+    (forms._eta_power, (3, -3), {}),
     (forms.eta_quotient, (forms._eta((1, 6), (3, 6)),), {}),
     (forms.eisenstein_classical, (4,), {}),
     (forms.eisenstein_twisted, (7, CHI3, CHI_TRIVIAL), {}),

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import euler_product_direct, invert_dense
 
 from hexrep.series import OutOfPrecision, QSeries, ZeroConstantTerm
 
@@ -68,7 +69,7 @@ def test_pow_matches_repeated_mul():
     for _ in range(20):
         a = random_series(rng, 8)
         acc = QSeries.one(8)
-        for e in range(1, 7):
+        for e in range(1, 25):
             acc = acc * a
             assert a**e == acc
 
@@ -106,6 +107,16 @@ def test_invert_matches_long_division_oracle():
             coeffs[i] -= coeffs[i - m]
     cube = QSeries(coeffs) ** 3
     assert cube.invert() == divide_one_by(cube)
+
+
+def test_invert_matches_dense_recurrence():
+    fraction_unit = QSeries((Fraction(-3, 2),) + random_series(random.Random(5), 30).coeffs[1:])
+    euler_core = euler_product_direct(1, 100)  # nonzero only at the pentagonal numbers
+    sparse = QSeries([2, 0, 0, Fraction(1, 3)] + [0] * 20 + [-5], precision=40)
+    for a in (fraction_unit, QSeries(euler_core), sparse, QSeries([7])):
+        assert a.invert().coeffs == QSeries(invert_dense(a.coeffs)).coeffs
+    with pytest.raises(ZeroConstantTerm):
+        QSeries([0] + euler_core[1:]).invert()
 
 
 def test_invert_requires_unit():
