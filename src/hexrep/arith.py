@@ -8,8 +8,8 @@ Fractions.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+import _thread
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -17,16 +17,14 @@ from math import comb, isqrt
 from .series import grow_only, prefix
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(namedtuple("DirichletCharacter", "conductor values")):
     """A periodic completely multiplicative character given by its value table.
 
     ``values[r]`` is the character value at residues r mod ``conductor``; it
     vanishes exactly on arguments sharing a factor with the conductor.
     """
 
-    conductor: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.conductor]
@@ -140,7 +138,7 @@ def rho_star_table(ell: int, precision: int) -> tuple[int, ...]:
 # -- Bernoulli numbers -----------------------------------------------------
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
+_BERNOULLI_LOCK = _thread.allocate_lock()
 
 
 def bernoulli(k: int) -> Fraction:

@@ -7,7 +7,7 @@ one grow-only entry per argument set (``series.grow_only``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
@@ -36,8 +36,7 @@ class UnknownForm(ValueError):
     """Name not present in the forms catalog."""
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
     """A finite product of eta(m z)^e factors, given as (scale m, exponent e) pairs.
 
     Each eta factor contributes a fractional leading power q^(m*e/24); only
@@ -45,12 +44,18 @@ class EtaQuotientSpec:
     result is an honest power series.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for m, _ in self.factors:
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        for m, _ in spec.factors:
             if m < 1:
                 raise ValueError("eta argument scales must be positive")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the scales too
+        return cls(*iterable)
 
     def leading_exponent(self) -> int:
         total = sum(m * e for m, e in self.factors)
@@ -151,16 +156,11 @@ def quasimodular_combination(precision: int) -> QSeries:
     return linear_combination((Fraction(3, 2), e2.scale_argument(3)), (Fraction(-1, 2), e2)) * delta
 
 
-@dataclass(frozen=True)
-class NamedForm:
-    name: str
-    weight: int
-    level: int
-    character: DirichletCharacter
-    series: QSeries
+class NamedForm(namedtuple("NamedForm", "name weight level character series")):
+    __slots__ = ()
 
     def truncate(self, precision: int) -> "NamedForm":
-        return replace(self, series=self.series.truncate(precision))
+        return self._replace(series=self.series.truncate(precision))
 
 
 def _build_delta_7_3(precision: int) -> QSeries:

@@ -8,7 +8,7 @@ module are the universal reference side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -167,10 +167,21 @@ FORMULAS = {
     "tau-eq": _tau_terms,
 }
 
+#: The k of s_2k that each FORMULAS table gives (every formula but tau-eq).
+FORMULA_K = {
+    **{f"s{2 * k}-theorem": k for k in ODD_WEIGHTS},
+    "s24-formula": 12,
+    "s28-formula": 14,
+    "lomadze-s24": 12,
+    "lomadze-s28": 14,
+}
+
 
 @grow_only(prefix)
 def formula_table(name: str, precision: int) -> tuple:
     """The named formula's values at n = 0..precision: one exact combination of integer tables."""
+    if name not in FORMULAS:
+        raise UnknownIdentity(f"unknown formula {name!r}; known: {', '.join(FORMULAS)}")
     return linear_combination(*FORMULAS[name](precision)).coeffs
 
 
@@ -295,8 +306,9 @@ def encode_value(v):
     return v
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(
+    namedtuple("IdentityReport", "name n_max lhs rhs constant_term note", defaults=(None, ""))
+):
     """Exact per-n verdicts for one identity over the range 1..n_max.
 
     ``lhs[i]`` and ``rhs[i]`` are the two sides at n = i + 1, stored as
@@ -305,16 +317,17 @@ class IdentityReport:
     affect the match status, which only covers n >= 1.
     """
 
-    name: str
-    n_max: int
-    lhs: tuple
-    rhs: tuple
-    constant_term: tuple | None = None
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.lhs) != self.n_max or len(self.rhs) != self.n_max:
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        if len(report.lhs) != report.n_max or len(report.rhs) != report.n_max:
             raise ValueError("a report over 1..N must carry exactly N entries per side")
+        return report
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the lengths too
+        return cls(*iterable)
 
     @property
     def entries(self) -> tuple:
@@ -396,12 +409,12 @@ def check_decomposition(k: int, n_max: int, precision: int | None = None) -> Ide
     )
 
 
-def check_against_counts(
-    name: str, k: int, n_max: int, precision: int | None = None, note: str = ""
-) -> IdentityReport:
-    """The FORMULAS table of that name for s_2k against the brute-force counts."""
+def check_against_counts(name: str, n_max: int, precision: int | None = None, note: str = "") -> IdentityReport:
+    """The FORMULAS table of that name against the brute-force counts s_2k, k = FORMULA_K[name]."""
+    if name not in FORMULA_K:
+        raise UnknownIdentity(f"no s_2k formula {name!r}; known: {', '.join(FORMULA_K)}")
     N = _resolve_precision(n_max, precision)
-    return _report(name, n_max, formula_table(name, N), lattice.s2k_bruteforce(k, N), note)
+    return _report(name, n_max, formula_table(name, N), lattice.s2k_bruteforce(FORMULA_K[name], N), note)
 
 
 def check_rho_star(ell: int, n_max: int, precision: int | None = None) -> IdentityReport:
@@ -561,16 +574,15 @@ IDENTITY_BUILDERS = {
         f"s{2 * k}-theorem": partial(
             check_against_counts,
             f"s{2 * k}-theorem",
-            k,
             note="uses the printed rho* definition; mismatches are expected and quantified by the rho-star reports",
         )
         for k in ODD_WEIGHTS
     },
     **{f"rho-star-{k - 1}": partial(check_rho_star, k - 1) for k in ODD_WEIGHTS},
-    "s24-formula": partial(check_against_counts, "s24-formula", 12),
-    "s28-formula": partial(check_against_counts, "s28-formula", 14),
-    "lomadze-s24": partial(check_against_counts, "lomadze-s24", 12),
-    "lomadze-s28": partial(check_against_counts, "lomadze-s28", 14),
+    **{
+        name: partial(check_against_counts, name)
+        for name in ("s24-formula", "s28-formula", "lomadze-s24", "lomadze-s28")
+    },
     "tau-eq": check_tau_eq,
     **{name: partial(check_newform, name) for name in NEWFORM_NAMES},
     "ramanujan-convolution": ramanujan_convolution,

@@ -9,7 +9,7 @@ one-block moment tables with s_2(k-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import isqrt
 
 from .series import DEFAULT_PRECISION, QSeries, grow_only, prefix
@@ -23,13 +23,10 @@ class UnknownSum(ValueError):
     """Raised when a finite-sum name is not in the catalog."""
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(namedtuple("MomentTable", "k t values")):
     """values[n] = sum of x1^t over all solutions of F_k(x) = n, 0 <= n <= precision."""
 
-    k: int
-    t: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def precision(self) -> int:
@@ -39,7 +36,7 @@ class MomentTable:
         return self.values[n]
 
     def truncate(self, precision: int) -> "MomentTable":
-        return replace(self, values=self.values[: precision + 1])
+        return self._replace(values=self.values[: precision + 1])
 
 
 @grow_only(lambda rows, precision: {t: row[: precision + 1] for t, row in rows.items()})
@@ -117,8 +114,7 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
 # -- the catalog of finite sums ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class LomadzeSumSpec:
+class LomadzeSumSpec(namedtuple("LomadzeSumSpec", "name weight blocks terms")):
     """A finite sum over solutions of F_blocks = n of a polynomial in x1 and n.
 
     ``terms`` lists (x1 power t, coefficient polynomial in n), the polynomial
@@ -127,10 +123,7 @@ class LomadzeSumSpec:
     and at most 8.
     """
 
-    name: str
-    weight: int
-    blocks: int
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ()
 
     def coefficient(self, t: int, n: int) -> int:
         for power, poly in self.terms:

@@ -11,13 +11,10 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, TypeVar, Union
-
-Coeff = Union[int, Fraction]
-T = TypeVar("T")
 
 DEFAULT_PRECISION = 200
 
@@ -27,7 +24,7 @@ def prefix(values: tuple, precision: int) -> tuple:
     return values[: precision + 1]
 
 
-def grow_only(cut: Callable[[T, int], T]):
+def grow_only(cut: Callable):
     """Memoize f(*key, precision) in one grow-only entry per key.
 
     Every quantity memoized this way is a table whose entry at n does not
@@ -102,7 +99,7 @@ class OutOfPrecision(ValueError):
     """Raised when a coefficient beyond the stored truncation is requested."""
 
 
-def _as_coeff(value) -> Coeff:
+def _as_coeff(value) -> int | Fraction:
     """Validate and normalize a coefficient (Fractions with denominator 1 become ints)."""
     if isinstance(value, bool):
         raise TypeError("coefficients must be int or Fraction, not bool")
@@ -197,7 +194,7 @@ class QSeries:
     def coeffs(self) -> tuple:
         return self._coeffs
 
-    def coefficient(self, n: int) -> Coeff:
+    def coefficient(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.precision:
             raise OutOfPrecision(
                 f"coefficient {n} requested, series only known for 0..{self.precision}"
@@ -349,7 +346,7 @@ class QSeries:
         return f"QSeries([{head}{tail}], precision={self.precision})"
 
 
-def linear_combination(*terms: tuple[Coeff, Union[QSeries, tuple]]) -> QSeries:
+def linear_combination(*terms: tuple[int | Fraction, QSeries | tuple]) -> QSeries:
     """sum(c * s) over the (c, s) terms, truncated at the smallest precision.
 
     Each s is a series or a table of coefficients (a tuple of ints and

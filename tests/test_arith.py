@@ -1,10 +1,13 @@
 """Characters, divisor sums and Bernoulli numbers against direct oracles."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from hexrep import arith
 from hexrep.arith import (
     CHI3,
     CHI_TRIVIAL,
@@ -134,6 +137,42 @@ def test_bernoulli_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     for k in range(3, 30, 2):
         assert bernoulli(k) == 0
+
+
+def test_bernoulli_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(61):
+        expected = sympy.bernoulli(k)
+        if k == 1:  # sympy takes B_1 = +1/2 (the x / (1 - e^-x) convention)
+            expected = -expected
+        assert bernoulli(k) == Fraction(int(expected.p), int(expected.q)), k
+
+
+def test_bernoulli_table_grows_once_under_threads(monkeypatch):
+    top, workers = 120, 8
+    expected = [bernoulli(k) for k in range(top + 1)]
+    table = [Fraction(1)]
+    monkeypatch.setattr(arith, "_BERNOULLI", table)
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(i):
+        start.wait()
+        results[i] = [bernoulli(top - i)] + [bernoulli(k) for k in range(top + 1)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so an unguarded append would interleave
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for i, values in enumerate(results):
+        assert values == [expected[top - i]] + expected
+    assert table == expected  # each number appended once, in order
 
 
 def _bernoulli_series_oracle(n_terms):

@@ -17,6 +17,7 @@ from hexrep.identities import (
     PrecisionTooLow,
     UnknownIdentity,
     _conv,
+    check_against_counts,
     check_decomposition,
     check_rho_star,
     decomposition,
@@ -332,6 +333,24 @@ def test_rho_star_rejects_unsupported_orders():
         check_rho_star(7, 5)
 
 
+def test_check_against_counts_reads_the_weight_from_the_formula():
+    assert set(identities.FORMULA_K) == set(identities.FORMULAS) - {"tau-eq"}
+    for name, k in identities.FORMULA_K.items():
+        report = check_against_counts(name, 5, N)
+        assert report.name == name
+        assert report.rhs == lattice.s2k_bruteforce(k, N)[1:6]
+        assert identities.IDENTITY_BUILDERS[name].args == (name,)
+    assert check_against_counts("s24-formula", 5, N).all_match
+
+
+def test_unknown_formula_names_are_refused():
+    for name in ("tau-eq", "nope"):
+        with pytest.raises(UnknownIdentity, match=rf"formula '{name}'; known: s14-theorem, .*, lomadze-s28$"):
+            check_against_counts(name, 5, N)
+    with pytest.raises(UnknownIdentity, match=r"formula 'nope'; known: s14-theorem, .*, tau-eq$"):
+        formula_table("nope", 5)
+
+
 def test_theorem_reports_are_documented_mismatches():
     reports = verify_all(30, ("s14-theorem", "s18-theorem", "s22-theorem"), N)
     for r in reports:
@@ -434,9 +453,10 @@ def test_verify_all_builds_one_report_per_identity(monkeypatch):
     built = []
 
     class CountingReport(IdentityReport):
-        def __post_init__(self):
-            super().__post_init__()
-            built.append(self.name)
+        def __new__(cls, *args, **kwargs):
+            report = super().__new__(cls, *args, **kwargs)
+            built.append(report.name)
+            return report
 
     def fail(*args, **kwargs):
         raise AssertionError("the registry builds each newform report on its own")

@@ -1,6 +1,5 @@
 """Enumeration, moment tables, and the finite-sum catalog."""
 
-from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -179,7 +178,7 @@ def test_negative_precision_is_a_value_error():
 
 
 def test_lomadze_sum_rejects_a_spec_outside_the_catalog():
-    spec = replace(lomadze_spec("L_6_2"), terms=((4, (1,)),))
+    spec = lomadze_spec("L_6_2")._replace(terms=((4, (1,)),))
     with pytest.raises(UnknownSum):
         lomadze_sum(spec, 3)
 
