@@ -7,10 +7,10 @@ Values print bare when integral and as p/q otherwise.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import identities, lattice
 from .identities import (
@@ -35,16 +35,18 @@ BRUTEFORCE_KS = tuple(range(1, 15))
 
 def _parse_n_spec(text: str) -> list[int]:
     """Parse '7' or an inclusive range '1..50' into a list of positive ints."""
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    except ValueError:
+        raise ValueError(f"--n {text!r} is not of the form N or A..B") from None
+    if dots:
         if lo < 0 or hi < lo:
             raise ValueError(f"bad range {text!r}")
         return list(range(lo, hi + 1))
-    n = int(text)
-    if n < 0:
+    if lo < 0:
         raise ValueError("n must be >= 0")
-    return [n]
+    return [lo]
 
 
 def _working_precision(args, n_values) -> int:
@@ -183,88 +185,191 @@ def _cmd_verify(args, out) -> int:
     return 0 if passed else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hexrep",
-        description=(
-            "Exact representation numbers of the block forms "
-            "x1^2 + x1 x2 + x2^2 + ... and verification of their closed-form "
-            "identities."
-        ),
+PROG = "hexrep"
+DESCRIPTION = (
+    "Exact representation numbers of the block forms x1^2 + x1 x2 + x2^2 + ... "
+    "and verification of their closed-form identities."
+)
+REQUIRED = "required"  # the default of an option that must be given
+FLAG = "flag"  # an option without a value: True when given
+REPEAT = "repeatable"  # an option whose values collect in a list
+HELP = ("help", FLAG, False, "show this help message and exit")
+
+N_OPTION = ("n", str, REQUIRED, "index n or inclusive range a..b")
+COMMON_OPTIONS = (
+    ("format", ("json", "csv", "table"), "table", "output format (default: table)"),
+    ("precision", int, None, f"working series precision (default: {DEFAULT_PRECISION}, or enough to cover --n)"),
+)
+
+#: The command line: each subcommand's handler, summary, positionals as
+#: (name, help), and options as (name, kind, default, help), where the kind
+#: is int, str, a tuple of choices, FLAG or REPEAT.
+COMMANDS = {
+    "s2k": (_cmd_s2k, "representation numbers s_2k(n)", (), (
+        ("k", int, REQUIRED, "number of two-variable blocks"),
+        N_OPTION,
+        ("method", ("bruteforce", "formula", "decomposition"), "bruteforce",
+         "bruteforce: theta power; formula: per-n divisor-sum formula; decomposition: basis-combination series"),
+        *COMMON_OPTIONS,
+    )),
+    "tau": (_cmd_tau, "Ramanujan tau values", (), (
+        N_OPTION,
+        ("method", ("eta", "paper-formula"), "eta",
+         "eta: 24th power of the eta series; paper-formula: the closed-form lattice-sum expression"),
+        *COMMON_OPTIONS,
+    )),
+    "lsum": (_cmd_lsum, "finite lattice sums from the catalog", (("name", "catalog name, e.g. L_6_2"),), (
+        N_OPTION,
+        *COMMON_OPTIONS,
+    )),
+    "verify": (_cmd_verify, "run the identity checks", (), (
+        ("all", FLAG, False, "check every identity"),
+        ("identity", REPEAT, None, f"check one identity (repeatable); known: {', '.join(IDENTITY_NAMES)}"),
+        ("nmax", int, REQUIRED, "check n = 1..nmax"),
+        ("strict", FLAG, False, "fail on documented discrepancies too"),
+        *COMMON_OPTIONS,
+    )),
+}
+USAGE = f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
+
+
+def _invocation(option) -> str:
+    name, kind, _, _ = option
+    if kind == FLAG:
+        return f"--{name}"
+    return f"--{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper())
+
+
+def _help(usage, description, sections):
+    """Print the help, each section a heading over (name, help) rows, and exit 0."""
+    lines = [usage, "", description]
+    for heading, rows in sections:
+        lines += ["", heading]
+        for left, text in rows:
+            lines += [f"  {left:<22}{text}"] if len(left) <= 20 else [f"  {left}", " " * 24 + text]
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _fail(usage, prog, message):
+    """A usage error as argparse reports it: usage and message on stderr, exit 2."""
+    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read(word, flags, fail):
+    """Read a word as argparse does: None for a value, else (flag, text after '=' or None).
+
+    A flag is named in full or by a unique prefix, and '--' reads as the
+    flag '--'.  Any other word that starts with '-' is an unknown option
+    (flag "") unless it is '-' alone, a negative number or holds a space.
+    """
+    if not word.startswith("-") or word == "-":
+        return None
+    if word == "--":
+        return word, None
+    name, eq, text = word.partition("=")
+    if name in flags:
+        hits = [name]
+    else:  # a unique prefix names a long flag
+        hits = [f for f in flags if f.startswith(name)] if name.startswith("--") else []
+    if len(hits) > 1:
+        fail(f"ambiguous option: {name} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], text if eq else None
+    if re.fullmatch(r"-\d+|-\d*\.\d+", word) or " " in word:
+        return None
+    return "", None
+
+
+def _parse_command(command, words) -> SimpleNamespace:
+    _, summary, positionals, options = COMMANDS[command]
+    prog = f"{PROG} {command}"
+    usage = " ".join(
+        [f"usage: {prog} [-h]"]
+        + [_invocation(o) if o[2] == REQUIRED else f"[{_invocation(o)}]" for o in options]
+        + [name for name, _ in positionals]
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "table"),
-            default="table",
-            help="output format (default: table)",
-        )
-        p.add_argument(
-            "--precision",
-            type=int,
-            default=None,
-            help=f"working series precision (default: {DEFAULT_PRECISION}, or enough to cover --n)",
-        )
+    def fail(message):
+        _fail(usage, prog, message)
 
-    p_s2k = sub.add_parser("s2k", help="representation numbers s_2k(n)")
-    p_s2k.add_argument("--k", type=int, required=True, help="number of two-variable blocks")
-    p_s2k.add_argument("--n", required=True, help="index n or inclusive range a..b")
-    p_s2k.add_argument(
-        "--method",
-        choices=("bruteforce", "formula", "decomposition"),
-        default="bruteforce",
-        help="bruteforce: theta power; formula: per-n divisor-sum formula; "
-        "decomposition: basis-combination series",
-    )
-    add_common(p_s2k)
-    p_s2k.set_defaults(func=_cmd_s2k)
+    by_flag = {"-h": HELP, "--help": HELP, **{f"--{o[0]}": o for o in options}}
+    values = {"command": command, **{o[0]: None if o[2] == REQUIRED else o[2] for o in options}}
+    waiting = [name for name, _ in positionals]
+    only_values = False
+    words = iter(words)
+    for word in words:
+        read = None if only_values else _read(word, by_flag, fail)
+        if read is None:
+            if not waiting:
+                fail(f"unrecognized arguments: {word}")
+            values[waiting.pop(0)] = word
+            continue
+        flag, text = read
+        if flag == "--":  # every later word is a value
+            only_values = True
+            continue
+        if flag not in by_flag:
+            fail(f"unrecognized arguments: {word}")
+        name, kind, _, _ = by_flag[flag]
+        if kind == FLAG:
+            if text is not None:
+                fail(f"argument {flag}: ignored explicit argument {text!r}")
+            if name == "help":
+                rows = [("-h, --help", HELP[3])] + [(_invocation(o), o[3]) for o in options]
+                sections = [("positional arguments:", positionals)] if positionals else []
+                _help(usage, summary, sections + [("options:", rows)])
+            values[name] = True
+            continue
+        if text is None:
+            text = next(words, None)
+            if text is None or _read(text, by_flag, fail) is not None:
+                fail(f"argument {flag}: expected one argument")
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                fail(f"argument {flag}: invalid int value: {text!r}")
+        elif isinstance(kind, tuple) and text not in kind:
+            fail(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+        values[name] = (values[name] or []) + [text] if kind == REPEAT else text
+    missing = waiting + [f"--{o[0]}" for o in options if o[2] == REQUIRED and values[o[0]] is None]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values)
 
-    p_tau = sub.add_parser("tau", help="Ramanujan tau values")
-    p_tau.add_argument("--n", required=True, help="index n or inclusive range a..b")
-    p_tau.add_argument(
-        "--method",
-        choices=("eta", "paper-formula"),
-        default="eta",
-        help="eta: 24th power of the eta series; paper-formula: the "
-        "closed-form lattice-sum expression",
-    )
-    add_common(p_tau)
-    p_tau.set_defaults(func=_cmd_tau)
 
-    p_lsum = sub.add_parser("lsum", help="finite lattice sums from the catalog")
-    p_lsum.add_argument("name", help="catalog name, e.g. L_6_2")
-    p_lsum.add_argument("--n", required=True, help="index n or inclusive range a..b")
-    add_common(p_lsum)
-    p_lsum.set_defaults(func=_cmd_lsum)
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read a command line by the COMMANDS table, with argparse's grammar and errors.
 
-    p_verify = sub.add_parser("verify", help="run the identity checks")
-    p_verify.add_argument("--all", action="store_true", help="check every identity")
-    p_verify.add_argument(
-        "--identity",
-        action="append",
-        metavar="NAME",
-        help=f"check one identity (repeatable); known: {', '.join(IDENTITY_NAMES)}",
-    )
-    p_verify.add_argument("--nmax", type=int, required=True, help="check n = 1..nmax")
-    p_verify.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on documented discrepancies too",
-    )
-    add_common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    Options take their full name or a unique prefix, and --opt=value.  A
+    usage error prints the usage and the error to stderr and raises
+    SystemExit(2); -h/--help prints the help to stdout and raises
+    SystemExit(0).
+    """
+    words = sys.argv[1:] if argv is None else list(argv)
 
-    return parser
+    def fail(message):
+        _fail(USAGE, PROG, message)
+
+    for i, word in enumerate(words):
+        read = _read(word, ("-h", "--help"), fail)
+        if read is None:
+            if word not in COMMANDS:
+                fail(f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, COMMANDS))})")
+            return _parse_command(word, words[i + 1 :])
+        if read[0] not in ("-h", "--help"):
+            fail(f"unrecognized arguments: {word}")
+        rows = [(name, command[1]) for name, command in COMMANDS.items()]
+        _help(USAGE, DESCRIPTION, [("commands:", rows), ("options:", [("-h, --help", HELP[3])])])
+    fail("the following arguments are required: command")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        return COMMANDS[args.command][0](args, sys.stdout)
     except (
         PrecisionTooLow,
         UnknownIdentity,

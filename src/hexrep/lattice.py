@@ -125,12 +125,6 @@ class LomadzeSumSpec(namedtuple("LomadzeSumSpec", "name weight blocks terms")):
 
     __slots__ = ()
 
-    def coefficient(self, t: int, n: int) -> int:
-        for power, poly in self.terms:
-            if power == t:
-                return sum(c * n**i for i, c in enumerate(poly))
-        return 0
-
 
 LOMADZE_CATALOG: tuple[LomadzeSumSpec, ...] = (
     # weight-7/9/11 companion sums over F_3, F_5, F_7
@@ -180,10 +174,6 @@ LOMADZE_CATALOG: tuple[LomadzeSumSpec, ...] = (
 )
 
 LOMADZE_BY_NAME = {spec.name: spec for spec in LOMADZE_CATALOG}
-
-
-def lomadze_catalog() -> tuple[LomadzeSumSpec, ...]:
-    return LOMADZE_CATALOG
 
 
 def lomadze_spec(name: str) -> LomadzeSumSpec:

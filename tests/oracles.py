@@ -1,8 +1,11 @@
 """Direct oracles: nested loops and one-n-at-a-time evaluations that the fast table paths are checked against."""
 
+import argparse
+import functools
 from fractions import Fraction
 from math import isqrt
 
+from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, rho_star, sigma_star, sigma_twisted
 from hexrep.identities import ODD_WEIGHTS, _coeffs, _conv
 from hexrep.lattice import MOMENT_ORDERS
@@ -82,6 +85,14 @@ def invert_dense(a) -> list:
     for m in range(1, len(a)):
         out.append(-inv0 * sum(a[i] * out[m - i] for i in range(1, m + 1)))
     return [v.numerator if v.denominator == 1 else v for v in out]
+
+
+def lomadze_term(spec, t: int, n: int) -> int:
+    """The polynomial in n that multiplies x1^t in a catalog sum, evaluated at n (0 for a missing t)."""
+    for power, poly in spec.terms:
+        if power == t:
+            return sum(c * n**i for i, c in enumerate(poly))
+    return 0
 
 
 #: sigma_r(0), the constant terms of the Eisenstein series E_4, E_6, E_8 scaled to sigma_r.
@@ -197,3 +208,81 @@ FORMULAS_DIRECT = {
     "lomadze-s28": lomadze_s28_direct,
     "tau-eq": tau_direct,
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser hexrep's command line had; the test oracle of ``cli.parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="hexrep",
+        description=(
+            "Exact representation numbers of the block forms "
+            "x1^2 + x1 x2 + x2^2 + ... and verification of their closed-form "
+            "identities."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument(
+            "--format",
+            choices=("json", "csv", "table"),
+            default="table",
+            help="output format (default: table)",
+        )
+        p.add_argument(
+            "--precision",
+            type=int,
+            default=None,
+            help=f"working series precision (default: {cli.DEFAULT_PRECISION}, or enough to cover --n)",
+        )
+
+    p_s2k = sub.add_parser("s2k", help="representation numbers s_2k(n)")
+    p_s2k.add_argument("--k", type=int, required=True, help="number of two-variable blocks")
+    p_s2k.add_argument("--n", required=True, help="index n or inclusive range a..b")
+    p_s2k.add_argument(
+        "--method",
+        choices=("bruteforce", "formula", "decomposition"),
+        default="bruteforce",
+        help="bruteforce: theta power; formula: per-n divisor-sum formula; "
+        "decomposition: basis-combination series",
+    )
+    add_common(p_s2k)
+    p_s2k.set_defaults(func=cli._cmd_s2k)
+
+    p_tau = sub.add_parser("tau", help="Ramanujan tau values")
+    p_tau.add_argument("--n", required=True, help="index n or inclusive range a..b")
+    p_tau.add_argument(
+        "--method",
+        choices=("eta", "paper-formula"),
+        default="eta",
+        help="eta: 24th power of the eta series; paper-formula: the "
+        "closed-form lattice-sum expression",
+    )
+    add_common(p_tau)
+    p_tau.set_defaults(func=cli._cmd_tau)
+
+    p_lsum = sub.add_parser("lsum", help="finite lattice sums from the catalog")
+    p_lsum.add_argument("name", help="catalog name, e.g. L_6_2")
+    p_lsum.add_argument("--n", required=True, help="index n or inclusive range a..b")
+    add_common(p_lsum)
+    p_lsum.set_defaults(func=cli._cmd_lsum)
+
+    p_verify = sub.add_parser("verify", help="run the identity checks")
+    p_verify.add_argument("--all", action="store_true", help="check every identity")
+    p_verify.add_argument(
+        "--identity",
+        action="append",
+        metavar="NAME",
+        help=f"check one identity (repeatable); known: {', '.join(cli.IDENTITY_NAMES)}",
+    )
+    p_verify.add_argument("--nmax", type=int, required=True, help="check n = 1..nmax")
+    p_verify.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on documented discrepancies too",
+    )
+    add_common(p_verify)
+    p_verify.set_defaults(func=cli._cmd_verify)
+
+    return parser

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import f2_moments_direct
+from oracles import f2_moments_direct, lomadze_term
 
 from hexrep import forms, identities, lattice
 from hexrep.cli import main
@@ -74,7 +74,7 @@ def test_criterion_5_lomadze_cross_checks():
     for n in range(1, 61):
         assert identities.lomadze_s24(n, N) == ref12[n]
         assert identities.lomadze_s28(n, N) == ref14[n]
-    assert lattice.lomadze_spec("L_10_6").coefficient(2, 1) == -21
+    assert lomadze_term(lattice.lomadze_spec("L_10_6"), 2, 1) == -21
     _announce("5 lomadze-formulas", "24- and 28-variable formulas exact for n=1..60")
 
 

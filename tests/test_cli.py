@@ -124,7 +124,7 @@ def test_value_json_round_trip(capsys):
 
 
 def test_repeated_calls_share_no_parser_state(capsys):
-    # the parser is built once; a second call must not see the first call's options
+    # a second call must not see the first call's options
     argv = ["verify", "--identity", "tau-eq", "--nmax", "3", "--format", "json"]
     for _ in range(2):
         code, out, _ = run(capsys, *argv)
@@ -135,3 +135,10 @@ def test_repeated_calls_share_no_parser_state(capsys):
 def test_explicit_precision_must_cover_request(capsys):
     code, _, err = run(capsys, "tau", "--n", "50", "--precision", "10")
     assert code == 2 and "precision" in err
+
+
+def test_malformed_n_is_a_usage_error_naming_n(capsys):
+    for text in ("1..", "..5", "a..b", "1..2..3", "x", ""):
+        code, out, err = run(capsys, "tau", "--n", text)
+        assert code == 2 and out == ""
+        assert err == f"error: --n {text!r} is not of the form N or A..B\n"

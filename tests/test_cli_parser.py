@@ -1,0 +1,157 @@
+"""The option-table parser against the argparse parser it replaced.
+
+``oracles.build_parser`` is the argparse parser hexrep's command line used
+to have.  On valid command lines ``cli.parse_args`` must give the same
+values; on invalid ones both must exit with code 2.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from oracles import build_parser
+
+from hexrep.cli import COMMANDS, parse_args
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+README_EXAMPLES = [
+    "s2k --k 7 --n 1",
+    "s2k --k 12 --n 1..10 --method formula",
+    "s2k --k 14 --n 5 --method decomposition",
+    "tau --n 1..10",
+    "tau --n 5 --method paper-formula",
+    "lsum L_6_2 --n 1..20",
+    "lsum L_14_10 --n 7",
+    "verify --all --nmax 50",
+    "verify --identity tau-eq --nmax 50 --format json",
+    "verify --all --nmax 50 --strict",
+]
+
+# the command shapes of perfbench/run.py: cold verify and value commands, warm queries
+BENCHMARK_SHAPES = [
+    *(f"verify --all --nmax 200 --format {fmt}" for fmt in ("table", "json", "csv")),
+    "s2k --k 9 --n 37..400 --method decomposition",
+    "s2k --k 14 --n 5..400",
+    "tau --n 88..400 --method eta",
+    "lsum Lcal_4 --n 12..400",
+    "s2k --k 3 --n 17 --method bruteforce --format csv",
+    "s2k --k 11 --n 40..49 --method formula --format json",
+    "tau --n 150..169 --method paper-formula --format table",
+    "lsum L_12_4 --n 301 --format json",
+]
+
+GRAMMAR = [
+    "s2k --k=7 --n=1..5 --method=formula --format=csv --precision=300",
+    "s2k --k 7 --n 1 --meth formula --form json --prec 300",
+    "s2k --k 7 --n 1 --m=decomposition --f=csv",
+    "verify --n 50 --all",
+    "verify --nm=5 --ident tau-eq --str",
+    "verify --identity tau-eq --identity rho-star-6 --identity=s24-formula --nmax 5",
+    "verify --all --all --nmax 5 --nmax 7",
+    "lsum --n 1..3 L_6_2",
+    "lsum --format csv L_6_2 --n 1",
+    "lsum --n 1 -- L_6_2",
+    "lsum L_6_2 --n 1 --format json --format table",
+    "lsum BAD --n -1",
+    "lsum -1 --n -2",
+    "lsum - --n 1",
+    "s2k --k -3 --n 1 --precision -5",
+    "s2k --k 7 --n=-1..5",
+    "s2k --k 7 --n=",
+    "tau --n -.5",
+    "tau --n x --precision +7",
+]
+
+VALID = [
+    *README_EXAMPLES,
+    *(" ".join(case["argv"]) for case in json.loads((GOLDEN / "cases.json").read_text()).values()),
+    *BENCHMARK_SHAPES,
+    *GRAMMAR,
+]
+
+
+def oracle_values(argv):
+    values = vars(build_parser().parse_args(argv))
+    del values["func"]
+    return values
+
+
+@pytest.mark.parametrize("line", VALID)
+def test_valid_command_lines_parse_as_argparse_did(line):
+    argv = line.split()
+    assert vars(parse_args(argv)) == oracle_values(argv)
+
+
+def test_a_value_with_a_space_or_a_leading_dash():
+    for argv in (["tau", "--n", "-1 5"], ["lsum", "--n", "1", "--", "-x"], ["lsum", "a b", "--n", "1"]):
+        assert vars(parse_args(argv)) == oracle_values(argv)
+
+
+def test_repeated_identity_is_a_fresh_list_on_every_call():
+    argv = ["verify", "--identity", "tau-eq", "--nmax", "3"]
+    first, second = parse_args(argv), parse_args(argv)
+    assert first.identity == second.identity == ["tau-eq"]
+    assert first.identity is not second.identity
+
+
+#: (command line, text the error must name)
+INVALID = [
+    ("", "command"),
+    ("bogus --n 1", "bogus"),
+    ("--k 7 s2k --n 1", "--k"),
+    ("s2k --k 7 --n 1 --method fast", "--method"),
+    ("tau --n 1 --format xml", "--format"),
+    ("s2k --k seven --n 1", "--k"),
+    ("s2k --k 7.0 --n 1", "--k"),
+    ("verify --all --nmax 1e3", "--nmax"),
+    ("tau --n 1 --precision big", "--precision"),
+    ("s2k --n 1", "--k"),
+    ("s2k --k 7", "--n"),
+    ("lsum --n 1", "name"),
+    ("verify --all", "--nmax"),
+    ("s2k --k 7 --n 1 --bogus", "--bogus"),
+    ("s2k --k 7 --n 1 -x", "-x"),
+    ("s2k --k 7 --n", "--n"),
+    ("s2k --k --n 1", "--k"),
+    ("s2k --k 7 --n -1..5", "--n"),
+    ("verify --identity --nmax 5", "--identity"),
+    ("lsum L_6_2 L_8_4 --n 1", "L_8_4"),
+    ("s2k --k 7 --n 1 extra", "extra"),
+    ("lsum -- L_6_2 --n 1", "--n"),
+    ("verify --all=yes --nmax 5", "--all"),
+]
+
+
+@pytest.mark.parametrize("line,named", INVALID)
+def test_invalid_command_lines_exit_2(line, named, capsys):
+    argv = line.split()
+    with pytest.raises(SystemExit) as oracle_exit:
+        build_parser().parse_args(argv)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        parse_args(argv)
+    out, err = capsys.readouterr()
+    assert oracle_exit.value.code == exit_.value.code == 2
+    assert out == ""
+    usage, message = err.splitlines()
+    assert usage.startswith("usage: hexrep ")
+    assert message.startswith("hexrep") and ": error: " in message and named in message
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], *([name, "-h"] for name in COMMANDS)])
+def test_help_lists_every_option_and_choice(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        parse_args(argv + ["--bogus"])  # the help exits before a later bad word is read
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0 and err == ""
+    assert out.startswith("usage: hexrep")
+    if argv[0] in COMMANDS:
+        _, _, positionals, options = COMMANDS[argv[0]]
+        words = [name for name, _ in positionals]
+        for name, kind, _, text in options:
+            words += [f"--{name}", text, *(kind if isinstance(kind, tuple) else ())]
+    else:
+        words = [*COMMANDS, *(summary for _, summary, _, _ in COMMANDS.values())]
+    for word in words:
+        assert word in out, word

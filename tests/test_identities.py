@@ -50,7 +50,7 @@ def test_convention_constants():
     # cusp expansions and finite sums vanish at index 0, so b = 0 never contributes
     for name in forms.CATALOG_NAMES:
         assert forms.named_form(name, 5).series.coeffs[0] == 0
-    for spec in lattice.lomadze_catalog():
+    for spec in lattice.LOMADZE_CATALOG:
         assert lattice.lomadze_values(spec.name, 5)[0] == 0
 
 

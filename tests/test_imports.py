@@ -1,7 +1,8 @@
-"""A cold import loads only what hexrep runs.
+"""A cold import, and a cold command, load only what hexrep runs.
 
-hexrep's records are namedtuples and its lock comes from ``_thread``, so a
-fresh interpreter that imports the package must not pull in the stdlib
+hexrep's records are namedtuples, its lock comes from ``_thread`` and its
+command line is read from its own option table, so a fresh interpreter
+that imports the package or answers a command must not pull in the stdlib
 modules it never calls.
 """
 
@@ -15,17 +16,28 @@ import pytest
 import hexrep
 
 UNUSED = ("dataclasses", "inspect", "typing", "threading")
+PARSER_MODULES = ("argparse", "gettext", "shutil", "locale")
 SOURCES = Path(hexrep.__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("module", ["hexrep.cli", "hexrep"])
-def test_cold_import_leaves_unused_modules_out(module):
-    code = f"import sys, {module}; print(sorted(set({UNUSED!r}) & set(sys.modules)))"
+def loaded_after(code, modules):
+    """The modules of ``modules`` that a fresh ``python -S`` has loaded after running ``code``."""
+    check = f"import sys; print(sorted(set({modules!r}) & set(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", f"{code}\n{check}"],
         env={**os.environ, "PYTHONPATH": str(SOURCES)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout == "[]\n"
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["hexrep.cli", "hexrep"])
+def test_cold_import_leaves_unused_modules_out(module):
+    assert loaded_after(f"import {module}", UNUSED) == "[]"
+
+
+def test_cold_command_loads_no_argument_parser():
+    code = 'import hexrep.cli; hexrep.cli.main(["s2k", "--k", "7", "--n", "1"])'
+    assert loaded_after(code, UNUSED + PARSER_MODULES) == "[]"

@@ -5,15 +5,15 @@ from math import isqrt
 import pytest
 
 from memos import clear_all
-from oracles import f1_moments_direct, f2_moments_direct, s2k_direct_recursive
+from oracles import f1_moments_direct, f2_moments_direct, lomadze_term, s2k_direct_recursive
 
 from hexrep import lattice
 from hexrep.lattice import (
     LOMADZE_BY_NAME,
+    LOMADZE_CATALOG,
     MOMENT_ORDERS,
     UnknownSum,
     enumerate_f1,
-    lomadze_catalog,
     lomadze_spec,
     lomadze_sum,
     lomadze_values,
@@ -107,12 +107,11 @@ def test_moments_nonnegative_and_supported():
 
 
 def test_catalog_contents():
-    catalog = lomadze_catalog()
-    assert len(catalog) == 13
+    assert len(LOMADZE_CATALOG) == 13
     l106 = LOMADZE_BY_NAME["L_10_6"]
-    assert l106.coefficient(2, 5) == -21 * 5  # the corrected x1^2 coefficient
+    assert lomadze_term(l106, 2, 5) == -21 * 5  # the corrected x1^2 coefficient
     l1410 = LOMADZE_BY_NAME["L_14_10"]
-    assert [l1410.coefficient(t, 1) for t in (4, 2, 0)] == [99, -33, 1]
+    assert [lomadze_term(l1410, t, 1) for t in (4, 2, 0)] == [99, -33, 1]
     assert l1410.blocks == 10
 
 

@@ -74,8 +74,8 @@ def test_no_lru_cache_is_keyed_by_precision():
         for name, fn in vars(module).items()
         if hasattr(fn, "cache_info")
     }
-    # the two functools caches left take no precision
-    assert set(cached) == {"bernoulli_generalized", "build_parser"}
+    # the one functools cache left takes no precision
+    assert set(cached) == {"bernoulli_generalized"}
     for fn in cached.values():
         assert "precision" not in inspect.signature(fn.__wrapped__).parameters
 
