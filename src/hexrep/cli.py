@@ -158,14 +158,11 @@ def _print_verify_table(reports, passed, strict, out):
 
 
 def _print_verify_csv(reports, out):
+    lines = []
     for r in reports:
-        print(f"# identity: {r.name}", file=out)
-        print("n,lhs,rhs,match", file=out)
-        for n, lhs, rhs in r.entries:
-            print(
-                f"{n},{encode_value(lhs)},{encode_value(rhs)},{lhs == rhs}",
-                file=out,
-            )
+        lines += [f"# identity: {r.name}\n", "n,lhs,rhs,match\n"]
+        lines += [f"{n},{encode_value(lhs)},{encode_value(rhs)},{lhs == rhs}\n" for n, lhs, rhs in r.entries]
+    out.write("".join(lines))
 
 
 def _cmd_verify(args, out) -> int:
@@ -173,8 +170,7 @@ def _cmd_verify(args, out) -> int:
         selection = "all"
     else:
         selection = args.identity
-    precision = args.precision if args.precision is not None else DEFAULT_PRECISION
-    reports = verify_all(args.nmax, selection, precision)
+    reports = verify_all(args.nmax, selection, args.precision)
     passed = verification_passed(reports, strict=args.strict)
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2), file=out)
@@ -227,7 +223,8 @@ COMMANDS = {
         ("identity", REPEAT, None, f"check one identity (repeatable); known: {', '.join(IDENTITY_NAMES)}"),
         ("nmax", int, REQUIRED, "check n = 1..nmax"),
         ("strict", FLAG, False, "fail on documented discrepancies too"),
-        *COMMON_OPTIONS,
+        COMMON_OPTIONS[0],
+        ("precision", int, None, "working series precision (default: nmax)"),
     )),
 }
 USAGE = f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."

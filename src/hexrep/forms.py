@@ -21,7 +21,7 @@ from .arith import (
     bernoulli_generalized,
     sigma_table,
 )
-from .series import QSeries, grow_only, linear_combination
+from .series import QSeries, grow_only, linear_combination, power_split
 
 
 class NonIntegralExponent(ValueError):
@@ -87,13 +87,28 @@ def _euler_core(precision: int) -> QSeries:
 def _eta_power(scale: int, exponent: int, precision: int) -> QSeries:
     """prod(1 - q^(scale * j), j >= 1)^exponent: eta(scale z)^exponent without its q-power.
 
-    The power is taken of the core at precision // scale (of its inverse
-    when exponent < 0) and then spread to the powers of q^scale.
+    It is a power of the core at precision // scale, spread to the powers
+    of q^scale.  Powers climb a ladder from the core (-1: its inverse), each
+    the product of the two powers of ``power_split``.  Positive powers of
+    every scale are cut from the ladder of scale 1, asked at the same
+    precision, so none is made or stored twice; negative ones, slower to
+    build, climb a ladder of their own scale at precision // scale.
     """
-    core = _euler_core(precision // scale)
-    power = core**exponent if exponent >= 0 else core.invert() ** -exponent
+    if exponent == 0:
+        return QSeries.one(precision)
+    if scale > 1 and exponent > 0:
+        power = _eta_power(1, exponent, precision).coeffs[: precision // scale + 1]
+    elif exponent in (1, -1):
+        core = _euler_core(precision // scale)
+        power = (core if exponent == 1 else core.invert()).coeffs
+    else:
+        h = power_split(abs(exponent)) * (1 if exponent > 0 else -1)
+        low, high = (QSeries._trusted(_eta_power(scale, e, precision).coeffs[::scale]) for e in (h, exponent - h))
+        power = (low * (low if 2 * h == exponent else high)).coeffs
+    if scale == 1:
+        return QSeries._trusted(power)
     coeffs = [0] * (precision + 1)
-    coeffs[::scale] = power.coeffs
+    coeffs[::scale] = power
     return QSeries._trusted(tuple(coeffs))
 
 
@@ -193,18 +208,8 @@ _CATALOG = {
     "delta_7_3": (7, 3, CHI3, _build_delta_7_3),
     "delta_9_3_1": (9, 3, CHI3, lambda N: eta_quotient(_eta((1, 3), (3, 15)), N)),
     "delta_9_3_2": (9, 3, CHI3, lambda N: eta_quotient(_eta((1, 15), (3, 3)), N)),
-    "delta_11_3_1": (
-        11,
-        3,
-        CHI3,
-        lambda N: eisenstein_classical(4, N) * _build_delta_7_3(N),
-    ),
-    "delta_11_3_2": (
-        11,
-        3,
-        CHI3,
-        lambda N: eisenstein_classical(4, N).scale_argument(3) * _build_delta_7_3(N),
-    ),
+    "delta_11_3_1": (11, 3, CHI3, lambda N: eisenstein_classical(4, N) * named_form("delta_7_3", N).series),
+    "delta_11_3_2": (11, 3, CHI3, lambda N: eisenstein_classical(4, N).scale_argument(3) * named_form("delta_7_3", N).series),
 }
 
 CATALOG_NAMES = tuple(_CATALOG)

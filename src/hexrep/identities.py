@@ -37,21 +37,25 @@ def _coeffs(name: str, precision: int) -> tuple:
 
 
 @grow_only(prefix)
-def _conv(power: int, name: str, precision: int, *, with_zero: bool = False, scale: int = 1) -> tuple:
+def _sigma_product(power: int, name: str, precision: int, *, scale: int = 1) -> tuple:
     """The table over n <= precision of sum(sigma_power(a) * x[b]), scale*a + b = n, a, b >= 1.
 
-    x is the named sequence of `_coeffs`, multiplied by the sieved sigma_r
-    table.  with_zero adds the a = 0 term sigma_r(0) x[n], where
-    sigma_r(0) = -B_(r+1) / (2(r+1)) is 1/240, -1/504, 1/480 for
-    r = 3, 5, 7.  b = 0 adds nothing: x[0] = 0.
+    x is the named sequence of `_coeffs` (x[0] = 0), times the sieved sigma_r table.
     """
     sigmas = QSeries._trusted(sigma_table(power, CHI_TRIVIAL, CHI_TRIVIAL, precision))
-    x = QSeries._trusted(_coeffs(name, precision))
-    product = sigmas.scale_argument(scale) * x
-    if with_zero:
-        sigma_at_zero = -bernoulli(power + 1) / (2 * (power + 1))
-        product = linear_combination((1, product), (sigma_at_zero, x))
-    return product.coeffs
+    return (sigmas.scale_argument(scale) * QSeries._trusted(_coeffs(name, precision))).coeffs
+
+
+def _conv(power: int, name: str, precision: int, *, with_zero: bool = False, scale: int = 1) -> tuple:
+    """The memoized `_sigma_product`; with_zero adds the a = 0 term sigma_r(0) x[n] to it.
+
+    sigma_r(0) = -B_(r+1) / (2(r+1)) is 1/240, -1/504, 1/480 for r = 3, 5, 7.
+    """
+    product = _sigma_product(power, name, precision, scale=scale)
+    if not with_zero:
+        return product
+    sigma_at_zero = -bernoulli(power + 1) / (2 * (power + 1))
+    return linear_combination((1, product), (sigma_at_zero, _coeffs(name, precision))).coeffs
 
 
 def _times_n(table: tuple) -> tuple:
@@ -611,11 +615,11 @@ def verify_all(
     selection="all",
     precision: int | None = None,
 ) -> list[IdentityReport]:
-    """Run the selected identity checks for n = 1..n_max at the given precision."""
+    """Run the selected identity checks for n = 1..n_max at the given precision (default n_max)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if precision is None:
-        precision = DEFAULT_PRECISION
+        precision = n_max
     if n_max > precision:
         raise PrecisionTooLow(
             f"n_max={n_max} exceeds the working precision {precision}"

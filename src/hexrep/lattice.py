@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt
 
-from .series import DEFAULT_PRECISION, QSeries, grow_only, prefix
+from .series import DEFAULT_PRECISION, QSeries, grow_only, power_split, prefix
 
 #: x1-power orders carried by the moment tables.  Odd orders vanish
 #: identically (x -> -x is a solution-set involution negating x1).
@@ -41,28 +41,20 @@ class MomentTable(namedtuple("MomentTable", "k t values")):
 
 @grow_only(lambda rows, precision: {t: row[: precision + 1] for t, row in rows.items()})
 def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
-    """One enumeration pass over x^2 + xy + y^2 = n for all n <= precision.
+    """One pass over the points of x^2 + xy + y^2 <= precision, x >= 0.
 
-    For fixed x the equation is a quadratic in y with discriminant
-    4n - 3x^2, so |x| <= sqrt(4n/3); integer roots need the discriminant
-    to be a perfect square r^2 with r = x (mod 2).  No floating point.
+    For fixed x they are the y with |2y + x| <= isqrt(4 * precision - 3x^2),
+    an exact range; a point with x >= 1 stands for itself and its negative.
+    No floating point.
     """
     rows = {t: [0] * (precision + 1) for t in MOMENT_ORDERS}
-    rows[0][0] = 1  # the zero vector is the only representation of 0
-    for n in range(1, precision + 1):
-        x = 0
-        while 3 * x * x <= 4 * n:
-            disc = 4 * n - 3 * x * x
-            r = isqrt(disc)
-            if r * r == disc and (x + r) % 2 == 0:
-                count = 1 if r == 0 else 2  # y = (-x +/- r) / 2
-                if x == 0:
-                    rows[0][n] += count
-                else:
-                    rows[0][n] += 2 * count  # x and -x
-                    for t in MOMENT_ORDERS[1:]:
-                        rows[t][n] += 2 * count * x**t
-            x += 1
+    for x in range(isqrt(4 * precision // 3) + 1):
+        s = isqrt(4 * precision - 3 * x * x)
+        weights = [(rows[t], 2 * x**t) for t in MOMENT_ORDERS] if x else [(rows[0], 1)]
+        for y in range(-((s + x) // 2), (s - x) // 2 + 1):
+            n = x * x + x * y + y * y
+            for row, w in weights:
+                row[n] += w
     return {t: tuple(row) for t, row in rows.items()}
 
 
@@ -76,13 +68,17 @@ def enumerate_f1(precision: int) -> tuple[QSeries, dict[int, MomentTable]]:
 
 @grow_only(QSeries.truncate)
 def theta_series(k: int, precision: int) -> QSeries:
-    """q-series whose n-th coefficient is s_2k(n), the representation count by F_k."""
+    """q-series whose n-th coefficient is s_2k(n), the representation count by F_k.
+
+    theta^1 is the enumeration, theta^k the product of the powers of ``power_split(k)``.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return QSeries.one(precision)
-    base, _ = enumerate_f1(precision)
-    return theta_series(k - 1, precision) * base
+    if k < 2:
+        return enumerate_f1(precision)[0] if k else QSeries.one(precision)
+    h = power_split(k)
+    low = theta_series(h, precision)
+    return low * (low if 2 * h == k else theta_series(k - h, precision))
 
 
 def s2k_bruteforce(k: int, precision: int) -> tuple[int, ...]:
@@ -101,14 +97,19 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
     """M_t(k)(n) = sum of x1^t over F_k(x) = n, via the block convolution.
 
     M_t(k)(n) = sum(M_t(1)(a) * s_2(k-1)(n - a), 0 <= a <= n), the product
-    of the one-block moment series with the theta series of F_(k-1).
+    of the one-block moment series with the theta series of F_(k-1).  M_0
+    counts the solutions: it is the theta series of F_k.
     """
     if t not in MOMENT_ORDERS:
         raise ValueError(f"moment order must be one of {MOMENT_ORDERS}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = QSeries._trusted(_f1_moment_rows(precision)[t])
-    return MomentTable(k, t, (base * theta_series(k - 1, precision)).coeffs)
+    if t == 0:
+        return MomentTable(k, t, theta_series(k, precision).coeffs)
+    row = _f1_moment_rows(precision)[t]
+    if k > 1:
+        row = (QSeries._trusted(row) * theta_series(k - 1, precision)).coeffs
+    return MomentTable(k, t, row)
 
 
 # -- the catalog of finite sums ---------------------------------------------

@@ -91,6 +91,17 @@ def grow_only(cut: Callable):
     return decorate
 
 
+def power_split(exponent: int) -> int:
+    """The h of the split f^e = f^h * f^(e - h), e >= 2: e / 2 for a power of two, else the top bit of e.
+
+    Every power made by this rule splits into powers of two and smaller
+    powers made by it, so the powers of one series share one ladder of
+    squarings, each power a single product (Knuth, TAOCP vol. 2, 4.6.3).
+    """
+    top = 1 << (exponent.bit_length() - 1)
+    return top >> 1 if top == exponent else top
+
+
 class ZeroConstantTerm(ValueError):
     """Raised when inverting a series whose constant coefficient is zero."""
 
@@ -245,13 +256,15 @@ class QSeries:
         every input coefficient and the product bound (n+1) * max|a| * max|b|.
         On a little-endian host a w of at most 8 is rounded up to an array
         item size, and the slots are packed and read as array items; wider
-        slots go through bytes one coefficient at a time.
+        slots go through bytes one coefficient at a time.  A series times
+        itself is packed once and its int squared.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
             a, da = _integral(self._coeffs[: n + 1])
-            b, db = _integral(other._coeffs[: n + 1])
-            ma, mb = max(map(abs, a)), max(map(abs, b))
+            b, db = (a, da) if other is self else _integral(other._coeffs[: n + 1])
+            ma = max(map(abs, a))
+            mb = ma if other is self else max(map(abs, b))
             bits = max((n + 1) * ma * mb, ma, mb).bit_length() + 1
             w = (bits + 7) // 8
             code = None
@@ -260,7 +273,8 @@ class QSeries:
                 code = _ITEM_CODES[w]
             half = 1 << (8 * w - 1)
             offset = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
-            packed = (_pack(a, w, half, code) - offset) * (_pack(b, w, half, code) - offset)
+            packed = _pack(a, w, half, code) - offset
+            packed *= packed if other is self else _pack(b, w, half, code) - offset
             low = (packed + offset) & ((1 << (8 * w * (n + 1))) - 1)
             return QSeries._trusted(_over(_unpack(low, w, half, code, n + 1), da * db))
         if isinstance(other, (int, Fraction)):

@@ -24,6 +24,36 @@ def f1_moments_direct(n_max: int) -> dict[int, list[int]]:
     return rows
 
 
+def f1_moments_discriminant(precision: int) -> dict[int, list[int]]:
+    """x^2 + xy + y^2 = n solved one n at a time: for each x, a perfect-square discriminant 4n - 3x^2 = r^2 with r = x (mod 2)."""
+    rows = {t: [0] * (precision + 1) for t in MOMENT_ORDERS}
+    rows[0][0] = 1  # the zero vector is the only representation of 0
+    for n in range(1, precision + 1):
+        x = 0
+        while 3 * x * x <= 4 * n:
+            disc = 4 * n - 3 * x * x
+            r = isqrt(disc)
+            if r * r == disc and (x + r) % 2 == 0:
+                count = 1 if r == 0 else 2  # y = (-x +/- r) / 2
+                if x == 0:
+                    rows[0][n] += count
+                else:
+                    rows[0][n] += 2 * count  # x and -x
+                    for t in MOMENT_ORDERS[1:]:
+                        rows[t][n] += 2 * count * x**t
+            x += 1
+    return rows
+
+
+def theta_powers_chained(k_max: int, precision: int) -> list[list[int]]:
+    """theta^0 .. theta^k_max of one block, each the last times theta: k_max - 1 schoolbook products."""
+    theta = f1_moments_direct(precision)[0]
+    powers = [[1] + [0] * precision, theta]
+    while len(powers) <= k_max:
+        powers.append(mul_schoolbook(powers[-1], theta))
+    return powers
+
+
 def f2_moments_direct(n_max: int) -> dict[int, list[int]]:
     """Four-variable nested-loop enumeration of F_2; exponential-cost test oracle."""
     bound = isqrt(4 * n_max // 3) + 1

@@ -99,8 +99,18 @@ def test_verify_strict_fails_on_documented(capsys):
 
 
 def test_verify_precision_too_low(capsys):
-    code, _, err = run(capsys, "verify", "--all", "--nmax", "10000")
+    code, _, err = run(capsys, "verify", "--all", "--nmax", "10000", "--precision", "200")
     assert code == 2 and "precision" in err
+
+
+def test_verify_precision_defaults_to_nmax(capsys):
+    # results do not depend on the precision, so the default only sets the cost
+    assert run(capsys, "verify", "--all", "--nmax", "20") == run(
+        capsys, "verify", "--all", "--nmax", "20", "--precision", "200"
+    )
+    code, out, err = run(capsys, "verify", "--all", "--nmax", "250")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "f7-decomposition: ok (n=1..250)"
 
 
 def test_verify_csv(capsys):

@@ -24,7 +24,7 @@ from hexrep.forms import (
     quasimodular_combination,
 )
 from hexrep.lattice import s2k_bruteforce
-from hexrep.series import QSeries
+from hexrep.series import QSeries, power_split
 
 TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
 
@@ -71,17 +71,23 @@ def test_eta_powers_against_product_oracle():
     clear_all()
     for name in CATALOG_NAMES:
         named_form(name, 5)
-    factors = sorted(_eta_power.stored())  # every eta(scale z)^exponent of the catalog
-    assert len(factors) == 13 and (3, -3) in factors
-    for scale, exponent in factors:
-        for precision in (0, 1, scale - 1, scale, 40, 97):
-            core = euler_product_direct(scale, precision)
-            if exponent < 0:
-                core = invert_dense(core)
-            power = [1] + [0] * precision
-            for _ in range(abs(exponent)):
-                power = mul_schoolbook(power, core)
-            assert _eta_power(scale, exponent, precision).coeffs == tuple(power), (scale, exponent)
+    entries = set(_eta_power.stored())  # every power on the ladders of the catalog's eta factors
+    assert {(1, 24), (3, 15), (3, -3), (9, 6)} <= entries
+    top = 97
+    for scale, exponent in sorted(entries):
+        sign = 1 if exponent > 0 else -1
+        ladder = 1 if exponent > 0 else scale  # positive powers of every scale come from scale 1
+        if sign * exponent > 1:  # a power on a ladder is the product of two powers below it
+            h = sign * power_split(sign * exponent)
+            assert {(ladder, exponent), (ladder, h), (ladder, exponent - h)} <= entries, (scale, exponent)
+        core = euler_product_direct(scale, top)
+        if exponent < 0:
+            core = invert_dense(core)
+        power = [1] + [0] * top
+        for _ in range(abs(exponent)):
+            power = mul_schoolbook(power, core)
+        for precision in (0, 1, scale - 1, scale, 40, top):
+            assert _eta_power(scale, exponent, precision).coeffs == tuple(power[: precision + 1]), (scale, exponent)
 
 
 def test_delta_against_naive_expansion():

@@ -5,7 +5,14 @@ from math import isqrt
 import pytest
 
 from memos import clear_all
-from oracles import f1_moments_direct, f2_moments_direct, lomadze_term, s2k_direct_recursive
+from oracles import (
+    f1_moments_direct,
+    f1_moments_discriminant,
+    f2_moments_direct,
+    lomadze_term,
+    s2k_direct_recursive,
+    theta_powers_chained,
+)
 
 from hexrep import lattice
 from hexrep.lattice import (
@@ -36,6 +43,21 @@ def test_f1_against_box_enumeration():
     direct = f1_moments_direct(100)
     for t in MOMENT_ORDERS:
         assert list(tables[t].values) == direct[t]
+
+
+def test_f1_enumeration_against_discriminant_oracle():
+    # the point walk against the per-n discriminant test, at the edges of the y ranges
+    for precision in (*range(7), 200, 401):
+        rows = lattice._f1_moment_rows.__wrapped__(precision)
+        assert rows == {t: tuple(row) for t, row in f1_moments_discriminant(precision).items()}, precision
+
+
+def test_theta_powers_against_chained_products():
+    chained = theta_powers_chained(14, 61)
+    clear_all()
+    for precision in (40, 0, 61, 7):  # served fresh, by cuts and after growth
+        for k in range(15):
+            assert theta_series(k, precision).coeffs == tuple(chained[k][: precision + 1]), (k, precision)
 
 
 def test_f1_odd_moments_vanish():
@@ -78,8 +100,9 @@ def test_moment_examples():
 
 
 def test_moment_zero_order_is_count():
+    chained = theta_powers_chained(14, 40)
     for k in range(1, 15):
-        assert moment_table(k, 0, 40).values == s2k_bruteforce(k, 40)
+        assert moment_table(k, 0, 40).values == tuple(chained[k])
 
 
 def test_moment_convolution_associativity():

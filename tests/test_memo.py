@@ -27,7 +27,7 @@ MEMOIZED = {
     "hexrep.lattice.theta_series",
     "hexrep.lattice.moment_table",
     "hexrep.lattice.lomadze_values",
-    "hexrep.identities._conv",
+    "hexrep.identities._sigma_product",
     "hexrep.identities.tau_10_3_2_values",
     "hexrep.identities.decomposition",
     "hexrep.identities.formula_table",
@@ -46,7 +46,7 @@ QUANTITIES = (
     (lattice.theta_series, (3,), {}),
     (lattice.moment_table, (2, 4), {}),
     (lattice.lomadze_values, ("L_6_2",), {}),
-    (identities._conv, (5, "delta_8_3"), {"with_zero": True}),
+    (identities._sigma_product, (1, "delta"), {"scale": 3}),
     (identities.tau_10_3_2_values, (), {}),
     (identities.decomposition, (7,), {}),
     (identities.formula_table, ("s28-formula",), {}),
@@ -106,9 +106,10 @@ def test_grow_only_contract():
 
 def test_an_option_at_its_default_shares_the_entry():
     identities.verify_all(5, precision=20)
-    keys = set(identities._conv.stored())
-    assert (3, "L_10_6") in keys  # e2-delta-convolution names with_zero=False, s28-convolution omits it
-    assert not any(("with_zero", False) in key or ("scale", 1) in key for key in keys)
+    keys = set(identities._sigma_product.stored())
+    assert (3, "L_10_6") in keys  # _conv names scale=1 on every call
+    assert (1, "delta", ("scale", 3)) in keys
+    assert not any(("scale", 1) in key for key in keys)
 
 
 def test_grow_only_needs_the_precision_last():

@@ -40,6 +40,18 @@ def test_mul_matches_schoolbook(a, b):
 
 
 @hypothesis.settings(deadline=None)
+@hypothesis.given(st.lists(coefficients, min_size=1, max_size=40))
+@hypothesis.example([0, 0])
+@hypothesis.example([3, -2, 1])  # 1-byte array slots
+@hypothesis.example([2**30, -(2**30), 7])  # 8-byte array slots
+@hypothesis.example([2**64 + 1, -5])  # byte slots
+@hypothesis.example([Fraction(1, 3), Fraction(-1, 2), 4])
+def test_square_matches_schoolbook(a):
+    s = QSeries(a)  # s * s packs once and squares one int
+    assert (s * s).coeffs == QSeries(mul_schoolbook(a, a)).coeffs
+
+
+@hypothesis.settings(deadline=None)
 @hypothesis.given(
     st.lists(
         st.tuples(coefficients, st.lists(coefficients, min_size=1, max_size=40)),
