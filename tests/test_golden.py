@@ -32,6 +32,9 @@ CASES = {
     "tau-paper-formula": ["tau", "--method", "paper-formula", "--n", "1..30"],
     "lsum-L_12_4-csv": ["lsum", "L_12_4", "--n", "1..300", "--format", "csv"],
     "lsum-bad": ["lsum", "BAD", "--n", "-1"],
+    "tau-json": ["tau", "--n", "1..30", "--format", "json"],
+    "lsum-L_6_2-widths": ["lsum", "L_6_2", "--n", "95..105"],
+    "s2k-7-decomposition-csv-n0": ["s2k", "--k", "7", "--n", "0..12", "--method", "decomposition", "--format", "csv"],
 }
 
 
