@@ -8,8 +8,10 @@ Values print bare when integral and as p/q otherwise.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 from . import identities, lattice
@@ -54,27 +56,21 @@ def _working_precision(args, n_values) -> int:
     needed = max(n_values) if n_values else 0
     if args.precision is not None:
         if args.precision < needed:
-            raise PrecisionTooLow(
-                f"--precision {args.precision} is below the requested n={needed}"
-            )
+            raise PrecisionTooLow(f"--precision {args.precision} is below the requested n={needed}")
         return args.precision
     return max(DEFAULT_PRECISION, needed)
 
 
 def _print_values(rows, fmt, out):
+    """Write all rows in one call; %s prints an int or a Fraction as encode_value does."""
     if fmt == "json":
-        print(
-            json.dumps([{"n": n, "value": encode_value(v)} for n, v in rows]),
-            file=out,
-        )
+        rows = [(n, f'"{v}"' if type(v) is Fraction and v.denominator != 1 else v) for n, v in rows]
+        out.write("[%s]\n" % ", ".join(map('{"n": %d, "value": %s}'.__mod__, rows)))
     elif fmt == "csv":
-        print("n,value", file=out)
-        for n, v in rows:
-            print(f"{n},{encode_value(v)}", file=out)
+        out.write("n,value\n" + "".join(map("%d,%s\n".__mod__, rows)))
     else:
         width = max((len(str(n)) for n, _ in rows), default=1)
-        for n, v in rows:
-            print(f"{n:>{width}}  {encode_value(v)}", file=out)
+        out.write("".join(["%*d  %s\n" % (width, n, v) for n, v in rows]))
 
 
 def _cmd_s2k(args, out) -> int:
@@ -161,15 +157,12 @@ def _print_verify_csv(reports, out):
     lines = []
     for r in reports:
         lines += [f"# identity: {r.name}\n", "n,lhs,rhs,match\n"]
-        lines += [f"{n},{encode_value(lhs)},{encode_value(rhs)},{lhs == rhs}\n" for n, lhs, rhs in r.entries]
+        lines += map("%d,%s,%s,%s\n".__mod__, zip(range(1, r.n_max + 1), r.lhs, r.rhs, map(operator.eq, r.lhs, r.rhs)))
     out.write("".join(lines))
 
 
 def _cmd_verify(args, out) -> int:
-    if args.all or not args.identity:
-        selection = "all"
-    else:
-        selection = args.identity
+    selection = "all" if args.all or not args.identity else args.identity
     reports = verify_all(args.nmax, selection, args.precision)
     passed = verification_passed(reports, strict=args.strict)
     if args.format == "json":
@@ -227,7 +220,6 @@ COMMANDS = {
         ("precision", int, None, "working series precision (default: nmax)"),
     )),
 }
-USAGE = f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
 
 
 def _invocation(option) -> str:
@@ -237,9 +229,21 @@ def _invocation(option) -> str:
     return f"--{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper())
 
 
-def _help(usage, description, sections):
+def _usage(command) -> str:
+    """The usage line of a subcommand, or of the whole program when command is None."""
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positionals, options = COMMANDS[command]
+    return " ".join(
+        [f"usage: {PROG} {command} [-h]"]
+        + [_invocation(o) if o[2] == REQUIRED else f"[{_invocation(o)}]" for o in options]
+        + [name for name, _ in positionals]
+    )
+
+
+def _help(command, description, sections):
     """Print the help, each section a heading over (name, help) rows, and exit 0."""
-    lines = [usage, "", description]
+    lines = [_usage(command), "", description]
     for heading, rows in sections:
         lines += ["", heading]
         for left, text in rows:
@@ -248,13 +252,14 @@ def _help(usage, description, sections):
     raise SystemExit(0)
 
 
-def _fail(usage, prog, message):
+def _fail(command, message):
     """A usage error as argparse reports it: usage and message on stderr, exit 2."""
-    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    prog = PROG if command is None else f"{PROG} {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
-def _read(word, flags, fail):
+def _read(word, flags, command):
     """Read a word as argparse does: None for a value, else (flag, text after '=' or None).
 
     A flag is named in full or by a unique prefix, and '--' reads as the
@@ -271,7 +276,7 @@ def _read(word, flags, fail):
     else:  # a unique prefix names a long flag
         hits = [f for f in flags if f.startswith(name)] if name.startswith("--") else []
     if len(hits) > 1:
-        fail(f"ambiguous option: {name} could match {', '.join(hits)}")
+        _fail(command, f"ambiguous option: {name} could match {', '.join(hits)}")
     if hits:
         return hits[0], text if eq else None
     if re.fullmatch(r"-\d+|-\d*\.\d+", word) or " " in word:
@@ -279,28 +284,28 @@ def _read(word, flags, fail):
     return "", None
 
 
-def _parse_command(command, words) -> SimpleNamespace:
-    _, summary, positionals, options = COMMANDS[command]
-    prog = f"{PROG} {command}"
-    usage = " ".join(
-        [f"usage: {prog} [-h]"]
-        + [_invocation(o) if o[2] == REQUIRED else f"[{_invocation(o)}]" for o in options]
-        + [name for name, _ in positionals]
+#: Per subcommand, built once: options by flag, values before any word is read, required options.
+PARSERS = {
+    command: (
+        {"-h": HELP, "--help": HELP, **{f"--{o[0]}": o for o in options}},
+        {"command": command, **{o[0]: None if o[2] == REQUIRED else o[2] for o in options}},
+        tuple(o[0] for o in options if o[2] == REQUIRED),
     )
+    for command, (_, _, _, options) in COMMANDS.items()
+}
 
-    def fail(message):
-        _fail(usage, prog, message)
 
-    by_flag = {"-h": HELP, "--help": HELP, **{f"--{o[0]}": o for o in options}}
-    values = {"command": command, **{o[0]: None if o[2] == REQUIRED else o[2] for o in options}}
-    waiting = [name for name, _ in positionals]
+def _parse_command(command, words) -> SimpleNamespace:
+    by_flag, defaults, required = PARSERS[command]
+    values = dict(defaults)
+    waiting = [name for name, _ in COMMANDS[command][2]]
     only_values = False
     words = iter(words)
     for word in words:
-        read = None if only_values else _read(word, by_flag, fail)
+        read = None if only_values else _read(word, by_flag, command)
         if read is None:
             if not waiting:
-                fail(f"unrecognized arguments: {word}")
+                _fail(command, f"unrecognized arguments: {word}")
             values[waiting.pop(0)] = word
             continue
         flag, text = read
@@ -308,32 +313,33 @@ def _parse_command(command, words) -> SimpleNamespace:
             only_values = True
             continue
         if flag not in by_flag:
-            fail(f"unrecognized arguments: {word}")
+            _fail(command, f"unrecognized arguments: {word}")
         name, kind, _, _ = by_flag[flag]
         if kind == FLAG:
             if text is not None:
-                fail(f"argument {flag}: ignored explicit argument {text!r}")
+                _fail(command, f"argument {flag}: ignored explicit argument {text!r}")
             if name == "help":
+                _, summary, positionals, options = COMMANDS[command]
                 rows = [("-h, --help", HELP[3])] + [(_invocation(o), o[3]) for o in options]
                 sections = [("positional arguments:", positionals)] if positionals else []
-                _help(usage, summary, sections + [("options:", rows)])
+                _help(command, summary, sections + [("options:", rows)])
             values[name] = True
             continue
         if text is None:
             text = next(words, None)
-            if text is None or _read(text, by_flag, fail) is not None:
-                fail(f"argument {flag}: expected one argument")
+            if text is None or _read(text, by_flag, command) is not None:
+                _fail(command, f"argument {flag}: expected one argument")
         if kind is int:
             try:
                 text = int(text)
             except ValueError:
-                fail(f"argument {flag}: invalid int value: {text!r}")
+                _fail(command, f"argument {flag}: invalid int value: {text!r}")
         elif isinstance(kind, tuple) and text not in kind:
-            fail(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+            _fail(command, f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
         values[name] = (values[name] or []) + [text] if kind == REPEAT else text
-    missing = waiting + [f"--{o[0]}" for o in options if o[2] == REQUIRED and values[o[0]] is None]
+    missing = waiting + [f"--{name}" for name in required if values[name] is None]
     if missing:
-        fail(f"the following arguments are required: {', '.join(missing)}")
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(**values)
 
 
@@ -343,24 +349,20 @@ def parse_args(argv=None) -> SimpleNamespace:
     Options take their full name or a unique prefix, and --opt=value.  A
     usage error prints the usage and the error to stderr and raises
     SystemExit(2); -h/--help prints the help to stdout and raises
-    SystemExit(0).
+    SystemExit(0).  A valid command line builds no usage text.
     """
     words = sys.argv[1:] if argv is None else list(argv)
-
-    def fail(message):
-        _fail(USAGE, PROG, message)
-
     for i, word in enumerate(words):
-        read = _read(word, ("-h", "--help"), fail)
+        read = _read(word, ("-h", "--help"), None)
         if read is None:
             if word not in COMMANDS:
-                fail(f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, COMMANDS))})")
+                _fail(None, f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, COMMANDS))})")
             return _parse_command(word, words[i + 1 :])
         if read[0] not in ("-h", "--help"):
-            fail(f"unrecognized arguments: {word}")
+            _fail(None, f"unrecognized arguments: {word}")
         rows = [(name, command[1]) for name, command in COMMANDS.items()]
-        _help(USAGE, DESCRIPTION, [("commands:", rows), ("options:", [("-h, --help", HELP[3])])])
-    fail("the following arguments are required: command")
+        _help(None, DESCRIPTION, [("commands:", rows), ("options:", [("-h, --help", HELP[3])])])
+    _fail(None, "the following arguments are required: command")
 
 
 def main(argv=None) -> int:

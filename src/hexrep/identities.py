@@ -305,7 +305,7 @@ def decomposition(k: int, precision: int) -> QSeries:
 
 def encode_value(v):
     """A value for output: an int, or a p/q string for a Fraction that is not integral."""
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     return v
 

@@ -32,9 +32,6 @@ class MomentTable(namedtuple("MomentTable", "k t values")):
     def precision(self) -> int:
         return len(self.values) - 1
 
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
     def truncate(self, precision: int) -> "MomentTable":
         return self._replace(values=self.values[: precision + 1])
 

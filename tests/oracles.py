@@ -2,12 +2,13 @@
 
 import argparse
 import functools
+import json
 from fractions import Fraction
 from math import isqrt
 
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, rho_star, sigma_star, sigma_twisted
-from hexrep.identities import ODD_WEIGHTS, _coeffs, _conv
+from hexrep.identities import ODD_WEIGHTS, _coeffs, _conv, encode_value
 from hexrep.lattice import MOMENT_ORDERS
 
 
@@ -316,3 +317,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cli._cmd_verify)
 
     return parser
+
+
+def print_values_per_row(rows, fmt, out):
+    """The value writer hexrep had: one ``print`` per row, each value through ``encode_value``."""
+    if fmt == "json":
+        print(json.dumps([{"n": n, "value": encode_value(v)} for n, v in rows]), file=out)
+    elif fmt == "csv":
+        print("n,value", file=out)
+        for n, v in rows:
+            print(f"{n},{encode_value(v)}", file=out)
+    else:
+        width = max((len(str(n)) for n, _ in rows), default=1)
+        for n, v in rows:
+            print(f"{n:>{width}}  {encode_value(v)}", file=out)
+
+
+def print_verify_csv_per_row(reports, out):
+    """The verify CSV writer hexrep had: one ``print`` per line, each value through ``encode_value``."""
+    for r in reports:
+        print(f"# identity: {r.name}", file=out)
+        print("n,lhs,rhs,match", file=out)
+        for n, lhs, rhs in r.entries:
+            print(f"{n},{encode_value(lhs)},{encode_value(rhs)},{lhs == rhs}", file=out)

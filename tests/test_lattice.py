@@ -33,9 +33,9 @@ from hexrep.lattice import (
 def test_f1_small_values():
     series, tables = enumerate_f1(10)
     assert series.coeffs[:5] == (1, 6, 0, 6, 6)
-    assert tables[0][1] == 6 and tables[2][1] == 4 and tables[4][1] == 4
-    assert all(tables[t][2] == 0 for t in MOMENT_ORDERS)
-    assert tables[0][0] == 1 and tables[2][0] == 0
+    assert tables[0].values[1] == 6 and tables[2].values[1] == 4 and tables[4].values[1] == 4
+    assert all(tables[t].values[2] == 0 for t in MOMENT_ORDERS)
+    assert tables[0].values[0] == 1 and tables[2].values[0] == 0
 
 
 def test_f1_against_box_enumeration():
@@ -95,8 +95,15 @@ def test_moment_tables_k2_against_four_variable_loop():
 
 
 def test_moment_examples():
-    assert moment_table(2, 4, 5)[1] == 4
-    assert moment_table(3, 2, 5)[1] == 4
+    assert moment_table(2, 4, 5).values[1] == 4
+    assert moment_table(3, 2, 5).values[1] == 4
+
+
+def test_moment_table_indexes_its_fields():
+    # a plain namedtuple: indexing, len and iteration all go over (k, t, values)
+    t = moment_table(2, 4, 3)
+    assert list(t)[0] == t[0] == 2
+    assert len(t) == 3 and t[2] == t.values
 
 
 def test_moment_zero_order_is_count():
@@ -111,7 +118,7 @@ def test_moment_convolution_associativity():
     for k in (3, 5, 8):
         rest = theta_series(k - 2, N).coeffs
         for t in MOMENT_ORDERS:
-            two = moment_table(2, t, N)
+            two = moment_table(2, t, N).values
             expected = [
                 sum(two[a] * rest[n - a] for a in range(n + 1)) for n in range(N + 1)
             ]
@@ -122,7 +129,7 @@ def test_moments_nonnegative_and_supported():
     N = 60
     counts = s2k_bruteforce(3, N)
     for t in MOMENT_ORDERS:
-        table = moment_table(3, t, N)
+        table = moment_table(3, t, N).values
         for n in range(N + 1):
             assert table[n] >= 0
             if counts[n] == 0:
