@@ -20,7 +20,6 @@ from .identities import (
     IDENTITY_NAMES,
     PrecisionTooLow,
     UnknownIdentity,
-    encode_value,
     verification_passed,
     verify_all,
 )
@@ -56,13 +55,15 @@ def _working_precision(args, n_values) -> int:
     needed = max(n_values) if n_values else 0
     if args.precision is not None:
         if args.precision < needed:
-            raise PrecisionTooLow(f"--precision {args.precision} is below the requested n={needed}")
+            raise PrecisionTooLow(
+                f"--precision {args.precision} is below the requested n={needed}"
+            )
         return args.precision
     return max(DEFAULT_PRECISION, needed)
 
 
 def _print_values(rows, fmt, out):
-    """Write all rows in one call; %s prints an int or a Fraction as encode_value does."""
+    """Write all rows in one call; %s prints an int or a Fraction as identities.encode_value does."""
     if fmt == "json":
         rows = [(n, f'"{v}"' if type(v) is Fraction and v.denominator != 1 else v) for n, v in rows]
         out.write("[%s]\n" % ", ".join(map('{"n": %d, "value": %s}'.__mod__, rows)))
@@ -127,30 +128,24 @@ def _cmd_lsum(args, out) -> int:
 
 
 def _print_verify_table(reports, passed, strict, out):
+    lines = []
     for r in reports:
         tag = " [documented]" if r.name in identities.DOCUMENTED_DISCREPANCIES else ""
         if r.all_match:
-            print(f"{r.name}: ok (n=1..{r.n_max}){tag}", file=out)
+            lines.append(f"{r.name}: ok (n=1..{r.n_max}){tag}\n")
         else:
             n, lhs, rhs = r.first_mismatch
             more = len(r.mismatches) - 1
             extra = f" (+{more} more)" if more else ""
-            print(
-                f"{r.name}: MISMATCH at n={n}: lhs={encode_value(lhs)} "
-                f"rhs={encode_value(rhs)}{extra}{tag}",
-                file=out,
-            )
+            lines.append(f"{r.name}: MISMATCH at n={n}: lhs={lhs} rhs={rhs}{extra}{tag}\n")
         if r.constant_term is not None and not r.constant_term_matches:
             lhs0, rhs0 = r.constant_term
-            print(
-                f"  constant term: {encode_value(lhs0)} vs {encode_value(rhs0)}"
-                " (informational; the identity covers n >= 1)",
-                file=out,
-            )
+            lines.append(f"  constant term: {lhs0} vs {rhs0} (informational; the identity covers n >= 1)\n")
         if r.note:
-            print(f"  note: {r.note}", file=out)
+            lines.append(f"  note: {r.note}\n")
     verdict = "PASS" if passed else "FAIL"
-    print(f"verification: {verdict} ({len(reports)} identities, strict={strict})", file=out)
+    lines.append(f"verification: {verdict} ({len(reports)} identities, strict={strict})\n")
+    out.write("".join(lines))
 
 
 def _print_verify_csv(reports, out):
@@ -162,11 +157,14 @@ def _print_verify_csv(reports, out):
 
 
 def _cmd_verify(args, out) -> int:
-    selection = "all" if args.all or not args.identity else args.identity
+    if args.all or not args.identity:
+        selection = "all"
+    else:
+        selection = args.identity
     reports = verify_all(args.nmax, selection, args.precision)
     passed = verification_passed(reports, strict=args.strict)
     if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2), file=out)
+        out.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     elif args.format == "csv":
         _print_verify_csv(reports, out)
     else:

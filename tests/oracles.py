@@ -8,7 +8,7 @@ from math import isqrt
 
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, rho_star, sigma_star, sigma_twisted
-from hexrep.identities import ODD_WEIGHTS, _coeffs, _conv, encode_value
+from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _conv, encode_value
 from hexrep.lattice import MOMENT_ORDERS
 
 
@@ -331,6 +331,26 @@ def print_values_per_row(rows, fmt, out):
         width = max((len(str(n)) for n, _ in rows), default=1)
         for n, v in rows:
             print(f"{n:>{width}}  {encode_value(v)}", file=out)
+
+
+def print_verify_table_per_line(reports, passed, strict, out):
+    """The verify table writer hexrep had: one ``print`` per line, each value through ``encode_value``."""
+    for r in reports:
+        tag = " [documented]" if r.name in DOCUMENTED_DISCREPANCIES else ""
+        if r.all_match:
+            print(f"{r.name}: ok (n=1..{r.n_max}){tag}", file=out)
+        else:
+            n, lhs, rhs = r.first_mismatch
+            more = len(r.mismatches) - 1
+            extra = f" (+{more} more)" if more else ""
+            print(f"{r.name}: MISMATCH at n={n}: lhs={encode_value(lhs)} rhs={encode_value(rhs)}{extra}{tag}", file=out)
+        if r.constant_term is not None and not r.constant_term_matches:
+            lhs0, rhs0 = r.constant_term
+            print(f"  constant term: {encode_value(lhs0)} vs {encode_value(rhs0)} (informational; the identity covers n >= 1)", file=out)
+        if r.note:
+            print(f"  note: {r.note}", file=out)
+    verdict = "PASS" if passed else "FAIL"
+    print(f"verification: {verdict} ({len(reports)} identities, strict={strict})", file=out)
 
 
 def print_verify_csv_per_row(reports, out):

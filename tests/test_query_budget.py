@@ -1,6 +1,6 @@
 """What one warm query costs hexrep's command line, counted from outside.
 
-A value query that hits the caches is the command line's own work: read
+A query that hits the caches is the command line's own work: read
 the words, write the answer.  A valid command line builds no usage text
 and each answer goes out in one write; the usage line still appears,
 unchanged, on every usage error.
@@ -21,6 +21,7 @@ QUERIES = [
     ["tau", "--n", "88", "--format", "csv"],
     ["lsum", "L_6_2", "--n", "95..105", "--format", "table"],
     ["lsum", "--n=1..3", "--format=json", "--", "Lcal_4"],
+    *(["verify", "--identity", "s14-theorem", "--ident=tau-eq", "--nmax", "5", "--format", fmt] for fmt in ("table", "json", "csv")),
 ]
 
 
@@ -35,7 +36,7 @@ class CountingOut(io.StringIO):
 
 
 @pytest.mark.parametrize("argv", QUERIES, ids=" ".join)
-def test_a_warm_value_query_writes_once(argv):
+def test_a_warm_query_writes_once(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0  # fills the caches
     out = CountingOut()
@@ -49,7 +50,7 @@ def test_a_valid_command_line_builds_no_usage(monkeypatch):
         raise AssertionError("a valid command line built usage text")
 
     monkeypatch.setattr(cli, "_invocation", no_usage)
-    for argv in QUERIES + [["verify", "--identity", "tau-eq", "--ident=s24-formula", "--nmax", "5", "--str"]]:
+    for argv in QUERIES + [["verify", "--all", "--nmax", "5", "--str"]]:
         assert cli.parse_args(argv).command == argv[0]
 
 
