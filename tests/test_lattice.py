@@ -97,9 +97,6 @@ def test_moment_tables_k2_against_four_variable_loop():
 def test_moment_examples():
     assert moment_table(2, 4, 5).values[1] == 4
     assert moment_table(3, 2, 5).values[1] == 4
-
-
-def test_moment_table_indexes_its_fields():
     # a plain namedtuple: indexing, len and iteration all go over (k, t, values)
     t = moment_table(2, 4, 3)
     assert list(t)[0] == t[0] == 2
