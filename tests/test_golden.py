@@ -35,6 +35,13 @@ CASES = {
     "tau-json": ["tau", "--n", "1..30", "--format", "json"],
     "lsum-L_6_2-widths": ["lsum", "L_6_2", "--n", "95..105"],
     "s2k-7-decomposition-csv-n0": ["s2k", "--k", "7", "--n", "0..12", "--method", "decomposition", "--format", "csv"],
+    # n up to 400: delta_7_3 and the weight-11 forms, delta_8_3, and the x1^2 moments of 10 and 3 blocks
+    "s2k-11-decomposition-n400": ["s2k", "--k", "11", "--n", "390..400", "--method", "decomposition"],
+    "s2k-14-decomposition-json-n400": [
+        "s2k", "--k", "14", "--n", "390..400", "--method", "decomposition", "--format", "json",
+    ],
+    "lsum-L_14_10-n400": ["lsum", "L_14_10", "--n", "390..400"],
+    "lsum-L_7_3-csv-n400": ["lsum", "L_7_3", "--n", "1..400", "--format", "csv"],
 }
 
 
