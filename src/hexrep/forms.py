@@ -21,6 +21,7 @@ from .arith import (
     bernoulli_generalized,
     sigma_table,
 )
+from .lattice import theta_series
 from .series import QSeries, grow_only, linear_combination, power_split
 
 
@@ -179,25 +180,15 @@ class NamedForm(namedtuple("NamedForm", "name weight level character series")):
 
 
 def _build_delta_7_3(precision: int) -> QSeries:
-    # The Eisenstein difference starts at 240q, so the product is scaled by
-    # 1/240 to make this the normalized newform (first coefficient 1); the
-    # check below fails hard if that normalization is ever off.
-    e4 = eisenstein_classical(4, precision)
-    raw = (e4 - e4.scale_argument(3)) * eta_quotient(_eta((1, 9), (3, -3)), precision)
-    series = Fraction(1, 240) * raw
-    if precision >= 1 and series.coefficient(1) != 1:
-        raise AssertionError(
-            f"normalization failure: leading coefficient {series.coefficient(1)} != 1"
-        )
-    return series
+    """delta_6_3 * theta.  S_7(Gamma0(3), chi_-3) = delta_6_3 M_1 and M_1 is spanned
+    by theta, so S_7 is one-dimensional and this q + O(q^2) is its newform."""
+    return named_form("delta_6_3", precision).series * theta_series(1, precision)
 
 
 def _build_delta_8_3(precision: int) -> QSeries:
-    return linear_combination(
-        (1, eta_quotient(_eta((1, 12), (3, 4)), precision)),
-        (81, eta_quotient(_eta((1, 6), (3, 4), (9, 6)), precision)),
-        (18, eta_quotient(_eta((1, 9), (3, 4), (9, 3)), precision)),
-    )
+    """delta_6_3 * theta^2.  S_8(Gamma0(3)) = delta_6_3 M_2 and M_2 is spanned by
+    theta^2, so S_8 is one-dimensional and this q + O(q^2) is its newform."""
+    return named_form("delta_6_3", precision).series * theta_series(2, precision)
 
 
 _CATALOG = {

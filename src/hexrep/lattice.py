@@ -95,7 +95,11 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
 
     M_t(k)(n) = sum(M_t(1)(a) * s_2(k-1)(n - a), 0 <= a <= n), the product
     of the one-block moment series with the theta series of F_(k-1).  M_0
-    counts the solutions: it is the theta series of F_k.
+    counts the solutions: it is the theta series of F_k.  M_2 takes no
+    product: (x, y) -> (y, -x-y) fixes x^2 + xy + y^2 and permutes x^2, y^2
+    and (x+y)^2, whose sum is twice it, so M_2(k)(n) is 2/3 of the first
+    block's value summed over the shell, n s_2k(n) / k as the k blocks are
+    alike: M_2(k)(n) = 2n s_2k(n) / (3k).
     """
     if t not in MOMENT_ORDERS:
         raise ValueError(f"moment order must be one of {MOMENT_ORDERS}")
@@ -103,6 +107,9 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
         raise ValueError("k must be >= 1")
     if t == 0:
         return MomentTable(k, t, theta_series(k, precision).coeffs)
+    if t == 2:
+        theta = theta_series(k, precision).coeffs
+        return MomentTable(k, t, tuple(2 * n * s // (3 * k) for n, s in enumerate(theta)))
     row = _f1_moment_rows(precision)[t]
     if k > 1:
         row = (QSeries._trusted(row) * theta_series(k - 1, precision)).coeffs

@@ -8,8 +8,10 @@ from math import isqrt
 
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, rho_star, sigma_star, sigma_twisted
+from hexrep.forms import _eta, eisenstein_classical, eta_quotient
 from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _conv, encode_value
-from hexrep.lattice import MOMENT_ORDERS
+from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, theta_series
+from hexrep.series import QSeries, linear_combination
 
 
 def f1_moments_direct(n_max: int) -> dict[int, list[int]]:
@@ -73,6 +75,38 @@ def f2_moments_direct(n_max: int) -> dict[int, list[int]]:
                         for i, t in enumerate(MOMENT_ORDERS):
                             rows[t][n] += powers[i]
     return rows
+
+
+def moment_product(k: int, t: int, precision: int) -> tuple[int, ...]:
+    """M_t(k) as the one-block moment row times theta^(k-1): one series product for k > 1."""
+    row = _f1_moment_rows(precision)[t]
+    if k > 1:
+        row = (QSeries._trusted(row) * theta_series(k - 1, precision)).coeffs
+    return row
+
+
+def delta_7_3_eisenstein_eta(precision: int) -> QSeries:
+    """(E_4(z) - E_4(3z)) eta(z)^9 / eta(3z)^3 / 240, the weight-7 newform from an Eisenstein difference."""
+    # The Eisenstein difference starts at 240q, so the product is scaled by
+    # 1/240 to make this the normalized newform (first coefficient 1); the
+    # check below fails hard if that normalization is ever off.
+    e4 = eisenstein_classical(4, precision)
+    raw = (e4 - e4.scale_argument(3)) * eta_quotient(_eta((1, 9), (3, -3)), precision)
+    series = Fraction(1, 240) * raw
+    if precision >= 1 and series.coefficient(1) != 1:
+        raise AssertionError(
+            f"normalization failure: leading coefficient {series.coefficient(1)} != 1"
+        )
+    return series
+
+
+def delta_8_3_eta_sum(precision: int) -> QSeries:
+    """The weight-8 newform as a sum of three quotients of eta(z), eta(3z) and eta(9z)."""
+    return linear_combination(
+        (1, eta_quotient(_eta((1, 12), (3, 4)), precision)),
+        (81, eta_quotient(_eta((1, 6), (3, 4), (9, 6)), precision)),
+        (18, eta_quotient(_eta((1, 9), (3, 4), (9, 3)), precision)),
+    )
 
 
 def s2k_direct_recursive(k: int, n: int) -> int:

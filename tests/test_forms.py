@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from memos import clear_all
-from oracles import euler_product_direct, invert_dense, mul_schoolbook
+from oracles import delta_7_3_eisenstein_eta, delta_8_3_eta_sum, euler_product_direct, invert_dense, mul_schoolbook
 
 from hexrep.arith import CHI3, CHI_TRIVIAL
 from hexrep.forms import (
@@ -15,6 +15,7 @@ from hexrep.forms import (
     NonIntegralExponent,
     ParityMismatch,
     UnknownForm,
+    _eta,
     _eta_power,
     _euler_core,
     eisenstein_classical,
@@ -71,7 +72,10 @@ def test_eta_powers_against_product_oracle():
     clear_all()
     for name in CATALOG_NAMES:
         named_form(name, 5)
-    entries = set(_eta_power.stored())  # every power on the ladders of the catalog's eta factors
+    # no catalog form has a negative or scale-9 eta power: build one of each
+    eta_quotient(_eta((1, 9), (3, -3)), 5)
+    eta_quotient(_eta((1, 6), (3, 4), (9, 6)), 5)
+    entries = set(_eta_power.stored())  # every power on the ladders of these eta factors
     assert {(1, 24), (3, 15), (3, -3), (9, 6)} <= entries
     top = 97
     for scale, exponent in sorted(entries):
@@ -182,8 +186,16 @@ def test_named_form_catalog():
         named_form("nope", 10)
 
 
+@pytest.mark.parametrize("name, oracle", (("delta_7_3", delta_7_3_eisenstein_eta), ("delta_8_3", delta_8_3_eta_sum)))
+def test_theta_multiples_of_delta_6_3_against_eta_constructions(name, oracle):
+    clear_all()
+    for precision in (1, 2, 400):  # built fresh each time: the memo grows
+        assert named_form(name, precision).series.coeffs[:2] == (0, 1), (name, precision)  # normalized
+    assert named_form(name, 400).series == oracle(400)
+
+
 def test_delta_7_3_spot_coefficients():
-    # frozen from the expansion of the normalized Eisenstein-eta product
+    # frozen from the normalized Eisenstein-eta product (oracles.delta_7_3_eisenstein_eta)
     series = named_form("delta_7_3", 10).series
     assert series.coeffs[1:6] == (1, 0, -27, 64, 0)
 

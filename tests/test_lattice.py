@@ -10,6 +10,7 @@ from oracles import (
     f1_moments_discriminant,
     f2_moments_direct,
     lomadze_term,
+    moment_product,
     s2k_direct_recursive,
     theta_powers_chained,
 )
@@ -92,6 +93,14 @@ def test_moment_tables_k2_against_four_variable_loop():
     direct = f2_moments_direct(30)
     for t in MOMENT_ORDERS:
         assert list(moment_table(2, t, 30).values) == direct[t]
+
+
+def test_second_moments_against_block_product():
+    # M_2 is read off theta^k; the product of the one-block row with theta^(k-1)
+    # is its oracle (the k = 2 four-variable loop above covers every order)
+    clear_all()
+    for k in range(1, 15):
+        assert moment_table(k, 2, 400).values == moment_product(k, 2, 400), k
 
 
 def test_moment_examples():
