@@ -189,8 +189,8 @@ def test_named_form_catalog():
 @pytest.mark.parametrize("name, oracle", (("delta_7_3", delta_7_3_eisenstein_eta), ("delta_8_3", delta_8_3_eta_sum)))
 def test_theta_multiples_of_delta_6_3_against_eta_constructions(name, oracle):
     clear_all()
-    for precision in (1, 2, 400):  # built fresh each time: the memo grows
-        assert named_form(name, precision).series.coeffs[:2] == (0, 1), (name, precision)  # normalized
+    for precision in (1, 2, 400):  # normalized, q + O(q^2), at each precision the memo grows to
+        assert named_form(name, precision).series.coeffs[:2] == (0, 1), (name, precision)
     assert named_form(name, 400).series == oracle(400)
 
 
