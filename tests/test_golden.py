@@ -42,6 +42,9 @@ CASES = {
     ],
     "lsum-L_14_10-n400": ["lsum", "L_14_10", "--n", "390..400"],
     "lsum-L_7_3-csv-n400": ["lsum", "L_7_3", "--n", "1..400", "--format", "csv"],
+    # empty reports in JSON, and the widest polynomial of the catalog (degree 4 in n)
+    "verify-json-n0": ["verify", "--all", "--nmax", "0", "--format", "json"],
+    "lsum-Lcal_4-csv-n400": ["lsum", "Lcal_4", "--n", "1..400", "--format", "csv"],
 }
 
 
