@@ -83,8 +83,9 @@ def sigma_table(r: int, chi: DirichletCharacter, psi: DirichletCharacter, precis
         if w := psi(d) * d**r:
             for a, v in enumerate(chi.values):  # chi(m) = v for the m = a mod f
                 if v:
+                    vw = v * w
                     for n in range((a or f) * d, precision + 1, f * d):
-                        out[n] += v * w
+                        out[n] += vw
     return tuple(out)
 
 
@@ -157,27 +158,16 @@ def bernoulli(k: int) -> Fraction:
     return _BERNOULLI[k]
 
 
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """Bernoulli polynomial B_k(x) = sum(C(k, j) * B_j * x^(k-j))."""
-    x = Fraction(x)
-    return sum(
-        (comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)),
-        Fraction(0),
-    )
-
-
 @lru_cache(maxsize=None)
 def bernoulli_generalized(k: int, psi: DirichletCharacter) -> Fraction:
     """Generalized Bernoulli number B_(k,psi) for a character psi of conductor f.
 
-    B_(k,psi) = f^(k-1) * sum(psi(a) * B_k(a/f), 1 <= a <= f).  For the
-    trivial character of conductor 1 this reduces to B_k for k >= 2.
+    B_(k,psi) = f^(k-1) * sum(psi(a) * B_k(a/f), 1 <= a <= f), so expanding B_k(x),
+    f B_(k,psi) = sum(C(k, j) f^j B_j S_(k-j), 0 <= j <= k) with S_m = sum(psi(a) a^m, 1 <= a <= f).
+    For the trivial character of conductor 1 this reduces to B_k for k >= 2.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     f = psi.conductor
-    total = sum(
-        (psi(a) * bernoulli_polynomial(k, Fraction(a, f)) for a in range(1, f + 1)),
-        Fraction(0),
-    )
-    return Fraction(f) ** (k - 1) * total
+    power_sums = [sum(psi(a) * a**m for a in range(1, f + 1)) for m in range(k + 1)]
+    return sum(comb(k, j) * f**j * bernoulli(j) * power_sums[k - j] for j in range(k + 1)) / f

@@ -7,7 +7,6 @@ Values print bare when integral and as p/q otherwise.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 import sys
@@ -19,11 +18,9 @@ from .identities import (
     FORMULA_KS,
     IDENTITY_NAMES,
     PrecisionTooLow,
-    UnknownIdentity,
     verification_passed,
     verify_all,
 )
-from .lattice import UnknownSum
 from .series import DEFAULT_PRECISION
 
 
@@ -62,10 +59,23 @@ def _working_precision(args, n_values) -> int:
     return max(DEFAULT_PRECISION, needed)
 
 
+def _json_number(v):
+    """An int, or a Fraction that %s prints as json.dumps prints identities.encode_value(v)."""
+    return f'"{v}"' if type(v) is Fraction and v.denominator != 1 else v
+
+
+def _json_string(text):
+    """text quoted as json.dumps quotes it; only text that needs escapes loads the json module."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+    return json.dumps(text)
+
+
 def _print_values(rows, fmt, out):
     """Write all rows in one call; %s prints an int or a Fraction as identities.encode_value does."""
     if fmt == "json":
-        rows = [(n, f'"{v}"' if type(v) is Fraction and v.denominator != 1 else v) for n, v in rows]
+        rows = [(n, _json_number(v)) for n, v in rows]
         out.write("[%s]\n" % ", ".join(map('{"n": %d, "value": %s}'.__mod__, rows)))
     elif fmt == "csv":
         out.write("n,value\n" + "".join(map("%d,%s\n".__mod__, rows)))
@@ -156,6 +166,24 @@ def _print_verify_csv(reports, out):
     out.write("".join(lines))
 
 
+def _print_verify_json(reports, out):
+    """Write json.dumps([r.to_json_dict() for r in reports], indent=2) and a newline, in one call."""
+    items = []
+    for r in reports:
+        rows = [(n, _json_number(lhs), _json_number(rhs)) for n, lhs, rhs in r.mismatches]
+        rows = ",".join(map('\n      {\n        "n": %d,\n        "lhs": %s,\n        "rhs": %s\n      }'.__mod__, rows))
+        item = '\n  {\n    "name": %s,\n    "n_max": %d,\n    "status": "%s",\n    "mismatches": [%s]' % (
+            _json_string(r.name), r.n_max, r.status, rows and rows + "\n    ")
+        if r.constant_term is not None:
+            match = "true" if r.constant_term_matches else "false"
+            item += ',\n    "constant_term": {\n      "lhs": %s,\n      "rhs": %s,\n      "match": %s\n    }' % (
+                *map(_json_number, r.constant_term), match)
+        if r.note:
+            item += ',\n    "note": ' + _json_string(r.note)
+        items.append(item + "\n  }")
+    out.write("[%s]\n" % (",".join(items) + "\n" if items else ""))
+
+
 def _cmd_verify(args, out) -> int:
     if args.all or not args.identity:
         selection = "all"
@@ -164,7 +192,7 @@ def _cmd_verify(args, out) -> int:
     reports = verify_all(args.nmax, selection, args.precision)
     passed = verification_passed(reports, strict=args.strict)
     if args.format == "json":
-        out.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
+        _print_verify_json(reports, out)
     elif args.format == "csv":
         _print_verify_csv(reports, out)
     else:
@@ -367,13 +395,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return COMMANDS[args.command][0](args, sys.stdout)
-    except (
-        PrecisionTooLow,
-        UnknownIdentity,
-        UnknownSum,
-        UnsupportedK,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # UnknownSum, UnknownIdentity, UnsupportedK and PrecisionTooLow are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
+from operator import add, mul
 
 from .series import DEFAULT_PRECISION, QSeries, grow_only, power_split, prefix
 
@@ -38,21 +39,24 @@ class MomentTable(namedtuple("MomentTable", "k t values")):
 
 @grow_only(lambda rows, precision: {t: row[: precision + 1] for t, row in rows.items()})
 def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
-    """One pass over the points of x^2 + xy + y^2 <= precision, x >= 0.
+    """One pass over the points of x^2 + xy + y^2 <= precision, x >= 0, for orders 0, 6 and 8.
 
     For fixed x they are the y with |2y + x| <= isqrt(4 * precision - 3x^2),
     an exact range; a point with x >= 1 stands for itself and its negative.
-    No floating point.
+    No floating point.  Orders 2 and 4 are 2n theta(n) / 3 and 2n^2 theta(n) / 3:
+    the 12 automorphisms of the form have no harmonic invariant below degree 6.
     """
-    rows = {t: [0] * (precision + 1) for t in MOMENT_ORDERS}
+    rows = {t: [0] * (precision + 1) for t in (0, 6, 8)}
     for x in range(isqrt(4 * precision // 3) + 1):
         s = isqrt(4 * precision - 3 * x * x)
-        weights = [(rows[t], 2 * x**t) for t in MOMENT_ORDERS] if x else [(rows[0], 1)]
+        weights = [(rows[0], 2), (rows[6], 2 * x**6), (rows[8], 2 * x**8)] if x else [(rows[0], 1)]
         for y in range(-((s + x) // 2), (s - x) // 2 + 1):
             n = x * x + x * y + y * y
             for row, w in weights:
                 row[n] += w
-    return {t: tuple(row) for t, row in rows.items()}
+    rows[2] = [v // 3 for v in map(mul, range(0, 2 * precision + 1, 2), rows[0])]
+    rows[4] = map(mul, range(precision + 1), rows[2])
+    return {t: tuple(rows[t]) for t in MOMENT_ORDERS}
 
 
 def enumerate_f1(precision: int) -> tuple[QSeries, dict[int, MomentTable]]:
@@ -108,8 +112,8 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
     if t == 0:
         return MomentTable(k, t, theta_series(k, precision).coeffs)
     if t == 2:
-        theta = theta_series(k, precision).coeffs
-        return MomentTable(k, t, tuple(2 * n * s // (3 * k) for n, s in enumerate(theta)))
+        twice = map(mul, range(0, 2 * precision + 1, 2), theta_series(k, precision).coeffs)
+        return MomentTable(k, t, tuple([v // (3 * k) for v in twice]))
     row = _f1_moment_rows(precision)[t]
     if k > 1:
         row = (QSeries._trusted(row) * theta_series(k - 1, precision)).coeffs
@@ -211,11 +215,12 @@ def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> i
 def lomadze_values(name: str, precision: int) -> tuple[int, ...]:
     """All values L(0..precision) of the named sum (L(0) = 0 for every catalog entry)."""
     spec = lomadze_spec(name)
-    values = [0] * (precision + 1)
-    for t, poly in spec.terms:
-        row = moment_table(spec.blocks, t, precision).values
-        for c in poly:  # c n^i M_t(n) for i = 0, 1, ...: row holds n^i M_t(n)
+    values = (0,) * (precision + 1)
+    for t, poly in spec.terms:  # one lazy C-level pass: values(n) += P_t(n) M_t(n)
+        weights = (poly[-1],) * (precision + 1)
+        for c in reversed(poly[:-1]):  # Horner's rule: P_t(n) = (... (c_d n + c_(d-1)) n + ...) + c_0
+            weights = map(mul, weights, range(precision + 1))
             if c:
-                values = [s + c * v for s, v in zip(values, row)]
-            row = [n * v for n, v in enumerate(row)]
+                weights = map(c.__add__, weights)
+        values = map(add, values, map(mul, weights, moment_table(spec.blocks, t, precision).values))
     return tuple(values)

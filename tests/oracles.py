@@ -4,13 +4,13 @@ import argparse
 import functools
 import json
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from hexrep import cli
-from hexrep.arith import CHI3, CHI_TRIVIAL, rho_star, sigma_star, sigma_twisted
+from hexrep.arith import CHI3, CHI_TRIVIAL, bernoulli, rho_star, sigma_star, sigma_twisted
 from hexrep.forms import _eta, eisenstein_classical, eta_quotient
 from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _conv, encode_value
-from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, theta_series
+from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, moment_table, theta_series
 from hexrep.series import QSeries, linear_combination
 
 
@@ -158,6 +158,38 @@ def lomadze_term(spec, t: int, n: int) -> int:
         if power == t:
             return sum(c * n**i for i, c in enumerate(poly))
     return 0
+
+
+def lomadze_values_per_coefficient(name: str, precision: int) -> tuple[int, ...]:
+    """A catalog sum's values L(0..precision), one list pass per coefficient of each polynomial in n."""
+    spec = lomadze_spec(name)
+    values = [0] * (precision + 1)
+    for t, poly in spec.terms:
+        row = moment_table(spec.blocks, t, precision).values
+        for c in poly:  # c n^i M_t(n) for i = 0, 1, ...: row holds n^i M_t(n)
+            if c:
+                values = [s + c * v for s, v in zip(values, row)]
+            row = [n * v for n, v in enumerate(row)]
+    return tuple(values)
+
+
+def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
+    """Bernoulli polynomial B_k(x) = sum(C(k, j) * B_j * x^(k-j))."""
+    x = Fraction(x)
+    return sum(
+        (comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)),
+        Fraction(0),
+    )
+
+
+def bernoulli_generalized_at_fractions(k: int, psi) -> Fraction:
+    """B_(k,psi) = f^(k-1) * sum(psi(a) * B_k(a/f), 1 <= a <= f), the polynomial evaluated at Fraction points."""
+    f = psi.conductor
+    total = sum(
+        (psi(a) * bernoulli_polynomial(k, Fraction(a, f)) for a in range(1, f + 1)),
+        Fraction(0),
+    )
+    return Fraction(f) ** (k - 1) * total
 
 
 #: sigma_r(0), the constant terms of the Eisenstein series E_4, E_6, E_8 scaled to sigma_r.
@@ -394,3 +426,8 @@ def print_verify_csv_per_row(reports, out):
         print("n,lhs,rhs,match", file=out)
         for n, lhs, rhs in r.entries:
             print(f"{n},{encode_value(lhs)},{encode_value(rhs)},{lhs == rhs}", file=out)
+
+
+def print_verify_json_dumps(reports, out):
+    """The verify JSON writer hexrep had: ``json.dumps`` of every ``to_json_dict``, indent 2."""
+    out.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")

@@ -6,6 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from oracles import bernoulli_generalized_at_fractions, bernoulli_polynomial
 
 from hexrep import arith
 from hexrep.arith import (
@@ -13,7 +14,6 @@ from hexrep.arith import (
     CHI_TRIVIAL,
     bernoulli,
     bernoulli_generalized,
-    bernoulli_polynomial,
     chi3,
     divisors,
     rho_star,
@@ -223,6 +223,14 @@ def test_bernoulli_generalized_against_generating_function():
     for psi in (CHI_TRIVIAL, CHI3):
         for k in range(1, 12):
             assert bernoulli_generalized(k, psi) == _generalized_bernoulli_oracle(k, psi)
+
+
+def test_bernoulli_generalized_against_polynomial_at_fractions():
+    for psi in (CHI_TRIVIAL, CHI3):
+        for k in range(1, 25):
+            value = bernoulli_generalized.__wrapped__(k, psi)
+            assert type(value) is Fraction
+            assert value == bernoulli_generalized_at_fractions(k, psi), (k, psi)
 
 
 def test_bernoulli_generalized_frozen_values():

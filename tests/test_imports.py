@@ -1,7 +1,8 @@
 """A cold import, and a cold command, load only what hexrep runs.
 
-hexrep's records are namedtuples, its lock comes from ``_thread`` and its
-command line is read from its own option table, so a fresh interpreter
+hexrep's records are namedtuples, its lock comes from ``_thread``, its
+command line is read from its own option table and its JSON is formatted
+by hand, so a fresh interpreter
 that imports the package or answers a command must not pull in the stdlib
 modules it never calls.
 """
@@ -41,3 +42,12 @@ def test_cold_import_leaves_unused_modules_out(module):
 def test_cold_command_loads_no_argument_parser():
     code = 'import hexrep.cli; hexrep.cli.main(["s2k", "--k", "7", "--n", "1"])'
     assert loaded_after(code, UNUSED + PARSER_MODULES) == "[]"
+
+
+@pytest.mark.parametrize("fmt", [None, "table", "csv", "json"])
+def test_cold_verify_loads_no_json_module(fmt):
+    # the JSON writer formats the reports itself; json loads only for a string that needs escapes
+    code = "import hexrep.cli"
+    if fmt:
+        code += f'; hexrep.cli.main(["verify", "--all", "--nmax", "30", "--format", "{fmt}"])'
+    assert loaded_after(code, ("json",)) == "[]"

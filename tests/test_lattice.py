@@ -10,6 +10,7 @@ from oracles import (
     f1_moments_discriminant,
     f2_moments_direct,
     lomadze_term,
+    lomadze_values_per_coefficient,
     moment_product,
     s2k_direct_recursive,
     theta_powers_chained,
@@ -47,8 +48,9 @@ def test_f1_against_box_enumeration():
 
 
 def test_f1_enumeration_against_discriminant_oracle():
-    # the point walk against the per-n discriminant test, at the edges of the y ranges
-    for precision in (*range(7), 200, 401):
+    # the point walk against the per-n discriminant test, at the edges of the y ranges;
+    # orders 2 and 4 are read off theta, the other three are walked
+    for precision in (*range(7), 200, 401, 2000):
         rows = lattice._f1_moment_rows.__wrapped__(precision)
         assert rows == {t: tuple(row) for t, row in f1_moments_discriminant(precision).items()}, precision
 
@@ -184,6 +186,15 @@ def test_lomadze_against_explicit_solution_sum():
                     if n <= n_max:
                         totals[n] += 9 * x1**4 - 9 * n * x1**2 + n * n
     assert list(lomadze_values("L_6_2", n_max)) == totals
+
+
+def test_lomadze_values_against_per_coefficient_passes():
+    # Horner weights in one lazy pass per term, against one list pass per coefficient
+    for precision in (0, 1, 400):
+        for spec in LOMADZE_CATALOG:
+            values = lattice.lomadze_values.__wrapped__(spec.name, precision)
+            assert type(values) is tuple and len(values) == precision + 1
+            assert values == lomadze_values_per_coefficient(spec.name, precision), (spec.name, precision)
 
 
 def test_lomadze_cal4_is_the_stated_combination():
