@@ -60,7 +60,7 @@ def _working_precision(args, n_values) -> int:
 
 
 def _json_number(v):
-    """An int, or a Fraction that %s prints as json.dumps prints identities.encode_value(v)."""
+    """v for %s in JSON: an int as it is, a non-integral Fraction as the string "p/q" of identities.encode_value."""
     return f'"{v}"' if type(v) is Fraction and v.denominator != 1 else v
 
 
@@ -171,9 +171,9 @@ def _print_verify_json(reports, out):
     items = []
     for r in reports:
         rows = [(n, _json_number(lhs), _json_number(rhs)) for n, lhs, rhs in r.mismatches]
-        rows = ",".join(map('\n      {\n        "n": %d,\n        "lhs": %s,\n        "rhs": %s\n      }'.__mod__, rows))
+        listed = ",".join(map('\n      {\n        "n": %d,\n        "lhs": %s,\n        "rhs": %s\n      }'.__mod__, rows))
         item = '\n  {\n    "name": %s,\n    "n_max": %d,\n    "status": "%s",\n    "mismatches": [%s]' % (
-            _json_string(r.name), r.n_max, r.status, rows and rows + "\n    ")
+            _json_string(r.name), r.n_max, r.status, listed and listed + "\n    ")
         if r.constant_term is not None:
             match = "true" if r.constant_term_matches else "false"
             item += ',\n    "constant_term": {\n      "lhs": %s,\n      "rhs": %s,\n      "match": %s\n    }' % (
