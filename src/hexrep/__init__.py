@@ -10,7 +10,7 @@ including a lattice-sum expression for the Ramanujan tau function.
 """
 
 from .arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, bernoulli_generalized, chi3, sigma, sigma_star, sigma_twisted
-from .forms import EtaQuotientSpec, NamedForm, eisenstein_classical, eisenstein_twisted, eta_quotient, named_form, quasimodular_combination
+from .forms import EtaQuotientSpec, NamedForm, eisenstein_classical, eisenstein_twisted, eta_quotient, named_form
 from .identities import IdentityReport, tau_from_lattice_sums, verification_passed, verify_all
 from .lattice import LomadzeSumSpec, MomentTable, enumerate_f1, lomadze_sum, moment_table, s2k_bruteforce
 from .series import DEFAULT_PRECISION, QSeries
@@ -38,7 +38,6 @@ __all__ = [
     "lomadze_sum",
     "moment_table",
     "named_form",
-    "quasimodular_combination",
     "s2k_bruteforce",
     "sigma",
     "sigma_star",

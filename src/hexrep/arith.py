@@ -1,7 +1,7 @@
 """Number-theoretic scalar functions.
 
 Dirichlet characters of conductor 1 and 3, power-of-divisor sums (plain,
-twisted and starred) one n at a time or as sieved tables over n, and
+twisted and starred) one n at a time or as multiplicative tables over n, and
 Bernoulli numbers, plain and generalized.  All values are exact ints or
 Fractions.
 """
@@ -72,20 +72,22 @@ def sigma_twisted(r: int, chi: DirichletCharacter, psi: DirichletCharacter, n: i
 
 @grow_only(prefix)
 def sigma_table(r: int, chi: DirichletCharacter, psi: DirichletCharacter, precision: int) -> tuple[int, ...]:
-    """sigma_twisted(r, chi, psi, n) for n = 0..precision (0 at n = 0), by one sieve over d.
+    """sigma_twisted(r, chi, psi, n) for n = 0..precision (0 at n = 0), one product per n.
 
-    Each d adds psi(d) d^r chi(m) at n = d m; the multiples m with one
-    residue mod the conductor of chi lie on one arithmetic progression.
+    f = sigma_(r; chi, psi) is multiplicative (Hardy and Wright, Thm 357):
+    f(p^e) = chi(p) f(p^(e-1)) + psi(p^e) p^(er), and f(mn) = f(m) f(n) for
+    coprime m and n, split off the power of the smallest prime factor.
     """
-    out = [0] * (precision + 1)
-    f = chi.conductor
-    for d in range(1, precision + 1):
-        if w := psi(d) * d**r:
-            for a, v in enumerate(chi.values):  # chi(m) = v for the m = a mod f
-                if v:
-                    vw = v * w
-                    for n in range((a or f) * d, precision + 1, f * d):
-                        out[n] += vw
+    out = [0, 1][: precision + 1] + [0] * (precision - 1)
+    spf = list(range(precision + 1))  # smallest prime factor: the last p to write n, for p^2 <= n
+    for p in range(isqrt(precision), 1, -1):
+        spf[p * p :: p] = [p] * ((precision - p * p) // p + 1)
+    part = [1] * (precision + 1)  # the power of spf[n] that divides n
+    for n in range(2, precision + 1):
+        p = spf[n]
+        m = n // p
+        part[n] = q = part[m] * p if spf[m] == p else p
+        out[n] = out[q] * out[n // q] if q < n else chi(p) * out[m] + psi(n) * n**r
     return tuple(out)
 
 
@@ -120,14 +122,14 @@ def sigma_star(ell: int, n: int) -> int:
 
 
 def sigma_star_table(ell: int, precision: int) -> tuple[int, ...]:
-    """sigma_star(ell, n) for n = 0..precision (0 at n = 0), from the sieved sigma_ell table."""
+    """sigma_star(ell, n) for n = 0..precision (0 at n = 0), from the sigma_ell table."""
     sigmas = sigma_table(ell, CHI_TRIVIAL, CHI_TRIVIAL, precision)
     c = (-3) ** ((ell + 1) // 2)
     return tuple(v + c * sigmas[n // 3] if n % 3 == 0 else v for n, v in enumerate(sigmas))
 
 
 def rho_star_table(ell: int, precision: int) -> tuple[int, ...]:
-    """rho_star(ell, n) for n = 0..precision (0 at n = 0), from two sieved twisted tables.
+    """rho_star(ell, n) for n = 0..precision (0 at n = 0), from two twisted tables.
 
     rho*_ell = 3^(ell/2) (sigma_(ell; chi3, 1) + (-1)^(ell/2) sigma_(ell; 1, chi3)).
     """

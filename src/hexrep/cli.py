@@ -167,7 +167,7 @@ def _print_verify_csv(reports, out):
 
 
 def _print_verify_json(reports, out):
-    """Write json.dumps([r.to_json_dict() for r in reports], indent=2) and a newline, in one call."""
+    """Write the reports as json.dumps(..., indent=2) writes a list of {name, n_max, status, mismatches, ...} objects, in one call."""
     items = []
     for r in reports:
         rows = [(n, _json_number(lhs), _json_number(rhs)) for n, lhs, rhs in r.mismatches]

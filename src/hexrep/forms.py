@@ -84,14 +84,27 @@ def _euler_core(precision: int) -> QSeries:
     return QSeries._trusted(tuple(coeffs))
 
 
+def _jacobi_cube(precision: int) -> tuple[int, ...]:
+    """prod(1 - q^j, j >= 1)^3 truncated at the working precision.
+
+    By Jacobi's identity eta(z)^3 = sum((-1)^k (2k+1) q^((2k+1)^2 / 8), k >= 0),
+    so the product is sum((-1)^k (2k+1) q^(k(k+1)/2)).
+    """
+    coeffs = [0] * (precision + 1)
+    for k in range((isqrt(8 * precision + 1) + 1) // 2):  # k(k+1)/2 <= precision
+        coeffs[k * (k + 1) // 2] = -2 * k - 1 if k % 2 else 2 * k + 1
+    return tuple(coeffs)
+
+
 @grow_only(QSeries.truncate)
 def _eta_power(scale: int, exponent: int, precision: int) -> QSeries:
     """prod(1 - q^(scale * j), j >= 1)^exponent: eta(scale z)^exponent without its q-power.
 
     It is a power of the core at precision // scale, spread to the powers
     of q^scale.  Powers climb a ladder from the core (-1: its inverse), each
-    the product of the two powers of ``power_split``.  Positive powers of
-    every scale are cut from the ladder of scale 1, asked at the same
+    the product of the two powers of ``power_split``; positive multiples of
+    3 climb one from the cube of Jacobi's identity instead.  Positive powers
+    of every scale are cut from the ladders of scale 1, asked at the same
     precision, so none is made or stored twice; negative ones, slower to
     build, climb a ladder of their own scale at precision // scale.
     """
@@ -99,11 +112,14 @@ def _eta_power(scale: int, exponent: int, precision: int) -> QSeries:
         return QSeries.one(precision)
     if scale > 1 and exponent > 0:
         power = _eta_power(1, exponent, precision).coeffs[: precision // scale + 1]
+    elif exponent == 3:
+        power = _jacobi_cube(precision)
     elif exponent in (1, -1):
         core = _euler_core(precision // scale)
         power = (core if exponent == 1 else core.invert()).coeffs
     else:
-        h = power_split(abs(exponent)) * (1 if exponent > 0 else -1)
+        base = 3 if exponent % 3 == 0 < exponent else (1 if exponent > 0 else -1)  # the ladder's first power
+        h = base * power_split(exponent // base)
         low, high = (QSeries._trusted(_eta_power(scale, e, precision).coeffs[::scale]) for e in (h, exponent - h))
         power = (low * (low if 2 * h == exponent else high)).coeffs
     if scale == 1:
@@ -157,19 +173,8 @@ def eisenstein_twisted(
         )
     if chi.conductor == 1 and psi.conductor == 1:
         raise ValueError("both characters trivial: use eisenstein_classical")
-    if chi.conductor > 1:
-        c0: int | Fraction = 0
-    else:
-        c0 = -bernoulli_generalized(k, psi) / (2 * k)
-    return QSeries((c0,) + sigma_table(k - 1, chi, psi, precision)[1:])
-
-
-@grow_only(QSeries.truncate)
-def quasimodular_combination(precision: int) -> QSeries:
-    """The weight-14 cusp expansion (1/2) * (3 E_2(3z) - E_2(z)) * delta."""
-    e2 = eisenstein_classical(2, precision)
-    delta = eta_quotient(_eta((1, 24)), precision)
-    return linear_combination((Fraction(3, 2), e2.scale_argument(3)), (Fraction(-1, 2), e2)) * delta
+    c0 = 0 if chi.conductor > 1 else -bernoulli_generalized(k, psi) / (2 * k)
+    return QSeries._trusted((c0.numerator if c0.denominator == 1 else c0,) + sigma_table(k - 1, chi, psi, precision)[1:])
 
 
 class NamedForm(namedtuple("NamedForm", "name weight level character series")):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from . import forms, lattice
 from .arith import CHI3, CHI_TRIVIAL, bernoulli, rho_star_table, sigma_star_table, sigma_table
@@ -40,22 +41,29 @@ def _coeffs(name: str, precision: int) -> tuple:
 def _sigma_product(power: int, name: str, precision: int, *, scale: int = 1) -> tuple:
     """The table over n <= precision of sum(sigma_power(a) * x[b]), scale*a + b = n, a, b >= 1.
 
-    x is the named sequence of `_coeffs` (x[0] = 0), times the sieved sigma_r table.
+    x is the named sequence of `_coeffs` (x[0] = 0), times the sigma_r table.
     """
     sigmas = QSeries._trusted(sigma_table(power, CHI_TRIVIAL, CHI_TRIVIAL, precision))
     return (sigmas.scale_argument(scale) * QSeries._trusted(_coeffs(name, precision))).coeffs
 
 
-def _conv(power: int, name: str, precision: int, *, with_zero: bool = False, scale: int = 1) -> tuple:
-    """The memoized `_sigma_product`; with_zero adds the a = 0 term sigma_r(0) x[n] to it.
+def _with_zero(c, power: int, name: str, N: int, scale: int = 1) -> tuple:
+    """c sum(sigma_power(a) * x[b]), scale*a + b = n, a >= 0, b >= 1, as two integer terms.
 
-    sigma_r(0) = -B_(r+1) / (2(r+1)) is 1/240, -1/504, 1/480 for r = 3, 5, 7.
+    They are the `_sigma_product` (a >= 1) and the a = 0 term sigma_r(0) x[n],
+    with sigma_r(0) = -B_(r+1) / (2(r+1)): 1/240, -1/504, 1/480 for r = 3, 5, 7.
     """
-    product = _sigma_product(power, name, precision, scale=scale)
-    if not with_zero:
-        return product
     sigma_at_zero = -bernoulli(power + 1) / (2 * (power + 1))
-    return linear_combination((1, product), (sigma_at_zero, _coeffs(name, precision))).coeffs
+    return (c, _sigma_product(power, name, N, scale=scale)), (c * sigma_at_zero, _coeffs(name, N))
+
+
+def _eisenstein_times(c, k: int, name: str, N: int, scale: int = 1) -> tuple:
+    """c E_k(scale z) x for a catalog form x, read off the convolution memo as two integer terms.
+
+    E_k = 1 - (2k/B_k) sum(sigma_(k-1)(n) q^n) is -(2k/B_k) times the
+    sigma_(k-1) series with its a = 0 term.
+    """
+    return _with_zero(c * -2 * k / bernoulli(k), k - 1, name, N, scale)
 
 
 def _times_n(table: tuple) -> tuple:
@@ -113,8 +121,8 @@ def _s24_terms(N: int) -> tuple:
     return (
         (Fraction(6552, 73 * 691), sigma_star_table(11, N)),
         (Fraction(29824, 691), _coeffs("delta", N)),
-        (Fraction(240 * 1186848, 50443), _conv(3, "delta_8_3", N, with_zero=True)),
-        (-Fraction(504 * 261344, 50443), _conv(5, "delta_6_3", N, with_zero=True)),
+        *_with_zero(Fraction(240 * 1186848, 50443), 3, "delta_8_3", N),
+        *_with_zero(-Fraction(504 * 261344, 50443), 5, "delta_6_3", N),
     )
 
 
@@ -123,10 +131,10 @@ def _s28_terms(N: int) -> tuple:
     return (
         (Fraction(12, 1093), sigma_star_table(13, N)),
         (Fraction(107264, 1093), _coeffs("delta", N)),
-        (c, _conv(1, "delta", N)),
-        (-3 * c, _conv(1, "delta", N, scale=3)),
-        (Fraction(12448 * 504, 1093), _conv(5, "delta_8_3", N, with_zero=True)),
-        (-Fraction(3016 * 480, 1093), _conv(7, "delta_6_3", N, with_zero=True)),
+        (c, _sigma_product(1, "delta", N)),
+        (-3 * c, _sigma_product(1, "delta", N, scale=3)),
+        *_with_zero(Fraction(12448 * 504, 1093), 5, "delta_8_3", N),
+        *_with_zero(-Fraction(3016 * 480, 1093), 7, "delta_6_3", N),
     )
 
 
@@ -156,8 +164,8 @@ def _tau_terms(N: int) -> tuple:
         (c * 108, lomadze_values("L_12_6", N)),
         (c * Fraction(1, 3), lomadze_values("Lcal_4", N)),
         (-c * Fraction(32668, 12), lomadze_values("L_6_2", N)),
-        (-c * 329680, _conv(3, "L_8_4", N)),
-        (c * 1372056, _conv(5, "L_6_2", N)),
+        (-c * 329680, _sigma_product(3, "L_8_4", N)),
+        (c * 1372056, _sigma_product(5, "L_6_2", N)),
     )
 
 
@@ -272,30 +280,23 @@ def decomposition(k: int, precision: int) -> QSeries:
         )
     if k == 12:
         e12 = forms.eisenstein_classical(12, precision)
-        e4 = forms.eisenstein_classical(4, precision)
-        e6 = forms.eisenstein_classical(6, precision)
-        delta = forms.named_form("delta", precision).series
-        d83 = forms.named_form("delta_8_3", precision).series
-        d63 = forms.named_form("delta_6_3", precision).series
         return linear_combination(
             (Fraction(1, 730), e12),
             (Fraction(729, 730), e12.scale_argument(3)),
-            (Fraction(29824, 691), delta),
-            (Fraction(1186848, 50443), e4 * d83),
-            (Fraction(261344, 50443), e6 * d63),
+            (Fraction(29824, 691), _coeffs("delta", precision)),
+            *_eisenstein_times(Fraction(1186848, 50443), 4, "delta_8_3", precision),
+            *_eisenstein_times(Fraction(261344, 50443), 6, "delta_6_3", precision),
         )
     if k == 14:
         e14 = forms.eisenstein_classical(14, precision)
-        e8 = forms.eisenstein_classical(8, precision)
-        e6 = forms.eisenstein_classical(6, precision)
-        d83 = forms.named_form("delta_8_3", precision).series
-        d63 = forms.named_form("delta_6_3", precision).series
         return linear_combination(
             (-Fraction(1, 2186), e14),
             (Fraction(2187, 2186), e14.scale_argument(3)),
-            (-Fraction(3016, 1093), e8 * d63),
-            (-Fraction(12448, 1093), e6 * d83),
-            (Fraction(107264, 1093), forms.quasimodular_combination(precision)),
+            *_eisenstein_times(-Fraction(3016, 1093), 8, "delta_6_3", precision),
+            *_eisenstein_times(-Fraction(12448, 1093), 6, "delta_8_3", precision),
+            # the quasimodular (3 E_2(3z) - E_2(z)) / 2 times delta
+            *_eisenstein_times(Fraction(107264, 1093) * Fraction(3, 2), 2, "delta", precision, 3),
+            *_eisenstein_times(Fraction(107264, 1093) * Fraction(-1, 2), 2, "delta", precision),
         )
     raise ValueError(f"no decomposition for k={k}; supported: {FORMULA_KS}")
 
@@ -361,27 +362,6 @@ class IdentityReport(
         if self.constant_term is None:
             return None
         return self.constant_term[0] == self.constant_term[1]
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "n_max": self.n_max,
-            "status": self.status,
-            "mismatches": [
-                {"n": n, "lhs": encode_value(l), "rhs": encode_value(r)}
-                for n, l, r in self.mismatches
-            ],
-        }
-        if self.constant_term is not None:
-            out["constant_term"] = {
-                "lhs": encode_value(self.constant_term[0]),
-                "rhs": encode_value(self.constant_term[1]),
-                "match": self.constant_term_matches,
-            }
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 
 def _report(name: str, n_max: int, lhs: tuple, rhs: tuple, note: str = "") -> IdentityReport:
@@ -497,7 +477,7 @@ def ramanujan_convolution(n_max: int, precision: int | None = None) -> IdentityR
     N = _resolve_precision(n_max, precision)
     tau = _coeffs("delta", N)
     rhs = linear_combination((Fraction(1, 24), tau), (Fraction(-1, 24), _times_n(tau)))
-    return _report("ramanujan-convolution", n_max, _conv(1, "delta", N), rhs.coeffs)
+    return _report("ramanujan-convolution", n_max, _sigma_product(1, "delta", N), rhs.coeffs)
 
 
 def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityReport:
@@ -517,16 +497,14 @@ def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityRe
         (-Fraction(1, 64), tau_10_3_2_values(N)),
     )
 
-    def rhs(with_zero):
-        return linear_combination(
-            *fixed,
-            (-Fraction(5, 6), _conv(7, "delta_6_3", N, with_zero=with_zero)),
-            (Fraction(21, 4), _conv(5, "delta_8_3", N, with_zero=with_zero)),
-            # tau_10_3_2 is L_10_6 / 120
-            (-Fraction(15, 4) / 120, _conv(3, "L_10_6", N, with_zero=with_zero)),
-        ).coeffs[1 : n_max + 1]
+    # (c, r, x) for each c sum(sigma_r(a) x[b]), a + b = n; tau_10_3_2 is L_10_6 / 120
+    sums = ((-Fraction(5, 6), 7, "delta_6_3"), (Fraction(21, 4), 5, "delta_8_3"), (-Fraction(15, 4) / 120, 3, "L_10_6"))
 
-    lhs = _conv(1, "delta", N, scale=3)[1 : n_max + 1]
+    def rhs(with_zero):
+        terms = (_with_zero(c, r, name, N) if with_zero else ((c, _sigma_product(r, name, N)),) for c, r, name in sums)
+        return linear_combination(*fixed, *chain.from_iterable(terms)).coeffs[1 : n_max + 1]
+
+    lhs = _sigma_product(1, "delta", N, scale=3)[1 : n_max + 1]
     values = rhs(False)
     if values == lhs:
         note = "inner sums taken over a, b >= 1; no boundary terms needed"
@@ -549,9 +527,9 @@ def s28_convolution_identity(n_max: int, precision: int | None = None) -> Identi
     """
     N = _resolve_precision(n_max, precision)
     lhs = linear_combination(
-        (73760, _conv(7, "L_6_2", N)),
-        (-Fraction(194432, 3), _conv(5, "L_8_4", N)),
-        (60336, _conv(3, "L_10_6", N)),
+        (73760, _sigma_product(7, "L_6_2", N)),
+        (-Fraction(194432, 3), _sigma_product(5, "L_8_4", N)),
+        (60336, _sigma_product(3, "L_10_6", N)),
     )
     rhs = linear_combination(
         (-Fraction(461, 3), lomadze_values("L_6_2", N)),

@@ -7,9 +7,9 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from hexrep import cli
-from hexrep.arith import CHI3, CHI_TRIVIAL, bernoulli, rho_star, sigma_star, sigma_twisted
-from hexrep.forms import _eta, eisenstein_classical, eta_quotient
-from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _conv, encode_value
+from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
+from hexrep.forms import _eta, eisenstein_classical, eta_quotient, named_form
+from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _sigma_product, encode_value
 from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, moment_table, theta_series
 from hexrep.series import QSeries, linear_combination
 
@@ -134,12 +134,13 @@ def s2k_direct_recursive(k: int, n: int) -> int:
 
 
 def mul_schoolbook(a, b) -> list:
-    """Product of two coefficient sequences by the double loop, truncated at the shorter one."""
+    """Product of two coefficient sequences by the double loop, truncated at the shorter one; a zero a[i] is skipped."""
     n = min(len(a), len(b)) - 1
     out = [0] * (n + 1)
     for i in range(n + 1):
-        for j in range(n + 1 - i):
-            out[i + j] += a[i] * b[j]
+        if a[i]:
+            for j in range(n + 1 - i):
+                out[i + j] += a[i] * b[j]
     return out
 
 
@@ -192,8 +193,14 @@ def bernoulli_generalized_at_fractions(k: int, psi) -> Fraction:
     return Fraction(f) ** (k - 1) * total
 
 
-#: sigma_r(0), the constant terms of the Eisenstein series E_4, E_6, E_8 scaled to sigma_r.
-SIGMA_AT_ZERO = {3: Fraction(1, 240), 5: Fraction(-1, 504), 7: Fraction(1, 480)}
+#: sigma_r(0), the constant terms of the Eisenstein series E_2, E_4, E_6, E_8 scaled to sigma_r.
+SIGMA_AT_ZERO = {1: Fraction(-1, 24), 3: Fraction(1, 240), 5: Fraction(-1, 504), 7: Fraction(1, 480)}
+
+
+def conv_entry(power: int, name: str, N: int, n: int, with_zero: bool = False, scale: int = 1):
+    """Entry n of the memoized product sigma_power * x over a >= 1; with_zero adds the a = 0 term sigma_power(0) x[n]."""
+    value = _sigma_product(power, name, N, scale=scale)[n]
+    return value + SIGMA_AT_ZERO[power] * _coeffs(name, N)[n] if with_zero else value
 
 
 def conv_direct(power: int, x, n: int, with_zero: bool = False, scale: int = 1):
@@ -208,6 +215,36 @@ def conv_direct(power: int, x, n: int, with_zero: bool = False, scale: int = 1):
     if with_zero:
         total += SIGMA_AT_ZERO[power] * x[n]
     return total
+
+
+def sigma_table_sieve(r: int, chi: DirichletCharacter, psi: DirichletCharacter, precision: int) -> tuple[int, ...]:
+    """sigma_twisted(r, chi, psi, n) for n = 0..precision (0 at n = 0), by one sieve over d.
+
+    Each d adds psi(d) d^r chi(m) at n = d m; the multiples m with one
+    residue mod the conductor of chi lie on one arithmetic progression.
+    """
+    out = [0] * (precision + 1)
+    f = chi.conductor
+    for d in range(1, precision + 1):
+        if w := psi(d) * d**r:
+            for a, v in enumerate(chi.values):  # chi(m) = v for the m = a mod f
+                if v:
+                    vw = v * w
+                    for n in range((a or f) * d, precision + 1, f * d):
+                        out[n] += vw
+    return tuple(out)
+
+
+def eisenstein_times_form(k: int, name: str, precision: int) -> QSeries:
+    """E_k times a catalog form, as the series product of the two."""
+    return eisenstein_classical(k, precision) * named_form(name, precision).series
+
+
+def quasimodular_combination(precision: int) -> QSeries:
+    """The weight-14 cusp expansion (1/2) * (3 E_2(3z) - E_2(z)) * delta, by one series product."""
+    e2 = eisenstein_classical(2, precision)
+    delta = eta_quotient(_eta((1, 24)), precision)
+    return linear_combination((Fraction(3, 2), e2.scale_argument(3)), (Fraction(-1, 2), e2)) * delta
 
 
 def euler_product_direct(scale: int, precision: int) -> list[int]:
@@ -231,8 +268,8 @@ def s24_direct(n: int, N: int):
     return (
         Fraction(6552, 73 * 691) * sigma_star(11, n)
         + Fraction(29824, 691) * _coeffs("delta", N)[n]
-        + Fraction(240 * 1186848, 50443) * _conv(3, "delta_8_3", N, with_zero=True)[n]
-        - Fraction(504 * 261344, 50443) * _conv(5, "delta_6_3", N, with_zero=True)[n]
+        + Fraction(240 * 1186848, 50443) * conv_entry(3, "delta_8_3", N, n, with_zero=True)
+        - Fraction(504 * 261344, 50443) * conv_entry(5, "delta_6_3", N, n, with_zero=True)
     )
 
 
@@ -240,9 +277,9 @@ def s28_direct(n: int, N: int):
     return (
         Fraction(12, 1093) * sigma_star(13, n)
         + Fraction(107264, 1093) * _coeffs("delta", N)[n]
-        + Fraction(107264 * 12, 1093) * (_conv(1, "delta", N)[n] - 3 * _conv(1, "delta", N, scale=3)[n])
-        + Fraction(12448 * 504, 1093) * _conv(5, "delta_8_3", N, with_zero=True)[n]
-        - Fraction(3016 * 480, 1093) * _conv(7, "delta_6_3", N, with_zero=True)[n]
+        + Fraction(107264 * 12, 1093) * (conv_entry(1, "delta", N, n) - 3 * conv_entry(1, "delta", N, n, scale=3))
+        + Fraction(12448 * 504, 1093) * conv_entry(5, "delta_8_3", N, n, with_zero=True)
+        - Fraction(3016 * 480, 1093) * conv_entry(7, "delta_6_3", N, n, with_zero=True)
     )
 
 
@@ -270,8 +307,8 @@ def tau_direct(n: int, N: int):
         + 108 * _coeffs("L_12_6", N)[n]
         + Fraction(1, 3) * _coeffs("Lcal_4", N)[n]
         - Fraction(32668, 12) * _coeffs("L_6_2", N)[n]
-        - 329680 * _conv(3, "L_8_4", N)[n]
-        + 1372056 * _conv(5, "L_6_2", N)[n]
+        - 329680 * conv_entry(3, "L_8_4", N, n)
+        + 1372056 * conv_entry(5, "L_6_2", N, n)
     )
     return Fraction(1, 73 * 3728) * inner
 
@@ -428,6 +465,25 @@ def print_verify_csv_per_row(reports, out):
             print(f"{n},{encode_value(lhs)},{encode_value(rhs)},{lhs == rhs}", file=out)
 
 
+def report_json_dict(report) -> dict:
+    """A report as the JSON object of the verify command: name, n_max, status, mismatches, then constant_term and note when set."""
+    out = {
+        "name": report.name,
+        "n_max": report.n_max,
+        "status": report.status,
+        "mismatches": [{"n": n, "lhs": encode_value(l), "rhs": encode_value(r)} for n, l, r in report.mismatches],
+    }
+    if report.constant_term is not None:
+        out["constant_term"] = {
+            "lhs": encode_value(report.constant_term[0]),
+            "rhs": encode_value(report.constant_term[1]),
+            "match": report.constant_term_matches,
+        }
+    if report.note:
+        out["note"] = report.note
+    return out
+
+
 def print_verify_json_dumps(reports, out):
-    """The verify JSON writer hexrep had: ``json.dumps`` of every ``to_json_dict``, indent 2."""
-    out.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
+    """The verify JSON writer hexrep had: ``json.dumps`` of every ``report_json_dict``, indent 2."""
+    out.write(json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n")

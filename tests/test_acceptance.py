@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import f2_moments_direct, lomadze_term
+from oracles import f2_moments_direct, lomadze_term, report_json_dict
 
 from hexrep import forms, identities, lattice
 from hexrep.cli import main
@@ -128,7 +128,7 @@ def test_criterion_8_discrepancy_report_and_exit_status(capsys):
     reports = {r.name: r for r in identities.verify_all(50, "all", N)}
     for ell in (6, 8, 10):
         report = reports[f"rho-star-{ell}"]
-        payload = report.to_json_dict()
+        payload = report_json_dict(report)
         assert payload["n_max"] == 50
         assert payload["mismatches"], "table must quantify the differences"
         for row in payload["mismatches"]:

@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from oracles import bernoulli_generalized_at_fractions, bernoulli_polynomial
+from oracles import bernoulli_generalized_at_fractions, bernoulli_polynomial, sigma_table_sieve
 
 from hexrep import arith
 from hexrep.arith import (
@@ -243,3 +243,14 @@ def test_bernoulli_generalized_frozen_values():
 def test_bernoulli_polynomial():
     assert bernoulli_polynomial(1, Fraction(1, 3)) == Fraction(-1, 6)
     assert bernoulli_polynomial(7, Fraction(1, 3)) == Fraction(49, 2187)
+
+
+def test_multiplicative_tables_against_sieve_and_trial_division():
+    # N = 2000 takes prime powers up to 2^10 and products of four distinct primes (2 * 3 * 5 * 7 = 210)
+    pairs = [(chi, psi) for chi in (CHI_TRIVIAL, CHI3) for psi in (CHI_TRIVIAL, CHI3)]
+    for r in range(14):
+        for chi, psi in pairs:
+            scalar = [0] + [sigma_twisted(r, chi, psi, n) for n in range(1, 2001)]
+            for precision in (0, 1, 2, 3, 4, 9, 400, 2000):
+                table = sigma_table.__wrapped__(r, chi, psi, precision)  # built at this precision, not cut
+                assert table == sigma_table_sieve(r, chi, psi, precision) == tuple(scalar[: precision + 1]), (r, precision)

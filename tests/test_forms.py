@@ -5,9 +5,16 @@ from fractions import Fraction
 
 import pytest
 from memos import clear_all
-from oracles import delta_7_3_eisenstein_eta, delta_8_3_eta_sum, euler_product_direct, invert_dense, mul_schoolbook
+from oracles import (
+    delta_7_3_eisenstein_eta,
+    delta_8_3_eta_sum,
+    euler_product_direct,
+    invert_dense,
+    mul_schoolbook,
+    quasimodular_combination,
+)
 
-from hexrep.arith import CHI3, CHI_TRIVIAL
+from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, sigma_twisted
 from hexrep.forms import (
     CATALOG_NAMES,
     NEWFORM_NAMES,
@@ -18,11 +25,11 @@ from hexrep.forms import (
     _eta,
     _eta_power,
     _euler_core,
+    _jacobi_cube,
     eisenstein_classical,
     eisenstein_twisted,
     eta_quotient,
     named_form,
-    quasimodular_combination,
 )
 from hexrep.lattice import s2k_bruteforce
 from hexrep.series import QSeries, power_split
@@ -68,21 +75,36 @@ def test_euler_core_against_product_oracle(scale):
         assert _eta_power(scale, 1, precision).coeffs == tuple(euler_product_direct(scale, precision))
 
 
+def test_jacobi_cube_against_product_oracle():
+    for precision in (*range(61), 2000):
+        core = euler_product_direct(1, precision)
+        cube = tuple(mul_schoolbook(core, mul_schoolbook(core, core)))
+        assert _jacobi_cube(precision) == cube
+        assert _eta_power(1, 3, precision).coeffs == cube
+
+
 def test_eta_powers_against_product_oracle():
     clear_all()
     for name in CATALOG_NAMES:
         named_form(name, 5)
-    # no catalog form has a negative or scale-9 eta power: build one of each
+    # the catalog's eta powers 3, 6, 15 and 24 all climb from Jacobi's cube
+    assert set(_eta_power.stored()) == {(1, 3), (1, 6), (1, 12), (1, 15), (1, 24), (3, 3), (3, 6), (3, 15)}
+    # no catalog form has a negative eta power or one off the cube's ladder: build some
     eta_quotient(_eta((1, 9), (3, -3)), 5)
     eta_quotient(_eta((1, 6), (3, 4), (9, 6)), 5)
+    eta_quotient(_eta((1, 12), (9, 4)), 5)
     entries = set(_eta_power.stored())  # every power on the ladders of these eta factors
-    assert {(1, 24), (3, 15), (3, -3), (9, 6)} <= entries
+    core_ladder = {(1, 1), (1, 2), (1, 4), (3, -1), (3, -2), (3, -3), (3, 4), (9, 4)}
+    cube_ladder = {(1, 3), (1, 6), (1, 9), (1, 12), (1, 15), (1, 24), (3, 3), (3, 6), (3, 15), (9, 6)}
+    assert entries == core_ladder | cube_ladder
     top = 97
     for scale, exponent in sorted(entries):
         sign = 1 if exponent > 0 else -1
         ladder = 1 if exponent > 0 else scale  # positive powers of every scale come from scale 1
-        if sign * exponent > 1:  # a power on a ladder is the product of two powers below it
-            h = sign * power_split(sign * exponent)
+        base = 3 if exponent % 3 == 0 < exponent else sign  # Jacobi's cube, or the core (-1: its inverse)
+        assert ((scale, exponent) in cube_ladder) == (base == 3), (scale, exponent)
+        if exponent != base:  # a power on a ladder is the product of two powers below it
+            h = base * power_split(exponent // base)
             assert {(ladder, exponent), (ladder, h), (ladder, exponent - h)} <= entries, (scale, exponent)
         core = euler_product_direct(scale, top)
         if exponent < 0:
@@ -154,11 +176,13 @@ def test_eisenstein_twisted_constant_terms():
     assert e_chi_first.coefficient(1) == 1
     e_triv_first = eisenstein_twisted(7, CHI_TRIVIAL, CHI3, 10)
     assert e_triv_first.coefficient(0) == Fraction(-7, 3)  # -B_(7,chi3) / 14
+    # an integral constant term is stored as an int: -B_(4,chi5) / 8 = 1 for the character (5/.)
+    chi5 = DirichletCharacter(5, (0, 1, -1, -1, 1))
+    assert type(eisenstein_twisted(4, CHI_TRIVIAL, chi5, 10).coefficient(0)) is int
+    assert eisenstein_twisted(4, CHI_TRIVIAL, chi5, 10) == QSeries([1, *(sigma_twisted(3, CHI_TRIVIAL, chi5, n) for n in range(1, 11))])
 
 
 def test_eisenstein_twisted_coefficients_are_twisted_sums():
-    from hexrep.arith import sigma_twisted
-
     e = eisenstein_twisted(9, CHI_TRIVIAL, CHI3, 20)
     for n in range(1, 21):
         assert e.coefficient(n) == sigma_twisted(8, CHI_TRIVIAL, CHI3, n)

@@ -7,7 +7,15 @@ from functools import partial
 
 import pytest
 from memos import clear_all
-from oracles import FORMULAS_DIRECT, conv_direct, s2k_odd_direct
+from oracles import (
+    FORMULAS_DIRECT,
+    SIGMA_AT_ZERO,
+    conv_direct,
+    eisenstein_times_form,
+    quasimodular_combination,
+    report_json_dict,
+    s2k_odd_direct,
+)
 
 from hexrep import arith, forms, identities, lattice
 from hexrep.identities import (
@@ -16,7 +24,9 @@ from hexrep.identities import (
     IdentityReport,
     PrecisionTooLow,
     UnknownIdentity,
-    _conv,
+    _eisenstein_times,
+    _sigma_product,
+    _with_zero,
     check_against_counts,
     check_decomposition,
     check_rho_star,
@@ -37,6 +47,7 @@ from hexrep.identities import (
     verification_passed,
     verify_all,
 )
+from hexrep.series import linear_combination
 
 N = 200
 
@@ -45,8 +56,8 @@ def test_convention_constants():
     # delta_8_3 is normalized (first coefficient 1), so at n = 1 the a = 0
     # term alone gives sigma_r(0)
     for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
-        assert _conv(power, "delta_8_3", N)[1] == 0  # plain sums start at a = 1
-        assert _conv(power, "delta_8_3", N, with_zero=True)[1] == sigma_at_zero
+        assert _sigma_product(power, "delta_8_3", N)[1] == 0  # plain sums start at a = 1
+        assert linear_combination(*_with_zero(1, power, "delta_8_3", N)).coeffs[1] == sigma_at_zero
     # cusp expansions and finite sums vanish at index 0, so b = 0 never contributes
     for name in forms.CATALOG_NAMES:
         assert forms.named_form(name, 5).series.coeffs[0] == 0
@@ -59,16 +70,19 @@ def test_boundary_term_of_zero_inclusive_convolution():
     tau83 = forms.named_form("delta_8_3", 30).series.coeffs
     assert tau83[0] == 0  # so b = 0 adds nothing
     for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
-        plain = _conv(power, "delta_8_3", 30)
-        with_zero = _conv(power, "delta_8_3", 30, with_zero=True)
+        plain = _sigma_product(power, "delta_8_3", 30)
+        with_zero = linear_combination(*_with_zero(1, power, "delta_8_3", 30)).coeffs
         for n in (1, 5, 12):
             assert with_zero[n] - plain[n] == sigma_at_zero * tau83[n]
 
 
-#: Every convolution the identities take, as (power, sequence, with_zero, scale).
+#: Every convolution the identities and the weight-12 and weight-14 decompositions
+#: take, as (power, sequence, with_zero, scale); with_zero is the 0-inclusive sum.
 CONVOLUTIONS = (
     (1, "delta", False, 1),
     (1, "delta", False, 3),
+    (1, "delta", True, 1),
+    (1, "delta", True, 3),
     (3, "delta_8_3", True, 1),
     (5, "delta_6_3", True, 1),
     (5, "delta_8_3", False, 1),
@@ -88,23 +102,64 @@ CONVOLUTIONS = (
 def test_conv_against_per_n_oracle(power, name, with_zero, scale):
     x = identities._coeffs(name, 100)
     expected = tuple(conv_direct(power, x, n, with_zero, scale) for n in range(101))
-    assert _conv(power, name, 100, with_zero=with_zero, scale=scale) == expected
+    if with_zero:
+        terms = _with_zero(1, power, name, 100, scale)
+        assert all(type(v) is int for _, table in terms for v in table)  # the boundary is a term, not a Fraction table
+        assert linear_combination(*terms).coeffs == expected
+    else:
+        assert _sigma_product(power, name, 100, scale=scale) == expected
+
+
+def record_convolutions(monkeypatch, product=None) -> list:
+    """Log each sum the identities take as (power, name, with_zero, scale); product stands in for the memo."""
+    log, inside = [], []
+    product = product or identities._sigma_product
+    with_zero = identities._with_zero
+
+    def recording_product(power, name, precision, scale=1):
+        if not inside:  # the product under a 0-inclusive sum is logged as that sum
+            log.append((power, name, False, scale))
+        return product(power, name, precision, scale=scale)
+
+    def recording_with_zero(c, power, name, N, scale=1):
+        log.append((power, name, True, scale))
+        inside.append(power)
+        try:
+            return with_zero(c, power, name, N, scale)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(identities, "_sigma_product", recording_product)
+    monkeypatch.setattr(identities, "_with_zero", recording_with_zero)
+    return log
 
 
 def test_convolution_list_is_complete(monkeypatch):
-    seen = set()
-    conv = identities._conv
-
-    def recording(power, name, precision, with_zero=False, scale=1):
-        seen.add((power, name, with_zero, scale))
-        return conv(power, name, precision, with_zero=with_zero, scale=scale)
-
-    monkeypatch.setattr(identities, "_conv", recording)
-    clear_all()  # stored formula tables would answer without a convolution
+    clear_all()  # stored formula tables and decompositions would answer without a convolution
+    seen = record_convolutions(monkeypatch)
     verify_all(10, "all", 10)
     # e2-delta-convolution takes its 0-inclusive sums only when the plain
     # convention fails; of those, only (3, L_10_6) is taken nowhere else
-    assert seen == set(CONVOLUTIONS) - {(3, "L_10_6", True, 1)}
+    assert set(seen) == set(CONVOLUTIONS) - {(3, "L_10_6", True, 1)}
+
+
+@pytest.mark.parametrize("k, name", ((4, "delta_8_3"), (6, "delta_6_3"), (8, "delta_6_3"), (6, "delta_8_3")))
+def test_eisenstein_terms_against_series_product(k, name):
+    terms = _eisenstein_times(1, k, name, 400)
+    assert all(type(v) is int for _, table in terms for v in table)
+    assert linear_combination(*terms) == eisenstein_times_form(k, name, 400)
+
+
+def test_e2_delta_terms_against_quasimodular_product():
+    # (3 E_2(3z) - E_2(z)) / 2 delta = delta + 12 sigma * delta - 36 sigma(./3) * delta
+    terms = (*_eisenstein_times(Fraction(3, 2), 2, "delta", 400, 3), *_eisenstein_times(Fraction(-1, 2), 2, "delta", 400))
+    assert linear_combination(*terms) == quasimodular_combination(400)
+    expected = (
+        (1, identities._coeffs("delta", 400)),
+        (12, _sigma_product(1, "delta", 400)),
+        (-36, _sigma_product(1, "delta", 400, scale=3)),
+    )
+    assert linear_combination(*terms) == linear_combination(*expected)
 
 
 def test_formula_tables_against_per_n_oracles():
@@ -272,14 +327,18 @@ def test_e2_delta_lhs_against_series_product():
 
 
 def test_e2_delta_convolution_fallback_notes(monkeypatch):
-    conv = identities._conv
+    product = identities._sigma_product
     assert e2_delta_convolution(30, N).note == "inner sums taken over a, b >= 1; no boundary terms needed"
 
-    def swapped(power, name, precision, with_zero=False, scale=1):
-        # the right side's sums (powers 3, 5, 7) trade conventions
-        return conv(power, name, precision, with_zero=with_zero != (power > 1), scale=scale)
+    def swapped(power, name, precision, scale=1):
+        # the right side's sums (powers 3, 5, 7) trade conventions: each loses its
+        # a = 0 term, which only the 0-inclusive convention puts back
+        table = product(power, name, precision, scale=scale)
+        if power == 1:
+            return table
+        return linear_combination((1, table), (-SIGMA_AT_ZERO[power], identities._coeffs(name, precision))).coeffs
 
-    monkeypatch.setattr(identities, "_conv", swapped)
+    monkeypatch.setattr(identities, "_sigma_product", swapped)
     report = e2_delta_convolution(30, N)
     assert report.all_match
     assert report.note == (
@@ -287,18 +346,15 @@ def test_e2_delta_convolution_fallback_notes(monkeypatch):
         "0-inclusive convention with the stated boundary constants"
     )
 
-    requested = []
-
-    def broken(power, name, precision, with_zero=False, scale=1):
-        requested.append((power, with_zero))
-        table = conv(power, name, precision, with_zero=with_zero, scale=scale)
+    def broken(power, name, precision, scale=1):
+        table = product(power, name, precision, scale=scale)
         return tuple(v + (power > 1) for v in table)
 
-    monkeypatch.setattr(identities, "_conv", broken)
+    requested = record_convolutions(monkeypatch, broken)
     report = e2_delta_convolution(30, N)
     assert not report.all_match
     # each convention's right side is built once, the left side once
-    assert sorted(requested) == [(1, False)] + [(p, z) for p in (3, 5, 7) for z in (False, True)]
+    assert sorted((p, z) for p, _, z, _ in requested) == [(1, False)] + [(p, z) for p in (3, 5, 7) for z in (False, True)]
     # the values shown are the plain ones, each off by the added 1 in its three sums
     shift = -Fraction(5, 6) + Fraction(21, 4) - Fraction(15, 4) / 120
     assert report.rhs == tuple(v + shift for v in report.lhs)
@@ -425,16 +481,16 @@ def report_from_json_dict(d: dict) -> ReportSummary:
 def test_report_json_round_trip():
     for name in ("tau-eq", "rho-star-6", "f7-decomposition"):
         (report,) = verify_all(20, (name,), N)
-        text = json.dumps(report.to_json_dict())
+        text = json.dumps(report_json_dict(report))
         parsed = report_from_json_dict(json.loads(text))
         assert parsed == summary(report)
         # serialization is stable under a second round trip
-        assert json.loads(text) == report.to_json_dict()
+        assert json.loads(text) == report_json_dict(report)
 
 
 def test_json_rational_encoding():
     report = verify_all(3, ("s14-theorem",), N)[0]
-    payload = report.to_json_dict()
+    payload = report_json_dict(report)
     assert payload["status"] == "mismatch"
     lhs_values = [m["lhs"] for m in payload["mismatches"]]
     assert "216/7" in lhs_values  # non-integers ride as p/q strings

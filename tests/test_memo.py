@@ -21,7 +21,6 @@ MEMOIZED = {
     "hexrep.forms.eta_quotient",
     "hexrep.forms.eisenstein_classical",
     "hexrep.forms.eisenstein_twisted",
-    "hexrep.forms.quasimodular_combination",
     "hexrep.forms.named_form",
     "hexrep.lattice._f1_moment_rows",
     "hexrep.lattice.theta_series",
@@ -40,7 +39,6 @@ QUANTITIES = (
     (forms.eta_quotient, (forms._eta((1, 6), (3, 6)),), {}),
     (forms.eisenstein_classical, (4,), {}),
     (forms.eisenstein_twisted, (7, CHI3, CHI_TRIVIAL), {}),
-    (forms.quasimodular_combination, (), {}),
     (forms.named_form, ("delta_7_3",), {}),
     (lattice._f1_moment_rows, (), {}),
     (lattice.theta_series, (3,), {}),
@@ -107,8 +105,11 @@ def test_grow_only_contract():
 def test_an_option_at_its_default_shares_the_entry():
     identities.verify_all(5, precision=20)
     keys = set(identities._sigma_product.stored())
-    assert (3, "L_10_6") in keys  # _conv names scale=1 on every call
+    assert (3, "L_10_6") in keys
     assert (1, "delta", ("scale", 3)) in keys
+    # the 0-inclusive sums name scale=1 on every call
+    assert identities._with_zero(1, 3, "delta_8_3", 20)[0][1] is identities._sigma_product(3, "delta_8_3", 20)
+    assert set(identities._sigma_product.stored()) == keys
     assert not any(("scale", 1) in key for key in keys)
 
 
