@@ -60,7 +60,7 @@ def _working_precision(args, n_values) -> int:
 
 
 def _json_number(v):
-    """v for %s in JSON: an int as it is, a non-integral Fraction as the string "p/q" of identities.encode_value."""
+    """v for %s in JSON: an int as it is, a non-integral Fraction as the quoted string "p/q"."""
     return f'"{v}"' if type(v) is Fraction and v.denominator != 1 else v
 
 
@@ -73,7 +73,7 @@ def _json_string(text):
 
 
 def _print_values(rows, fmt, out):
-    """Write all rows in one call; %s prints an int or a Fraction as identities.encode_value does."""
+    """Write all rows in one call; %s prints an int as it is and a non-integral Fraction as p/q."""
     if fmt == "json":
         rows = [(n, _json_number(v)) for n, v in rows]
         out.write("[%s]\n" % ", ".join(map('{"n": %d, "value": %s}'.__mod__, rows)))

@@ -66,6 +66,14 @@ def _eisenstein_times(c, k: int, name: str, N: int, scale: int = 1) -> tuple:
     return _with_zero(c * -2 * k / bernoulli(k), k - 1, name, N, scale)
 
 
+def _eisenstein_pair(a, b, k: int, N: int) -> tuple:
+    """a E_k(z) + b E_k(3z) as integer terms: the constant a + b, and the sigma_(k-1) table at n and at n/3."""
+    c = -2 * k / bernoulli(k)
+    sigmas = sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, N)
+    thirds = QSeries._trusted(sigmas).scale_argument(3).coeffs
+    return (a + b, (1,) + (0,) * N), (a * c, sigmas), (b * c, thirds)
+
+
 def _times_n(table: tuple) -> tuple:
     """The table n * table[n]."""
     return tuple(n * v for n, v in enumerate(table))
@@ -279,19 +287,15 @@ def decomposition(k: int, precision: int) -> QSeries:
             *((c, forms.named_form(name, precision).series) for c, name in cusps),
         )
     if k == 12:
-        e12 = forms.eisenstein_classical(12, precision)
         return linear_combination(
-            (Fraction(1, 730), e12),
-            (Fraction(729, 730), e12.scale_argument(3)),
+            *_eisenstein_pair(Fraction(1, 730), Fraction(729, 730), 12, precision),
             (Fraction(29824, 691), _coeffs("delta", precision)),
             *_eisenstein_times(Fraction(1186848, 50443), 4, "delta_8_3", precision),
             *_eisenstein_times(Fraction(261344, 50443), 6, "delta_6_3", precision),
         )
     if k == 14:
-        e14 = forms.eisenstein_classical(14, precision)
         return linear_combination(
-            (-Fraction(1, 2186), e14),
-            (Fraction(2187, 2186), e14.scale_argument(3)),
+            *_eisenstein_pair(-Fraction(1, 2186), Fraction(2187, 2186), 14, precision),
             *_eisenstein_times(-Fraction(3016, 1093), 8, "delta_6_3", precision),
             *_eisenstein_times(-Fraction(12448, 1093), 6, "delta_8_3", precision),
             # the quasimodular (3 E_2(3z) - E_2(z)) / 2 times delta
@@ -302,13 +306,6 @@ def decomposition(k: int, precision: int) -> QSeries:
 
 
 # -- reports -------------------------------------------------------------------
-
-
-def encode_value(v):
-    """A value for output: an int, or a p/q string for a Fraction that is not integral."""
-    if type(v) is Fraction:
-        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
 
 
 class IdentityReport(

@@ -128,7 +128,7 @@ def _normal(values: Iterable) -> tuple:
 
 def _integral(coeffs: tuple) -> tuple[tuple | list, int]:
     """Integers c * d for the coefficients c, with d the lcm of their denominators."""
-    if Fraction not in map(type, coeffs):
+    if Fraction not in set(map(type, coeffs)):
         return coeffs, 1
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
@@ -143,27 +143,44 @@ def _over(ints: list, den: int) -> tuple:
     return tuple(map(den.__rfloordiv__, ints))
 
 
-#: array typecodes by item size: 1, 2, 4 and 8 bytes
-_ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}
+#: the sign fill of a slot by its top byte: 0xFF if the top bit is set, else 0
+_SIGN_FILL = bytes(255 * (b >> 7) for b in range(256))
 
 
-def _pack(ints, width: int, half: int, code: str | None) -> int:
-    """The int with slot i (width bytes, little-endian) holding ints[i] + half."""
-    if code:
-        raw = array(code, map(half.__add__, ints)).tobytes()
+def _signed_flip(width: int, count: int) -> int:
+    """The int with the top bit of each of count width-byte slots set."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(ints, width: int, flip: int) -> int:
+    """sum(ints[i] * X^i), X = 2^(8 width), for |ints[i]| < X/2 and flip = _signed_flip(width, len(ints))."""
+    if width <= 8 and sys.byteorder == "little":
+        raw = array("q", ints).tobytes()
+        cut = bytearray(width * len(ints))
+        for j in range(width):  # the low width bytes of each 64-bit item
+            cut[j::width] = raw[j::8]
     else:
-        raw = b"".join((c + half).to_bytes(width, "little") for c in ints)
-    return int.from_bytes(raw, "little")
+        cut = b"".join(c.to_bytes(width, "little", signed=True) for c in ints)
+    return (int.from_bytes(cut, "little") ^ flip) - flip
 
 
-def _unpack(packed: int, width: int, half: int, code: str | None, count: int) -> list:
-    """The slots 0..count-1 of packed (width bytes each), each minus half."""
-    raw = packed.to_bytes(width * count, "little")
-    if code:
-        slots = array(code)
-        slots.frombytes(raw)
-        return list(map((-half).__add__, slots))
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+def _unpack(value: int, width: int, flip: int, count: int) -> list:
+    """The ints[i] in [-X/2, X/2) with sum(ints[i] * X^i) = value mod X^count, for flip = _signed_flip(width, count)."""
+    size = width * count
+    raw = (((value + flip) & ((1 << (8 * size)) - 1)) ^ flip).to_bytes(size, "little")
+    if width <= 8 and sys.byteorder == "little":
+        wide = raw
+        if width < 8:  # each slot widened to a signed 64-bit item
+            wide = bytearray(8 * count)
+            for j in range(width):
+                wide[j::8] = raw[j::width]
+            sign = raw[width - 1 :: width].translate(_SIGN_FILL)
+            for j in range(width, 8):
+                wide[j::8] = sign
+        slots = array("q")
+        slots.frombytes(wide)
+        return slots.tolist()
+    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, size, width)]
 
 
 class QSeries:
@@ -251,32 +268,27 @@ class QSeries:
         """Product truncated at the smaller precision, by Kronecker substitution.
 
         Both sides, cleared of denominators, are evaluated at X = 2^(8w) as
-        one int each and multiplied.  The w-byte slots hold coefficients
-        offset by X/2, so signed values never carry into a neighbour; w fits
-        every input coefficient and the product bound (n+1) * max|a| * max|b|.
-        On a little-endian host a w of at most 8 is rounded up to an array
-        item size, and the slots are packed and read as array items; wider
-        slots go through bytes one coefficient at a time.  A series times
-        itself is packed once and its int squared.
+        one int each and multiplied; w is the exact byte width of every
+        input coefficient and of the product bound (n+1) * max|a| * max|b|.
+        A slot holds its coefficient in two's complement: XOR with the top
+        bit of every slot (flip) and subtracting flip gives the signed
+        evaluation, and adding flip to the product lifts each slot to
+        c + X/2 >= 0, so no slot borrows from its neighbour when read back.
+        On a little-endian host a w of at most 8 is cut from, and widened
+        back to, one signed 64-bit array; wider slots go through bytes one
+        coefficient at a time.  A series times itself is packed once.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
             a, da = _integral(self._coeffs[: n + 1])
             b, db = (a, da) if other is self else _integral(other._coeffs[: n + 1])
-            ma = max(map(abs, a))
-            mb = ma if other is self else max(map(abs, b))
-            bits = max((n + 1) * ma * mb, ma, mb).bit_length() + 1
-            w = (bits + 7) // 8
-            code = None
-            if w <= 8 and sys.byteorder == "little":
-                w = 1 << (w - 1).bit_length()
-                code = _ITEM_CODES[w]
-            half = 1 << (8 * w - 1)
-            offset = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
-            packed = _pack(a, w, half, code) - offset
-            packed *= packed if other is self else _pack(b, w, half, code) - offset
-            low = (packed + offset) & ((1 << (8 * w * (n + 1))) - 1)
-            return QSeries._trusted(_over(_unpack(low, w, half, code, n + 1), da * db))
+            ma = max(max(a), -min(a))
+            mb = ma if other is self else max(max(b), -min(b))
+            w = (max((n + 1) * ma * mb, ma, mb).bit_length() + 8) // 8
+            flip = _signed_flip(w, n + 1)
+            packed = _pack(a, w, flip)
+            packed *= packed if other is self else _pack(b, w, flip)
+            return QSeries._trusted(_over(_unpack(packed, w, flip, n + 1), da * db))
         if isinstance(other, (int, Fraction)):
             return linear_combination((other, self))
         return NotImplemented
@@ -378,5 +390,6 @@ def linear_combination(*terms: tuple[int | Fraction, QSeries | tuple]) -> QSerie
     den = lcm(*(q for _, q, _ in parts))
     total = [0] * (n + 1)
     for p, q, ints in parts:
-        total = list(map(add, total, map((p * (den // q)).__mul__, ints)))
+        factor = p * (den // q)
+        total = list(map(add, total, ints if factor == 1 else map(factor.__mul__, ints)))
     return QSeries._trusted(_over(total, den))

@@ -9,7 +9,7 @@ from math import comb, isqrt
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
 from hexrep.forms import _eta, eisenstein_classical, eta_quotient, named_form
-from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _sigma_product, encode_value
+from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _sigma_product
 from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, moment_table, theta_series
 from hexrep.series import QSeries, linear_combination
 
@@ -420,6 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cli._cmd_verify)
 
     return parser
+
+
+def encode_value(v):
+    """A value for output: an int, or a p/q string for a Fraction that is not integral."""
+    if type(v) is Fraction:
+        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return v
 
 
 def print_values_per_row(rows, fmt, out):

@@ -1,73 +1,155 @@
 """The Kronecker-substitution product and the common-denominator linear
 combination against plain per-coefficient Fraction arithmetic."""
 
+import random
 from fractions import Fraction
+from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 from oracles import mul_schoolbook
 
-from hexrep.series import QSeries, linear_combination
+from hexrep import series
+from hexrep.series import QSeries, _pack, _signed_flip, _unpack, linear_combination
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+try:
+    import hypothesis
+except ImportError:  # the property tests below need it; the explicit width cases do not
+    hypothesis = None
 
-coefficients = st.one_of(
-    st.integers(-(2**70), 2**70),
-    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 60)),
-)
-
-
-@hypothesis.settings(deadline=None)
-@hypothesis.given(
-    st.lists(coefficients, min_size=1, max_size=40),
-    st.lists(coefficients, min_size=1, max_size=40),
-)
-# slots must hold the inputs too: the product bound of an all-zero side is 0
-@hypothesis.example([0, 0, 0], [2**70, -(2**65), 3])
-@hypothesis.example([2**64 + 1], [0])
-@hypothesis.example([Fraction(1, 3), Fraction(-1, 2)], [-7])
-# slot widths w of 1 to 9 bytes: 1, 2 and 4 are array item sizes, 3 and 6
-# round up to 4 and 8, 8 fills a 64-bit item, 9 takes the byte path
-@hypothesis.example([3, -2, 1], [-1, 2, -3])
-@hypothesis.example([100, -50], [-90, 7])
-@hypothesis.example([1000, -999, 5], [-2000, 3, 1])
-@hypothesis.example([2**14, 1], [-(2**15), 1])
-@hypothesis.example([2**20, -3, 0], [-(2**20), 1, 2])
-@hypothesis.example([2**30, 2**30], [-(2**31), -(2**31)])
-@hypothesis.example([2**31, -1], [-(2**32), 5])
-def test_mul_matches_schoolbook(a, b):
-    assert (QSeries(a) * QSeries(b)).coeffs == QSeries(mul_schoolbook(a, b)).coeffs
+@pytest.fixture(params=["array", "bytes"])
+def slot_path(request, monkeypatch):
+    """Run on both packing paths: a host reporting big-endian takes the per-coefficient bytes path."""
+    if request.param == "bytes":
+        monkeypatch.setattr(series, "sys", SimpleNamespace(byteorder="big"))
+    return request.param
 
 
-@hypothesis.settings(deadline=None)
-@hypothesis.given(st.lists(coefficients, min_size=1, max_size=40))
-@hypothesis.example([0, 0])
-@hypothesis.example([3, -2, 1])  # 1-byte array slots
-@hypothesis.example([2**30, -(2**30), 7])  # 8-byte array slots
-@hypothesis.example([2**64 + 1, -5])  # byte slots
-@hypothesis.example([Fraction(1, 3), Fraction(-1, 2), 4])
-def test_square_matches_schoolbook(a):
-    s = QSeries(a)  # s * s packs once and squares one int
-    assert (s * s).coeffs == QSeries(mul_schoolbook(a, a)).coeffs
+def recorded_widths(monkeypatch) -> list:
+    """The slot widths that `_pack` is called with from here on."""
+    widths = []
+
+    def spy(ints, width, flip):
+        widths.append(width)
+        return _pack(ints, width, flip)
+
+    monkeypatch.setattr(series, "_pack", spy)
+    return widths
 
 
-@hypothesis.settings(deadline=None)
-@hypothesis.given(
-    st.lists(
-        st.tuples(coefficients, st.lists(coefficients, min_size=1, max_size=40)),
-        min_size=1,
-        max_size=5,
+@pytest.mark.parametrize("w", [*range(1, 10), 16, 17])
+def test_products_at_exact_slot_widths(w, slot_path, monkeypatch):
+    top = 2 ** (8 * w - 1) - 1  # the largest slot value of w bytes
+    root = isqrt(top // 4)
+    # (a, b, a * b where written out): every product bound (n+1) max|a| max|b| is at most top
+    cases = [
+        ([top], [1], [top]),
+        ([-top], [1], [-top]),
+        ([top], [-1], [-top]),
+        # c_k = (-1)^k (k + 1) A: the last one is within 4 of +-top
+        ([top // 4, -(top // 4), top // 4, -(top // 4)], [1, -1, 1, -1], None),
+        ([root, root, root, root], [-root, -root, -root, -root], None),
+    ]
+    if w > 1:  # the smallest magnitude that needs w bytes: half of it fits in w - 1
+        low = 2 ** (8 * w - 9)
+        cases += [([low], [1], [low]), ([1], [-low], [-low])]
+    widths = recorded_widths(monkeypatch)
+    for a, b, expected in cases:
+        product = list((QSeries(a) * QSeries(b)).coeffs)
+        assert product == mul_schoolbook(a, b)
+        if expected is None:  # the last coefficient nears the bound
+            assert max(map(abs, product)) > top // 2
+        else:
+            assert product == expected
+    # squares pack once: s = [S, -S, S, -S] with 4 S^2 <= top
+    square = [root, -root, root, -root]
+    s = QSeries(square)
+    assert list((s * s).coeffs) == mul_schoolbook(square, square)
+    assert widths == [w] * (2 * len(cases) + 1)
+
+
+@pytest.mark.parametrize("w", range(1, 18))
+def test_pack_unpack_round_trip(w, slot_path):
+    half = 2 ** (8 * w - 1)
+    rng = random.Random(w)
+    ints = [half - 1, -half, 0, 1, -1, half // 3, -(half // 3)] + [rng.randrange(-half, half) for _ in range(40)]
+    flip = _signed_flip(w, len(ints))
+    packed = _pack(ints, w, flip)
+    assert packed == sum(c << (8 * w * i) for i, c in enumerate(ints))
+    assert _unpack(packed, w, flip, len(ints)) == ints
+    # slots past count, as a product has them, do not reach the count read back
+    beyond = 1 << (8 * w * len(ints))
+    assert _unpack(packed + 5 * beyond, w, flip, len(ints)) == ints
+    assert _unpack(packed - 3 * beyond, w, flip, len(ints)) == ints
+    assert _unpack(packed, w, _signed_flip(w, 3), 3) == ints[:3]
+
+
+if hypothesis is None:
+
+    def test_property_tests_need_hypothesis():
+        pytest.skip("hypothesis is not installed")
+
+else:
+    st = hypothesis.strategies
+
+    coefficients = st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 60)),
     )
-)
-@hypothesis.example([(Fraction(1, 2), [1, 3]), (Fraction(-1, 2), [1, 1])])  # cancels to ints
-@hypothesis.example([(0, [Fraction(1, 3)])])
-@hypothesis.example([(Fraction(1, 240), [0, 240, -480])])  # integral over a denominator > 1
-@hypothesis.example([(Fraction(1, 3), [3, 1, 6]), (1, [0, 0, 1])])  # partly integral
-@hypothesis.example([(Fraction(-1, 3), [3, 6, 1])])  # integral up to the last coefficient
-def test_linear_combination_matches_fraction_sums(terms):
-    n = min(len(cs) for _, cs in terms) - 1
-    expected = [sum(Fraction(c) * cs[i] for c, cs in terms) for i in range(n + 1)]
-    result = linear_combination(*((c, QSeries(cs)) for c, cs in terms))
-    assert result.coeffs == QSeries(expected).coeffs
-    # integral values come back as ints, as the public constructor makes them
-    assert [type(v) for v in result.coeffs] == [type(v) for v in QSeries(expected).coeffs]
+
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(
+        st.lists(coefficients, min_size=1, max_size=40),
+        st.lists(coefficients, min_size=1, max_size=40),
+    )
+    # slots must hold the inputs too: the product bound of an all-zero side is 0
+    @hypothesis.example([0, 0, 0], [2**70, -(2**65), 3])
+    @hypothesis.example([2**64 + 1], [0])
+    @hypothesis.example([Fraction(1, 3), Fraction(-1, 2)], [-7])
+    # slot widths w of 1, 2, 3, 4, 6, 8 and 9 bytes: up to 8 they are cut from
+    # 64-bit array items, 9 takes the byte path; every width is also a case of
+    # test_products_at_exact_slot_widths
+    @hypothesis.example([3, -2, 1], [-1, 2, -3])
+    @hypothesis.example([100, -50], [-90, 7])
+    @hypothesis.example([1000, -999, 5], [-2000, 3, 1])
+    @hypothesis.example([2**14, 1], [-(2**15), 1])
+    @hypothesis.example([2**20, -3, 0], [-(2**20), 1, 2])
+    @hypothesis.example([2**30, 2**30], [-(2**31), -(2**31)])
+    @hypothesis.example([2**31, -1], [-(2**32), 5])
+    def test_mul_matches_schoolbook(a, b):
+        assert (QSeries(a) * QSeries(b)).coeffs == QSeries(mul_schoolbook(a, b)).coeffs
+
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(st.lists(coefficients, min_size=1, max_size=40))
+    @hypothesis.example([0, 0])
+    @hypothesis.example([3, -2, 1])  # 1-byte slots
+    @hypothesis.example([2**30, -(2**30), 7])  # 8-byte slots, whole array items
+    @hypothesis.example([2**64 + 1, -5])  # 10-byte slots, the byte path
+    @hypothesis.example([Fraction(1, 3), Fraction(-1, 2), 4])
+    def test_square_matches_schoolbook(a):
+        s = QSeries(a)  # s * s packs once and squares one int
+        assert (s * s).coeffs == QSeries(mul_schoolbook(a, a)).coeffs
+
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(
+        st.lists(
+            st.tuples(coefficients, st.lists(coefficients, min_size=1, max_size=40)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @hypothesis.example([(Fraction(1, 2), [1, 3]), (Fraction(-1, 2), [1, 1])])  # cancels to ints
+    @hypothesis.example([(0, [Fraction(1, 3)])])
+    @hypothesis.example([(Fraction(1, 240), [0, 240, -480])])  # integral over a denominator > 1
+    @hypothesis.example([(Fraction(1, 3), [3, 1, 6]), (1, [0, 0, 1])])  # partly integral
+    @hypothesis.example([(Fraction(-1, 3), [3, 6, 1])])  # integral up to the last coefficient
+    def test_linear_combination_matches_fraction_sums(terms):
+        n = min(len(cs) for _, cs in terms) - 1
+        expected = [sum(Fraction(c) * cs[i] for c, cs in terms) for i in range(n + 1)]
+        result = linear_combination(*((c, QSeries(cs)) for c, cs in terms))
+        assert result.coeffs == QSeries(expected).coeffs
+        # integral values come back as ints, as the public constructor makes them
+        assert [type(v) for v in result.coeffs] == [type(v) for v in QSeries(expected).coeffs]
