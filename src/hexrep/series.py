@@ -147,18 +147,43 @@ def _over(ints: list, den: int) -> tuple:
 _SIGN_FILL = bytes(255 * (b >> 7) for b in range(256))
 
 
+def _int64(ints) -> array | None:
+    """The ints as one signed 64-bit array, or None: a Fraction, an int outside [-2^63, 2^63), or a big-endian host."""
+    try:
+        return array("q", ints) if sys.byteorder == "little" else None
+    except (TypeError, OverflowError):  # the array is also the integrality check
+        return None
+
+
+def _operand(coeffs: tuple) -> tuple[array | list | tuple, int, int]:
+    """(ints, d, m): the coefficients times d, the lcm of their denominators, and m = max|ints|; an _int64 array if they fit."""
+    items = _int64(coeffs)
+    if items is not None:
+        return items, 1, max(max(coeffs), -min(coeffs))
+    ints, d = _integral(coeffs)
+    return (_int64(ints) if d > 1 else None) or ints, d, max(max(ints), -min(ints))
+
+
 def _signed_flip(width: int, count: int) -> int:
     """The int with the top bit of each of count width-byte slots set."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
+def _restride(raw: bytes, size: int, start: int, stop: int, to: int, count: int) -> bytearray:
+    """Bytes start .. stop-1 of each size-byte slot of raw as to-byte slots, filled above with their sign."""
+    out = bytearray(to * count)
+    for j in range(start, stop):
+        out[j - start :: to] = raw[j::size]
+    sign = raw[stop - 1 :: size].translate(_SIGN_FILL)
+    for j in range(stop - start, to):
+        out[j::to] = sign
+    return out
+
+
 def _pack(ints, width: int, flip: int) -> int:
     """sum(ints[i] * X^i), X = 2^(8 width), for |ints[i]| < X/2 and flip = _signed_flip(width, len(ints))."""
-    if width <= 8 and sys.byteorder == "little":
-        raw = array("q", ints).tobytes()
-        cut = bytearray(width * len(ints))
-        for j in range(width):  # the low width bytes of each 64-bit item
-            cut[j::width] = raw[j::8]
+    if isinstance(ints, array):  # an _int64 array, at any width
+        cut = _restride(ints.tobytes(), 8, 0, min(width, 8), width, len(ints))
     else:
         cut = b"".join(c.to_bytes(width, "little", signed=True) for c in ints)
     return (int.from_bytes(cut, "little") ^ flip) - flip
@@ -168,19 +193,13 @@ def _unpack(value: int, width: int, flip: int, count: int) -> list:
     """The ints[i] in [-X/2, X/2) with sum(ints[i] * X^i) = value mod X^count, for flip = _signed_flip(width, count)."""
     size = width * count
     raw = (((value + flip) & ((1 << (8 * size)) - 1)) ^ flip).to_bytes(size, "little")
-    if width <= 8 and sys.byteorder == "little":
-        wide = raw
-        if width < 8:  # each slot widened to a signed 64-bit item
-            wide = bytearray(8 * count)
-            for j in range(width):
-                wide[j::8] = raw[j::width]
-            sign = raw[width - 1 :: width].translate(_SIGN_FILL)
-            for j in range(width, 8):
-                wide[j::8] = sign
-        slots = array("q")
-        slots.frombytes(wide)
-        return slots.tolist()
-    return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, size, width)]
+    if width > 16 or sys.byteorder != "little":
+        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, size, width)]
+    low = raw if width == 8 else _restride(raw, width, 0, min(width, 8), 8, count)
+    if width <= 8:
+        return array("q", low).tolist()
+    high = _restride(raw, width, 8, width, 8, count)  # a signed limb above an unsigned one
+    return [lo + (hi << 64) for lo, hi in zip(array("Q", low).tolist(), array("q", high).tolist())]
 
 
 class QSeries:
@@ -274,21 +293,21 @@ class QSeries:
         bit of every slot (flip) and subtracting flip gives the signed
         evaluation, and adding flip to the product lifts each slot to
         c + X/2 >= 0, so no slot borrows from its neighbour when read back.
-        On a little-endian host a w of at most 8 is cut from, and widened
-        back to, one signed 64-bit array; wider slots go through bytes one
-        coefficient at a time.  A series times itself is packed once.
+        On a little-endian host an operand whose ints all fit in 64 bits is
+        packed from one signed 64-bit array at any w, and a w of at most 16
+        is read back as 64-bit limbs; larger ints and wider slots go through
+        bytes one coefficient at a time.  A series times itself is packed
+        once.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            a, da = _integral(self._coeffs[: n + 1])
-            b, db = (a, da) if other is self else _integral(other._coeffs[: n + 1])
-            ma = max(max(a), -min(a))
-            mb = ma if other is self else max(max(b), -min(b))
+            a, da, ma = _operand(self._coeffs[: n + 1])
+            b, db, mb = (a, da, ma) if other is self else _operand(other._coeffs[: n + 1])
             w = (max((n + 1) * ma * mb, ma, mb).bit_length() + 8) // 8
             flip = _signed_flip(w, n + 1)
-            packed = _pack(a, w, flip)
-            packed *= packed if other is self else _pack(b, w, flip)
-            return QSeries._trusted(_over(_unpack(packed, w, flip, n + 1), da * db))
+            a = _pack(a, w, flip)  # the operand's array is dropped once packed
+            a *= a if other is self else _pack(b, w, flip)
+            return QSeries._trusted(_over(_unpack(a, w, flip, n + 1), da * db))
         if isinstance(other, (int, Fraction)):
             return linear_combination((other, self))
         return NotImplemented

@@ -2,14 +2,16 @@
 combination against plain per-coefficient Fraction arithmetic."""
 
 import random
+from array import array
 from fractions import Fraction
 from math import isqrt
 from types import SimpleNamespace
 
 import pytest
+from memos import clear_all
 from oracles import mul_schoolbook
 
-from hexrep import series
+from hexrep import identities, series
 from hexrep.series import QSeries, _pack, _signed_flip, _unpack, linear_combination
 
 try:
@@ -25,19 +27,19 @@ def slot_path(request, monkeypatch):
     return request.param
 
 
-def recorded_widths(monkeypatch) -> list:
-    """The slot widths that `_pack` is called with from here on."""
-    widths = []
+def recorded_packs(monkeypatch) -> list:
+    """(width, packed from an int64 array) of each `_pack` call from here on."""
+    packs = []
 
     def spy(ints, width, flip):
-        widths.append(width)
+        packs.append((width, isinstance(ints, array)))
         return _pack(ints, width, flip)
 
     monkeypatch.setattr(series, "_pack", spy)
-    return widths
+    return packs
 
 
-@pytest.mark.parametrize("w", [*range(1, 10), 16, 17])
+@pytest.mark.parametrize("w", [*range(1, 18), 24])
 def test_products_at_exact_slot_widths(w, slot_path, monkeypatch):
     top = 2 ** (8 * w - 1) - 1  # the largest slot value of w bytes
     root = isqrt(top // 4)
@@ -53,7 +55,10 @@ def test_products_at_exact_slot_widths(w, slot_path, monkeypatch):
     if w > 1:  # the smallest magnitude that needs w bytes: half of it fits in w - 1
         low = 2 ** (8 * w - 9)
         cases += [([low], [1], [low]), ([1], [-low], [-low])]
-    widths = recorded_widths(monkeypatch)
+    if 8 < w <= 17:  # int64 inputs whose product needs w bytes: -2^63 reaches 17
+        near = min(isqrt(top // 2), 2**63)
+        cases.append(([-near, -near], [-near, -near], [near * near, 2 * near * near]))
+    packs = recorded_packs(monkeypatch)
     for a, b, expected in cases:
         product = list((QSeries(a) * QSeries(b)).coeffs)
         assert product == mul_schoolbook(a, b)
@@ -65,23 +70,69 @@ def test_products_at_exact_slot_widths(w, slot_path, monkeypatch):
     square = [root, -root, root, -root]
     s = QSeries(square)
     assert list((s * s).coeffs) == mul_schoolbook(square, square)
-    assert widths == [w] * (2 * len(cases) + 1)
+    assert [width for width, _ in packs] == [w] * (2 * len(cases) + 1)
+    # every operand below 2^63 is packed from one int64 array, at any slot width
+    operands = [c for a, b, _ in cases for c in (a, b)] + [square]
+    fits = [-(2**63) <= min(c) and max(c) < 2**63 for c in operands]
+    assert [from_array for _, from_array in packs] == [f and slot_path == "array" for f in fits]
 
 
-@pytest.mark.parametrize("w", range(1, 18))
+@pytest.mark.parametrize("w", [*range(1, 18), 24])
 def test_pack_unpack_round_trip(w, slot_path):
     half = 2 ** (8 * w - 1)
     rng = random.Random(w)
     ints = [half - 1, -half, 0, 1, -1, half // 3, -(half // 3)] + [rng.randrange(-half, half) for _ in range(40)]
-    flip = _signed_flip(w, len(ints))
-    packed = _pack(ints, w, flip)
-    assert packed == sum(c << (8 * w * i) for i, c in enumerate(ints))
-    assert _unpack(packed, w, flip, len(ints)) == ints
-    # slots past count, as a product has them, do not reach the count read back
-    beyond = 1 << (8 * w * len(ints))
-    assert _unpack(packed + 5 * beyond, w, flip, len(ints)) == ints
-    assert _unpack(packed - 3 * beyond, w, flip, len(ints)) == ints
-    assert _unpack(packed, w, _signed_flip(w, 3), 3) == ints[:3]
+    # an int64 array fills slots of any width: its items up to +-2^63, sign bytes above
+    edge = min(half, 2**63)
+    int64 = [edge - 1, -edge, -(edge - 1), 0, 1, -1] + [rng.randrange(-edge, edge) for _ in range(40)]
+    for values in (ints, int64):
+        items = series._int64(values)
+        assert (items is not None) == (slot_path == "array" and (values is int64 or w <= 8))
+        flip = _signed_flip(w, len(values))
+        packed = _pack(values if items is None else items, w, flip)
+        assert packed == sum(c << (8 * w * i) for i, c in enumerate(values))
+        assert _unpack(packed, w, flip, len(values)) == values
+        # slots past count, as a product has them, do not reach the count read back
+        beyond = 1 << (8 * w * len(values))
+        assert _unpack(packed + 5 * beyond, w, flip, len(values)) == values
+        assert _unpack(packed - 3 * beyond, w, flip, len(values)) == values
+        assert _unpack(packed, w, _signed_flip(w, 3), 3) == values[:3]
+
+
+def test_int64_check(monkeypatch):
+    assert series._int64([2**63 - 1, -(2**63), 0]).tolist() == [2**63 - 1, -(2**63), 0]
+    assert series._int64([1, Fraction(1, 3)]) is None
+    assert series._int64([2**63]) is None
+    assert series._int64([-(2**63) - 1]) is None
+    monkeypatch.setattr(series, "sys", SimpleNamespace(byteorder="big"))
+    assert series._int64([1, 2]) is None
+
+
+@pytest.mark.parametrize(
+    "a, b, from_array",
+    [
+        ([2**63 - 1, -(2**63 - 1), -(2**63)], [-(2**63), 2**63 - 1, 1], [True, True]),
+        ([-(2**63), -(2**63)], [-(2**63)], [True, True]),
+        ([2**63, 1], [-1, 2**63 - 1], [False, True]),  # 2^63 is refused by the array
+        # cleared of denominators (lcm 6): 2, -3, 24, which fit an int64 array
+        ([Fraction(1, 3), Fraction(-1, 2), 4], [5, -(2**62)], [True, True]),
+        # cleared (lcm 6): 2^63 + 2 and 3, past the array
+        ([Fraction(2**62 + 1, 3), Fraction(1, 2)], [1, 2], [False, True]),
+    ],
+)
+def test_int64_operand_edges(a, b, from_array, slot_path, monkeypatch):
+    packs = recorded_packs(monkeypatch)
+    assert list((QSeries(a) * QSeries(b)).coeffs) == mul_schoolbook(a, b)
+    assert [path for _, path in packs] == [f and slot_path == "array" for f in from_array]
+
+
+def test_cold_verify_packs_every_operand_from_an_int64_array(monkeypatch):
+    """Every operand of a cold verify_all(200) fits int64, those of its 20 products in 9- to 16-byte slots too."""
+    packs = recorded_packs(monkeypatch)
+    clear_all()
+    identities.verify_all(200)
+    assert packs and all(from_array for _, from_array in packs)
+    assert any(width > 8 for width, _ in packs)
 
 
 if hypothesis is None:
@@ -107,8 +158,8 @@ else:
     @hypothesis.example([0, 0, 0], [2**70, -(2**65), 3])
     @hypothesis.example([2**64 + 1], [0])
     @hypothesis.example([Fraction(1, 3), Fraction(-1, 2)], [-7])
-    # slot widths w of 1, 2, 3, 4, 6, 8 and 9 bytes: up to 8 they are cut from
-    # 64-bit array items, 9 takes the byte path; every width is also a case of
+    # slot widths w of 1, 2, 3, 4, 6, 8 and 9 bytes, all packed from int64
+    # arrays and read back as 64-bit limbs; every width is also a case of
     # test_products_at_exact_slot_widths
     @hypothesis.example([3, -2, 1], [-1, 2, -3])
     @hypothesis.example([100, -50], [-90, 7])
@@ -126,7 +177,7 @@ else:
     @hypothesis.example([0, 0])
     @hypothesis.example([3, -2, 1])  # 1-byte slots
     @hypothesis.example([2**30, -(2**30), 7])  # 8-byte slots, whole array items
-    @hypothesis.example([2**64 + 1, -5])  # 10-byte slots, the byte path
+    @hypothesis.example([2**64 + 1, -5])  # past 2^63 and 17-byte slots: bytes both ways
     @hypothesis.example([Fraction(1, 3), Fraction(-1, 2), 4])
     def test_square_matches_schoolbook(a):
         s = QSeries(a)  # s * s packs once and squares one int
