@@ -1,8 +1,12 @@
 """q-expansions of eta quotients, Eisenstein series, and the named forms catalog.
 
 Everything is produced as a QSeries at an explicitly requested precision;
-there is no global precision state.  Constructors are pure and memoized,
-one grow-only entry per argument set (``series.grow_only``).
+there is no global precision state.  Constructors are pure; the Eisenstein
+series and the catalog forms are memoized, one grow-only entry per argument
+set (``series.grow_only``).  The catalog's level-3 eta quotients are products
+of the divisor-sum series b^3 = eta(z)^9/eta(3z)^3 and c' = eta(3z)^9/eta(z)^3:
+delta_6_3 = c' b^3, delta_9_3_1 = c'^2 b^3 and delta_9_3_2 = c' b^6; delta is
+q (eta^3)^8 from Jacobi's cube.  ``eta_quotient`` is the general constructor.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .arith import (
     sigma_table,
 )
 from .lattice import theta_series
-from .series import QSeries, grow_only, linear_combination, power_split
+from .series import QSeries, grow_only, linear_combination
 
 
 class NonIntegralExponent(ValueError):
@@ -96,49 +100,34 @@ def _jacobi_cube(precision: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@grow_only(QSeries.truncate)
-def _eta_power(scale: int, exponent: int, precision: int) -> QSeries:
-    """prod(1 - q^(scale * j), j >= 1)^exponent: eta(scale z)^exponent without its q-power.
-
-    It is a power of the core at precision // scale, spread to the powers
-    of q^scale.  Powers climb a ladder from the core (-1: its inverse), each
-    the product of the two powers of ``power_split``; positive multiples of
-    3 climb one from the cube of Jacobi's identity instead.  Positive powers
-    of every scale are cut from the ladders of scale 1, asked at the same
-    precision, so none is made or stored twice; negative ones, slower to
-    build, climb a ladder of their own scale at precision // scale.
-    """
-    if exponent == 0:
-        return QSeries.one(precision)
-    if scale > 1 and exponent > 0:
-        power = _eta_power(1, exponent, precision).coeffs[: precision // scale + 1]
-    elif exponent == 3:
-        power = _jacobi_cube(precision)
-    elif exponent in (1, -1):
-        core = _euler_core(precision // scale)
-        power = (core if exponent == 1 else core.invert()).coeffs
-    else:
-        base = 3 if exponent % 3 == 0 < exponent else (1 if exponent > 0 else -1)  # the ladder's first power
-        h = base * power_split(exponent // base)
-        low, high = (QSeries._trusted(_eta_power(scale, e, precision).coeffs[::scale]) for e in (h, exponent - h))
-        power = (low * (low if 2 * h == exponent else high)).coeffs
-    if scale == 1:
-        return QSeries._trusted(power)
-    coeffs = [0] * (precision + 1)
-    coeffs[::scale] = power
-    return QSeries._trusted(tuple(coeffs))
-
-
-@grow_only(QSeries.truncate)
 def eta_quotient(spec: EtaQuotientSpec, precision: int) -> QSeries:
-    """Expand prod(eta(m z)^e) as a power series up to q^precision."""
+    """Expand prod(eta(m z)^e) as a power series up to q^precision.
+
+    Each factor is the |e|-th power of the core at precision // m (e < 0:
+    of its inverse), spread to the powers of q^m.  The catalog reads its
+    eta quotients off b^3 and c' instead; this is the general constructor.
+    """
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
     lead = spec.leading_exponent()
-    powers = [_eta_power(m, e, precision) for m, e in spec.factors]
+    powers = []
+    for m, e in spec.factors:
+        core = _euler_core(precision // m)
+        coeffs = [0] * (precision + 1)
+        coeffs[::m] = ((core if e >= 0 else core.invert()) ** abs(e)).coeffs
+        powers.append(QSeries._trusted(tuple(coeffs)))
     return reduce(mul, powers or [QSeries.one(precision)]).shift(lead)
 
 
-def _eta(*factors: tuple[int, int]) -> EtaQuotientSpec:
-    return EtaQuotientSpec(tuple(factors))
+def _b_cube(precision: int) -> QSeries:
+    """b^3 = eta(z)^9 / eta(3z)^3 = 1 - 9 sum(sigma_(2; 1, chi_-3)(n) q^n)
+    (Borwein, Borwein and Garvan, Trans. AMS 343, 1994; theta^3 = b^3 + 27 c')."""
+    return linear_combination((-9, sigma_table(2, CHI_TRIVIAL, CHI3, precision))) + 1
+
+
+def _c_prime(precision: int) -> QSeries:
+    """c' = eta(3z)^9 / eta(z)^3 = sum(sigma_(2; chi_-3, 1)(n) q^n)."""
+    return QSeries._trusted(sigma_table(2, CHI3, CHI_TRIVIAL, precision))
 
 
 @grow_only(QSeries.truncate)
@@ -198,12 +187,12 @@ def _build_delta_8_3(precision: int) -> QSeries:
 
 _CATALOG = {
     # name: (weight, level, character, builder)
-    "delta": (12, 1, CHI_TRIVIAL, lambda N: eta_quotient(_eta((1, 24)), N)),
-    "delta_6_3": (6, 3, CHI_TRIVIAL, lambda N: eta_quotient(_eta((1, 6), (3, 6)), N)),
+    "delta": (12, 1, CHI_TRIVIAL, lambda N: (QSeries._trusted(_jacobi_cube(N)) ** 8).shift(1)),
+    "delta_6_3": (6, 3, CHI_TRIVIAL, lambda N: _c_prime(N) * _b_cube(N)),
     "delta_8_3": (8, 3, CHI_TRIVIAL, _build_delta_8_3),
     "delta_7_3": (7, 3, CHI3, _build_delta_7_3),
-    "delta_9_3_1": (9, 3, CHI3, lambda N: eta_quotient(_eta((1, 3), (3, 15)), N)),
-    "delta_9_3_2": (9, 3, CHI3, lambda N: eta_quotient(_eta((1, 15), (3, 3)), N)),
+    "delta_9_3_1": (9, 3, CHI3, lambda N: _c_prime(N) * named_form("delta_6_3", N).series),
+    "delta_9_3_2": (9, 3, CHI3, lambda N: named_form("delta_6_3", N).series * _b_cube(N)),
     "delta_11_3_1": (11, 3, CHI3, lambda N: eisenstein_classical(4, N) * named_form("delta_7_3", N).series),
     "delta_11_3_2": (11, 3, CHI3, lambda N: eisenstein_classical(4, N).scale_argument(3) * named_form("delta_7_3", N).series),
 }

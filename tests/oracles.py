@@ -8,7 +8,7 @@ from math import comb, isqrt
 
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
-from hexrep.forms import _eta, eisenstein_classical, eta_quotient, named_form
+from hexrep.forms import EtaQuotientSpec, eisenstein_classical, eta_quotient, named_form
 from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _sigma_product
 from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, moment_table, theta_series
 from hexrep.series import QSeries, linear_combination
@@ -85,13 +85,18 @@ def moment_product(k: int, t: int, precision: int) -> tuple[int, ...]:
     return row
 
 
+def eta_spec(*factors: tuple[int, int]) -> EtaQuotientSpec:
+    """prod(eta(m z)^e) over the (m, e) pairs given."""
+    return EtaQuotientSpec(tuple(factors))
+
+
 def delta_7_3_eisenstein_eta(precision: int) -> QSeries:
     """(E_4(z) - E_4(3z)) eta(z)^9 / eta(3z)^3 / 240, the weight-7 newform from an Eisenstein difference."""
     # The Eisenstein difference starts at 240q, so the product is scaled by
     # 1/240 to make this the normalized newform (first coefficient 1); the
     # check below fails hard if that normalization is ever off.
     e4 = eisenstein_classical(4, precision)
-    raw = (e4 - e4.scale_argument(3)) * eta_quotient(_eta((1, 9), (3, -3)), precision)
+    raw = (e4 - e4.scale_argument(3)) * eta_quotient(eta_spec((1, 9), (3, -3)), precision)
     series = Fraction(1, 240) * raw
     if precision >= 1 and series.coefficient(1) != 1:
         raise AssertionError(
@@ -103,9 +108,9 @@ def delta_7_3_eisenstein_eta(precision: int) -> QSeries:
 def delta_8_3_eta_sum(precision: int) -> QSeries:
     """The weight-8 newform as a sum of three quotients of eta(z), eta(3z) and eta(9z)."""
     return linear_combination(
-        (1, eta_quotient(_eta((1, 12), (3, 4)), precision)),
-        (81, eta_quotient(_eta((1, 6), (3, 4), (9, 6)), precision)),
-        (18, eta_quotient(_eta((1, 9), (3, 4), (9, 3)), precision)),
+        (1, eta_quotient(eta_spec((1, 12), (3, 4)), precision)),
+        (81, eta_quotient(eta_spec((1, 6), (3, 4), (9, 6)), precision)),
+        (18, eta_quotient(eta_spec((1, 9), (3, 4), (9, 3)), precision)),
     )
 
 
@@ -243,7 +248,7 @@ def eisenstein_times_form(k: int, name: str, precision: int) -> QSeries:
 def quasimodular_combination(precision: int) -> QSeries:
     """The weight-14 cusp expansion (1/2) * (3 E_2(3z) - E_2(z)) * delta, by one series product."""
     e2 = eisenstein_classical(2, precision)
-    delta = eta_quotient(_eta((1, 24)), precision)
+    delta = eta_quotient(eta_spec((1, 24)), precision)
     return linear_combination((Fraction(3, 2), e2.scale_argument(3)), (Fraction(-1, 2), e2)) * delta
 
 

@@ -8,6 +8,7 @@ from memos import clear_all
 from oracles import (
     delta_7_3_eisenstein_eta,
     delta_8_3_eta_sum,
+    eta_spec,
     euler_product_direct,
     invert_dense,
     mul_schoolbook,
@@ -22,8 +23,8 @@ from hexrep.forms import (
     NonIntegralExponent,
     ParityMismatch,
     UnknownForm,
-    _eta,
-    _eta_power,
+    _b_cube,
+    _c_prime,
     _euler_core,
     _jacobi_cube,
     eisenstein_classical,
@@ -31,8 +32,8 @@ from hexrep.forms import (
     eta_quotient,
     named_form,
 )
-from hexrep.lattice import s2k_bruteforce
-from hexrep.series import QSeries, power_split
+from hexrep.lattice import s2k_bruteforce, theta_series
+from hexrep.series import QSeries
 
 TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
 
@@ -68,52 +69,61 @@ def naive_eta_power(factors, precision):
     return tuple(([0] * shift + poly)[: precision + 1])
 
 
-@pytest.mark.parametrize("scale", (1, 3, 9))
-def test_euler_core_against_product_oracle(scale):
+def test_euler_core_against_product_oracle():
     for precision in range(61):
         assert _euler_core(precision).coeffs == tuple(euler_product_direct(1, precision))
-        assert _eta_power(scale, 1, precision).coeffs == tuple(euler_product_direct(scale, precision))
 
 
 def test_jacobi_cube_against_product_oracle():
     for precision in (*range(61), 2000):
         core = euler_product_direct(1, precision)
-        cube = tuple(mul_schoolbook(core, mul_schoolbook(core, core)))
-        assert _jacobi_cube(precision) == cube
-        assert _eta_power(1, 3, precision).coeffs == cube
+        assert _jacobi_cube(precision) == tuple(mul_schoolbook(core, mul_schoolbook(core, core)))
 
 
-def test_eta_powers_against_product_oracle():
-    clear_all()
-    for name in CATALOG_NAMES:
-        named_form(name, 5)
-    # the catalog's eta powers 3, 6, 15 and 24 all climb from Jacobi's cube
-    assert set(_eta_power.stored()) == {(1, 3), (1, 6), (1, 12), (1, 15), (1, 24), (3, 3), (3, 6), (3, 15)}
-    # no catalog form has a negative eta power or one off the cube's ladder: build some
-    eta_quotient(_eta((1, 9), (3, -3)), 5)
-    eta_quotient(_eta((1, 6), (3, 4), (9, 6)), 5)
-    eta_quotient(_eta((1, 12), (9, 4)), 5)
-    entries = set(_eta_power.stored())  # every power on the ladders of these eta factors
-    core_ladder = {(1, 1), (1, 2), (1, 4), (3, -1), (3, -2), (3, -3), (3, 4), (9, 4)}
-    cube_ladder = {(1, 3), (1, 6), (1, 9), (1, 12), (1, 15), (1, 24), (3, 3), (3, 6), (3, 15), (9, 6)}
-    assert entries == core_ladder | cube_ladder
+@pytest.mark.parametrize(
+    "factors",
+    (((1, 9), (3, -3)), ((1, 6), (3, 4), (9, 6)), ((1, 12), (9, 4)), ((1, 24), (3, 0))),
+)
+def test_eta_quotient_against_product_oracle(factors):
     top = 97
-    for scale, exponent in sorted(entries):
-        sign = 1 if exponent > 0 else -1
-        ladder = 1 if exponent > 0 else scale  # positive powers of every scale come from scale 1
-        base = 3 if exponent % 3 == 0 < exponent else sign  # Jacobi's cube, or the core (-1: its inverse)
-        assert ((scale, exponent) in cube_ladder) == (base == 3), (scale, exponent)
-        if exponent != base:  # a power on a ladder is the product of two powers below it
-            h = base * power_split(exponent // base)
-            assert {(ladder, exponent), (ladder, h), (ladder, exponent - h)} <= entries, (scale, exponent)
+    lead = sum(m * e for m, e in factors) // 24
+    product = [1] + [0] * top
+    for scale, exponent in factors:
         core = euler_product_direct(scale, top)
         if exponent < 0:
             core = invert_dense(core)
-        power = [1] + [0] * top
         for _ in range(abs(exponent)):
-            power = mul_schoolbook(power, core)
-        for precision in (0, 1, scale - 1, scale, 40, top):
-            assert _eta_power(scale, exponent, precision).coeffs == tuple(power[: precision + 1]), (scale, exponent)
+            product = mul_schoolbook(product, core)
+    expected = ([0] * lead + product)[: top + 1]
+    scales = {m for m, _ in factors}
+    for precision in sorted({0, 1, 40, top} | {m - 1 for m in scales} | scales):
+        assert eta_quotient(eta_spec(*factors), precision).coeffs == tuple(expected[: precision + 1]), precision
+
+
+def test_eta_quotient_rejects_a_negative_precision():
+    with pytest.raises(ValueError, match="precision must be >= 0"):
+        eta_quotient(eta_spec((1, 24)), -1)
+
+
+def test_b_cube_and_c_prime_sum_to_theta_cubed():
+    N = 2000
+    assert _b_cube(N) + 27 * _c_prime(N) == theta_series(3, N)
+    assert _b_cube(N).coeffs[:4] == (1, -9, 27, -9)
+    assert _c_prime(N).coeffs[:4] == (0, 1, 3, 9)
+
+
+@pytest.mark.parametrize(
+    "name, factors",
+    (
+        ("delta", ((1, 24),)),
+        ("delta_6_3", ((1, 6), (3, 6))),
+        ("delta_9_3_1", ((1, 3), (3, 15))),
+        ("delta_9_3_2", ((1, 15), (3, 3))),
+    ),
+)
+def test_catalog_eta_quotients_against_their_specs(name, factors):
+    assert named_form(name, 2000).series == eta_quotient(eta_spec(*factors), 2000)
+    assert named_form(name, 80).series.coeffs == naive_eta_power(factors, 80)
 
 
 def test_delta_against_naive_expansion():

@@ -17,8 +17,6 @@ from hexrep.series import QSeries, grow_only, prefix
 
 MEMOIZED = {
     "hexrep.arith.sigma_table",
-    "hexrep.forms._eta_power",
-    "hexrep.forms.eta_quotient",
     "hexrep.forms.eisenstein_classical",
     "hexrep.forms.eisenstein_twisted",
     "hexrep.forms.named_form",
@@ -35,8 +33,6 @@ MEMOIZED = {
 #: One call of each memoized quantity, as (memo, key arguments, keyword options).
 QUANTITIES = (
     (arith.sigma_table, (6, CHI_TRIVIAL, CHI3), {}),
-    (forms._eta_power, (3, -3), {}),
-    (forms.eta_quotient, (forms._eta((1, 6), (3, 6)),), {}),
     (forms.eisenstein_classical, (4,), {}),
     (forms.eisenstein_twisted, (7, CHI3, CHI_TRIVIAL), {}),
     (forms.named_form, ("delta_7_3",), {}),

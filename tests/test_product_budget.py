@@ -15,15 +15,16 @@ BUDGETS = {
     "s2k_bruteforce(14, 400)": (lambda: lattice.s2k_bruteforce(14, 400), 5),
     "lomadze_values('L_14_10', 400)": (lambda: lattice.lomadze_values("L_14_10", 400), 6),
     "verify_all(200)": (lambda: identities.verify_all(200), 50),
-    # 4 eta ladder products (exponents 6, 12, 15 and 24 over Jacobi's cube), 3 quotient
-    # products, theta^2, delta_6_3 times theta and theta^2, and E_4(z), E_4(3z) times delta_7_3
-    "every catalog form at 400": (lambda: [forms.named_form(name, 400) for name in forms.CATALOG_NAMES], 13),
-    # delta: 3 ladder products; delta_6_3: 1; delta_8_3: 2; sigma_3 * delta_8_3, sigma_5 * delta_6_3
+    # delta: 3 squarings of Jacobi's cube; delta_6_3 = c' b^3, delta_9_3_1 = c' delta_6_3 and
+    # delta_9_3_2 = delta_6_3 b^3; theta^2, delta_6_3 times theta and theta^2; and E_4(z),
+    # E_4(3z) times delta_7_3
+    "every catalog form at 400": (lambda: [forms.named_form(name, 400) for name in forms.CATALOG_NAMES], 11),
+    # delta: 3 squarings; delta_6_3: 1; delta_8_3: 2; sigma_3 * delta_8_3, sigma_5 * delta_6_3
     "decomposition(12, 400)": (lambda: identities.decomposition(12, 400), 8),
     # delta, delta_6_3 and delta_8_3 as above; sigma_7 * delta_6_3, sigma_5 * delta_8_3,
     # sigma * delta and sigma(./3) * delta
     "decomposition(14, 400)": (lambda: identities.decomposition(14, 400), 10),
-    # eta^6 = (eta^3)^2, eta^12, eta^24 from Jacobi's cube
+    # eta^6 = (eta^3)^2, eta^12 and eta^24: three squarings of Jacobi's cube
     'named_form("delta", 400)': (lambda: forms.named_form("delta", 400), 3),
 }
 
