@@ -45,6 +45,10 @@ CASES = {
     # empty reports in JSON, and the widest polynomial of the catalog (degree 4 in n)
     "verify-json-n0": ["verify", "--all", "--nmax", "0", "--format", "json"],
     "lsum-Lcal_4-csv-n400": ["lsum", "Lcal_4", "--n", "1..400", "--format", "csv"],
+    # the weight-12 formula near 400, and the two errors of --method formula
+    "s2k-12-formula-csv-n400": ["s2k", "--k", "12", "--n", "390..400", "--method", "formula", "--format", "csv"],
+    "s2k-14-formula-n0": ["s2k", "--k", "14", "--n", "0", "--method", "formula"],
+    "s2k-13-formula-bad": ["s2k", "--k", "13", "--n", "5", "--method", "formula"],
 }
 
 
