@@ -9,7 +9,7 @@ It then verifies all of those identities coefficient by coefficient,
 including a lattice-sum expression for the Ramanujan tau function.
 """
 
-from .arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, bernoulli_generalized, chi3, sigma, sigma_star, sigma_twisted
+from .arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, bernoulli_generalized, sigma, sigma_star, sigma_twisted
 from .forms import EtaQuotientSpec, NamedForm, eisenstein_classical, eisenstein_twisted, eta_quotient, named_form
 from .identities import IdentityReport, tau_from_lattice_sums, verification_passed, verify_all
 from .lattice import LomadzeSumSpec, MomentTable, enumerate_f1, lomadze_sum, moment_table, s2k_bruteforce
@@ -30,7 +30,6 @@ __all__ = [
     "QSeries",
     "bernoulli",
     "bernoulli_generalized",
-    "chi3",
     "eisenstein_classical",
     "eisenstein_twisted",
     "enumerate_f1",

@@ -40,11 +40,6 @@ CHI_TRIVIAL = DirichletCharacter(1, (1,))
 CHI3 = DirichletCharacter(3, (0, 1, -1))
 
 
-def chi3(n: int) -> int:
-    """Kronecker symbol (-3/n): +1 for n = 1 mod 3, -1 for n = 2 mod 3, 0 for 3 | n."""
-    return CHI3(n)
-
-
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n (n >= 1), by trial division up to sqrt(n)."""
     if n < 1:
@@ -103,7 +98,7 @@ def rho_star(ell: int, n: int) -> int:
         raise ValueError("ell must be a positive even integer")
     sign = -1 if (ell // 2) % 2 else 1
     return 3 ** (ell // 2) * sum(
-        (chi3(n // d) + sign * chi3(d)) * d**ell for d in divisors(n)
+        (CHI3(n // d) + sign * CHI3(d)) * d**ell for d in divisors(n)
     )
 
 

@@ -66,14 +66,6 @@ def _eisenstein_times(c, k: int, name: str, N: int, scale: int = 1) -> tuple:
     return _with_zero(c * -2 * k / bernoulli(k), k - 1, name, N, scale)
 
 
-def _eisenstein_pair(a, b, k: int, N: int) -> tuple:
-    """a E_k(z) + b E_k(3z) as integer terms: the constant a + b, and the sigma_(k-1) table at n and at n/3."""
-    c = -2 * k / bernoulli(k)
-    sigmas = sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, N)
-    thirds = QSeries._trusted(sigmas).scale_argument(3).coeffs
-    return (a + b, (1,) + (0,) * N), (a * c, sigmas), (b * c, thirds)
-
-
 def _times_n(table: tuple) -> tuple:
     """The table n * table[n]."""
     return tuple(n * v for n, v in enumerate(table))
@@ -96,54 +88,91 @@ def tau_10_3_2_values(precision: int) -> tuple:
     return linear_combination((Fraction(1, 120), lomadze_values("L_10_6", precision))).coeffs
 
 
-# -- the odd weights ----------------------------------------------------------
+# -- the weights --------------------------------------------------------------
 
-#: F_k = a E_k(chi3, 1) + b E_k(1, chi3) + sum(c * cusp) for k = 7, 9, 11, as
-#: k: (a, b, ((c, cusp form name), ...)).  The large coefficient a goes with
-#: the series twisted on the cofactor (zero constant term) and b with the one
-#: twisted on the divisor; the assignment is forced: the other pairing
-#: already fails at n = 2, while this one matches the counts at every n and
-#: gives the constant term exactly 1.  The paper restates the Eisenstein
-#: part as (a / 3^((k-1)/2)) rho*_(k-1), printed as 3/7, 27/809 and 3/1847.
-ODD_WEIGHTS = {
-    7: (Fraction(81, 7), Fraction(-3, 7), ((Fraction(216, 7), "delta_7_3"),)),
-    9: (Fraction(2187, 809), Fraction(27, 809), ((Fraction(1119744, 809), "delta_9_3_1"), (Fraction(41472, 809), "delta_9_3_2"))),
-    11: (Fraction(729, 1847), Fraction(-3, 1847), ((Fraction(60588, 9235), "delta_11_3_1"), (Fraction(545292, 9235), "delta_11_3_2"))),
+#: F_k = a E + b E' + sum(c E_j(scale z) form) for k in FORMULA_KS, as
+#: k: (a, b, ((c, catalog form, j, scale), ...)); j = 0 for a bare form.
+#: For odd k, E and E' are E_k(chi3, 1) and E_k(1, chi3).  The large
+#: coefficient a goes with the series twisted on the cofactor (zero constant
+#: term); the assignment is forced: the other pairing already fails at n = 2,
+#: while this one matches the counts at every n and gives the constant term
+#: exactly 1.  The paper restates that part as (a / 3^((k-1)/2)) rho*_(k-1),
+#: printed as 3/7, 27/809 and 3/1847.  For even k, E and E' are E_k(z) and
+#: E_k(3z), and the paper restates that part at n >= 1 as a (-2k/B_k) sigma*_(k-1).
+WEIGHTS = {
+    7: (Fraction(81, 7), Fraction(-3, 7), ((Fraction(216, 7), "delta_7_3", 0, 1),)),
+    9: (
+        Fraction(2187, 809),
+        Fraction(27, 809),
+        ((Fraction(1119744, 809), "delta_9_3_1", 0, 1), (Fraction(41472, 809), "delta_9_3_2", 0, 1)),
+    ),
+    11: (
+        Fraction(729, 1847),
+        Fraction(-3, 1847),
+        ((Fraction(60588, 9235), "delta_11_3_1", 0, 1), (Fraction(545292, 9235), "delta_11_3_2", 0, 1)),
+    ),
+    12: (
+        Fraction(1, 730),
+        Fraction(729, 730),
+        (
+            (Fraction(29824, 691), "delta", 0, 1),
+            (Fraction(1186848, 50443), "delta_8_3", 4, 1),
+            (Fraction(261344, 50443), "delta_6_3", 6, 1),
+        ),
+    ),
+    14: (
+        -Fraction(1, 2186),
+        Fraction(2187, 2186),
+        (
+            (-Fraction(3016, 1093), "delta_6_3", 8, 1),
+            (-Fraction(12448, 1093), "delta_8_3", 6, 1),
+            # the quasimodular (3 E_2(3z) - E_2(z)) / 2 times delta
+            *(
+                (Fraction(107264, 1093) * e, "delta", 2, scale)
+                for e, scale in ((Fraction(3, 2), 3), (-Fraction(1, 2), 1))
+            ),
+        ),
+    ),
 }
+
+#: Weights 2k for which a closed formula (and a decomposition) is implemented.
+FORMULA_KS = tuple(WEIGHTS)
+
+#: The odd k, whose s_2k the paper also states through rho*.
+THEOREM_KS = tuple(k for k in WEIGHTS if k % 2)
+
+
+def _weight_terms(k: int, N: int) -> tuple:
+    """F_k from its WEIGHTS entry as (coefficient, table) terms over n = 0..N."""
+    a, b, cusps = WEIGHTS[k]
+    if k % 2:
+        eisenstein = (
+            (a, forms.eisenstein_twisted(k, CHI3, CHI_TRIVIAL, N)),
+            (b, forms.eisenstein_twisted(k, CHI_TRIVIAL, CHI3, N)),
+        )
+    else:  # the constant a + b, and the sigma_(k-1) table at n and at n/3
+        c = -2 * k / bernoulli(k)
+        sigmas = QSeries._trusted(sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, N))
+        eisenstein = (a + b, QSeries.one(N)), (a * c, sigmas), (b * c, sigmas.scale_argument(3))
+    return eisenstein + tuple(
+        chain.from_iterable(
+            _eisenstein_times(c, j, name, N, scale) if j else ((c, _coeffs(name, N)),)
+            for c, name, j, scale in cusps
+        )
+    )
 
 
 def _cusp_terms(k: int, precision: int, scale=1) -> list:
-    """The cusp part of F_k, times scale, as (coefficient, table) terms."""
-    return [(scale * c, _coeffs(name, precision)) for c, name in ODD_WEIGHTS[k][2]]
+    """The cusp part of F_k for odd k, times scale, as (coefficient, table) terms."""
+    return [(scale * c, _coeffs(name, precision)) for c, name, _, _ in WEIGHTS[k][2]]
 
 
 def _theorem_terms(k: int, N: int) -> tuple:
-    a = ODD_WEIGHTS[k][0]
+    a = WEIGHTS[k][0]
     return ((a / 3 ** ((k - 1) // 2), rho_star_table(k - 1, N)), *_cusp_terms(k, N))
 
 
 # -- the per-n formulas, one table each -----------------------------------------
-
-
-def _s24_terms(N: int) -> tuple:
-    return (
-        (Fraction(6552, 73 * 691), sigma_star_table(11, N)),
-        (Fraction(29824, 691), _coeffs("delta", N)),
-        *_with_zero(Fraction(240 * 1186848, 50443), 3, "delta_8_3", N),
-        *_with_zero(-Fraction(504 * 261344, 50443), 5, "delta_6_3", N),
-    )
-
-
-def _s28_terms(N: int) -> tuple:
-    c = Fraction(107264 * 12, 1093)  # on sum(sigma(a) tau(b)) over a + b = n, less 3 times over 3a + b = n
-    return (
-        (Fraction(12, 1093), sigma_star_table(13, N)),
-        (Fraction(107264, 1093), _coeffs("delta", N)),
-        (c, _sigma_product(1, "delta", N)),
-        (-3 * c, _sigma_product(1, "delta", N, scale=3)),
-        *_with_zero(Fraction(12448 * 504, 1093), 5, "delta_8_3", N),
-        *_with_zero(-Fraction(3016 * 480, 1093), 7, "delta_6_3", N),
-    )
 
 
 def _lomadze_s24_terms(N: int) -> tuple:
@@ -179,9 +208,8 @@ def _tau_terms(N: int) -> tuple:
 
 #: The terms of each per-n formula, by the name of the identity that checks it.
 FORMULAS = {
-    **{f"s{2 * k}-theorem": partial(_theorem_terms, k) for k in ODD_WEIGHTS},
-    "s24-formula": _s24_terms,
-    "s28-formula": _s28_terms,
+    **{f"s{2 * k}-theorem": partial(_theorem_terms, k) for k in THEOREM_KS},
+    **{f"s{2 * k}-formula": partial(_weight_terms, k) for k in WEIGHTS if k % 2 == 0},
     "lomadze-s24": _lomadze_s24_terms,
     "lomadze-s28": _lomadze_s28_terms,
     "tau-eq": _tau_terms,
@@ -189,9 +217,8 @@ FORMULAS = {
 
 #: The k of s_2k that each FORMULAS table gives (every formula but tau-eq).
 FORMULA_K = {
-    **{f"s{2 * k}-theorem": k for k in ODD_WEIGHTS},
-    "s24-formula": 12,
-    "s28-formula": 14,
+    **{f"s{2 * k}-theorem": k for k in THEOREM_KS},
+    **{f"s{2 * k}-formula": k for k in WEIGHTS if k % 2 == 0},
     "lomadze-s24": 12,
     "lomadze-s28": 14,
 }
@@ -205,68 +232,22 @@ def formula_table(name: str, precision: int) -> tuple:
     return linear_combination(*FORMULAS[name](precision)).coeffs
 
 
-def _entry(name: str, n: int, precision: int | None, lowest: int = 1):
-    """Entry n >= lowest of the named formula table, at the precision resolved for n."""
-    if n < lowest:
-        raise ValueError(f"n must be >= {lowest}")
-    return formula_table(name, _resolve_precision(n, precision))[n]
-
-
-def theorem_formula(k: int, n: int, precision: int | None = None):
-    """Printed statement for k in ODD_WEIGHTS: (a / 3^((k-1)/2)) rho*_(k-1)(n) + cusp part.
-
-    Uses the literal rho* definition, which the rho-star reports show to be
-    inconsistent with the counts; kept as stated so the discrepancy is
-    measurable.
-    """
-    if k not in ODD_WEIGHTS:
-        raise ValueError(f"no printed theorem for k={k}; supported: {tuple(ODD_WEIGHTS)}")
-    return _entry(f"s{2 * k}-theorem", n, precision)
-
-
-def s24_formula(n: int, precision: int | None = None):
-    """s_24(n) from starred divisor sums, tau, and two boundary convolutions."""
-    return _entry("s24-formula", n, precision)
-
-
-def s28_formula(n: int, precision: int | None = None):
-    """s_28(n) from starred divisor sums, tau convolutions, and two boundary convolutions."""
-    return _entry("s28-formula", n, precision)
-
-
-def lomadze_s24(n: int, precision: int | None = None):
-    """s_24(n) from the starred divisor sum and three F-block finite sums."""
-    return _entry("lomadze-s24", n, precision)
-
-
-def lomadze_s28(n: int, precision: int | None = None):
-    """s_28(n) from the starred divisor sum and three F-block finite sums."""
-    return _entry("lomadze-s28", n, precision)
-
-
 def tau_from_lattice_sums(n: int, precision: int | None = None):
     """Ramanujan tau from finite lattice sums and two divisor convolutions (0 at n = 0)."""
-    return _entry("tau-eq", n, precision, lowest=0)
-
-
-#: Weights 2k for which a closed formula (and a decomposition) is implemented.
-FORMULA_KS = (7, 9, 11, 12, 14)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return formula_table("tau-eq", _resolve_precision(n, precision))[n]
 
 
 def s2k_from_divisor_sums(k: int, n: int, precision: int | None = None):
-    """Per-n scalar formula for s_2k, k in FORMULA_KS.
+    """Per-n scalar formula for s_2k, k in FORMULA_KS: the decomposition series at n >= 1.
 
-    For the odd weights this is a sigma(chi3, 1) + b sigma(1, chi3) + cusp
-    part from ODD_WEIGHTS: the decomposition series at n >= 1, whose
-    Eisenstein coefficients are those twisted sums, so it is read from that
-    series.  The printed rho* restatement is measured separately by the
+    Its Eisenstein coefficients are the divisor sums of the WEIGHTS entry:
+    a sigma(chi3, 1) + b sigma(1, chi3) for odd k, the starred sigma*_(k-1)
+    for even k.  The printed rho* restatement is measured separately by the
     rho-star reports.
     """
-    if k == 12:
-        return s24_formula(n, precision)
-    if k == 14:
-        return s28_formula(n, precision)
-    if k not in ODD_WEIGHTS:
+    if k not in WEIGHTS:
         raise ValueError(f"no closed formula for k={k}; supported: {FORMULA_KS}")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -279,30 +260,9 @@ def s2k_from_divisor_sums(k: int, n: int, precision: int | None = None):
 @grow_only(QSeries.truncate)
 def decomposition(k: int, precision: int) -> QSeries:
     """The basis combination equal to the theta series of F_k, k in FORMULA_KS."""
-    if k in ODD_WEIGHTS:
-        a, b, cusps = ODD_WEIGHTS[k]
-        return linear_combination(
-            (a, forms.eisenstein_twisted(k, CHI3, CHI_TRIVIAL, precision)),
-            (b, forms.eisenstein_twisted(k, CHI_TRIVIAL, CHI3, precision)),
-            *((c, forms.named_form(name, precision).series) for c, name in cusps),
-        )
-    if k == 12:
-        return linear_combination(
-            *_eisenstein_pair(Fraction(1, 730), Fraction(729, 730), 12, precision),
-            (Fraction(29824, 691), _coeffs("delta", precision)),
-            *_eisenstein_times(Fraction(1186848, 50443), 4, "delta_8_3", precision),
-            *_eisenstein_times(Fraction(261344, 50443), 6, "delta_6_3", precision),
-        )
-    if k == 14:
-        return linear_combination(
-            *_eisenstein_pair(-Fraction(1, 2186), Fraction(2187, 2186), 14, precision),
-            *_eisenstein_times(-Fraction(3016, 1093), 8, "delta_6_3", precision),
-            *_eisenstein_times(-Fraction(12448, 1093), 6, "delta_8_3", precision),
-            # the quasimodular (3 E_2(3z) - E_2(z)) / 2 times delta
-            *_eisenstein_times(Fraction(107264, 1093) * Fraction(3, 2), 2, "delta", precision, 3),
-            *_eisenstein_times(Fraction(107264, 1093) * Fraction(-1, 2), 2, "delta", precision),
-        )
-    raise ValueError(f"no decomposition for k={k}; supported: {FORMULA_KS}")
+    if k not in WEIGHTS:
+        raise ValueError(f"no decomposition for k={k}; supported: {FORMULA_KS}")
+    return linear_combination(*_weight_terms(k, precision))
 
 
 # -- reports -------------------------------------------------------------------
@@ -405,11 +365,11 @@ def check_rho_star(ell: int, n_max: int, precision: int | None = None) -> Identi
     k = ell + 1, gives (s_2k(n) - cusp part) 3^(ell/2) / a.
     """
     k = ell + 1
-    if k not in ODD_WEIGHTS:
-        supported = tuple(w - 1 for w in ODD_WEIGHTS)
+    if k not in THEOREM_KS:
+        supported = tuple(w - 1 for w in THEOREM_KS)
         raise ValueError(f"no printed rho* for ell={ell}; supported: {supported}")
     N = _resolve_precision(n_max, precision)
-    f = 3 ** (ell // 2) / ODD_WEIGHTS[k][0]
+    f = 3 ** (ell // 2) / WEIGHTS[k][0]
     forced = linear_combination((f, lattice.s2k_bruteforce(k, N)), *_cusp_terms(k, N, -f))
     return _report(
         f"rho-star-{ell}",
@@ -555,9 +515,9 @@ IDENTITY_BUILDERS = {
             f"s{2 * k}-theorem",
             note="uses the printed rho* definition; mismatches are expected and quantified by the rho-star reports",
         )
-        for k in ODD_WEIGHTS
+        for k in THEOREM_KS
     },
-    **{f"rho-star-{k - 1}": partial(check_rho_star, k - 1) for k in ODD_WEIGHTS},
+    **{f"rho-star-{k - 1}": partial(check_rho_star, k - 1) for k in THEOREM_KS},
     **{
         name: partial(check_against_counts, name)
         for name in ("s24-formula", "s28-formula", "lomadze-s24", "lomadze-s28")
@@ -590,7 +550,10 @@ def verify_all(
     selection="all",
     precision: int | None = None,
 ) -> list[IdentityReport]:
-    """Run the selected identity checks for n = 1..n_max at the given precision (default n_max)."""
+    """Run the selected identity checks for n = 1..n_max at the given precision (default n_max).
+
+    selection is "all", one identity name, or an iterable of names.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if precision is None:
@@ -599,15 +562,14 @@ def verify_all(
         raise PrecisionTooLow(
             f"n_max={n_max} exceeds the working precision {precision}"
         )
-    if selection == "all":
-        names = IDENTITY_NAMES
-    else:
-        names = tuple(selection)
-        unknown = [name for name in names if name not in IDENTITY_BUILDERS]
-        if unknown:
-            raise UnknownIdentity(
-                f"unknown identities {unknown}; known: {', '.join(IDENTITY_NAMES)}"
-            )
+    if isinstance(selection, str):
+        selection = IDENTITY_NAMES if selection == "all" else (selection,)
+    names = tuple(selection)
+    unknown = [name for name in names if name not in IDENTITY_BUILDERS]
+    if unknown:
+        raise UnknownIdentity(
+            f"unknown identities {unknown}; known: {', '.join(IDENTITY_NAMES)}"
+        )
     return [IDENTITY_BUILDERS[name](n_max, precision) for name in names]
 
 

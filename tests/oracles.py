@@ -9,7 +9,7 @@ from math import comb, isqrt
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
 from hexrep.forms import EtaQuotientSpec, eisenstein_classical, eta_quotient, named_form
-from hexrep.identities import DOCUMENTED_DISCREPANCIES, ODD_WEIGHTS, _coeffs, _sigma_product
+from hexrep.identities import DOCUMENTED_DISCREPANCIES, WEIGHTS, _coeffs, _sigma_product
 from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, moment_table, theta_series
 from hexrep.series import QSeries, linear_combination
 
@@ -319,16 +319,16 @@ def tau_direct(n: int, N: int):
 
 
 def _cusp_part_direct(k: int, n: int, N: int):
-    return sum(c * _coeffs(name, N)[n] for c, name in ODD_WEIGHTS[k][2])
+    return sum(c * _coeffs(name, N)[n] for c, name, _, _ in WEIGHTS[k][2])
 
 
 def theorem_direct(k: int, n: int, N: int):
-    return ODD_WEIGHTS[k][0] / 3 ** ((k - 1) // 2) * rho_star(k - 1, n) + _cusp_part_direct(k, n, N)
+    return WEIGHTS[k][0] / 3 ** ((k - 1) // 2) * rho_star(k - 1, n) + _cusp_part_direct(k, n, N)
 
 
 def s2k_odd_direct(k: int, n: int, N: int):
-    """a sigma(chi3, 1) + b sigma(1, chi3) + cusp part, for k in ODD_WEIGHTS."""
-    a, b, _ = ODD_WEIGHTS[k]
+    """a sigma(chi3, 1) + b sigma(1, chi3) + cusp part, for the odd k of WEIGHTS."""
+    a, b, _ = WEIGHTS[k]
     return (
         a * sigma_twisted(k - 1, CHI3, CHI_TRIVIAL, n)
         + b * sigma_twisted(k - 1, CHI_TRIVIAL, CHI3, n)

@@ -71,9 +71,10 @@ def test_criterion_4_newform_identities():
 def test_criterion_5_lomadze_cross_checks():
     ref12 = lattice.s2k_bruteforce(12, N)
     ref14 = lattice.s2k_bruteforce(14, N)
+    s24, s28 = (identities.formula_table(name, N) for name in ("lomadze-s24", "lomadze-s28"))
     for n in range(1, 61):
-        assert identities.lomadze_s24(n, N) == ref12[n]
-        assert identities.lomadze_s28(n, N) == ref14[n]
+        assert s24[n] == ref12[n]
+        assert s28[n] == ref14[n]
     assert lomadze_term(lattice.lomadze_spec("L_10_6"), 2, 1) == -21
     _announce("5 lomadze-formulas", "24- and 28-variable formulas exact for n=1..60")
 

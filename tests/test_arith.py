@@ -14,7 +14,6 @@ from hexrep.arith import (
     CHI_TRIVIAL,
     bernoulli,
     bernoulli_generalized,
-    chi3,
     divisors,
     rho_star,
     rho_star_table,
@@ -28,17 +27,17 @@ from hexrep.series import QSeries
 
 
 def test_chi3_values():
-    assert chi3(1) == 1
-    assert chi3(2) == -1
-    assert chi3(6) == 0
-    assert chi3(-1) == -1  # odd character
-    assert chi3(0) == 0
+    assert CHI3(1) == 1
+    assert CHI3(2) == -1
+    assert CHI3(6) == 0
+    assert CHI3(-1) == -1  # odd character
+    assert CHI3(0) == 0
 
 
 def test_chi3_completely_multiplicative():
     for m in range(1, 501):
         for n in range(1, 501 // m + 1):
-            assert chi3(m * n) == chi3(m) * chi3(n)
+            assert CHI3(m * n) == CHI3(m) * CHI3(n)
 
 
 def test_divisors():

@@ -33,17 +33,12 @@ from hexrep.identities import (
     decomposition,
     e2_delta_convolution,
     formula_table,
-    lomadze_s24,
-    lomadze_s28,
     newform_coeff_identities,
     ramanujan_convolution,
-    s24_formula,
     s28_convolution_identity,
-    s28_formula,
     s2k_from_divisor_sums,
     tau_10_3_2_values,
     tau_from_lattice_sums,
-    theorem_formula,
     verification_passed,
     verify_all,
 )
@@ -170,9 +165,10 @@ def test_formula_tables_against_per_n_oracles():
             table = formula_table(name, precision)
             assert len(table) == precision + 1
             assert table[1:] == tuple(direct(n, precision) for n in range(1, precision + 1)), name
-        for k in identities.ODD_WEIGHTS:
+        for k in identities.WEIGHTS:  # the even k against the typed constants of s24_direct and s28_direct
+            direct = partial(s2k_odd_direct, k) if k % 2 else FORMULAS_DIRECT[f"s{2 * k}-formula"]
             values = [s2k_from_divisor_sums(k, n, precision) for n in range(1, precision + 1)]
-            assert values == [s2k_odd_direct(k, n, precision) for n in range(1, precision + 1)], k
+            assert values == [direct(n, precision) for n in range(1, precision + 1)], k
 
 
 def _lomadze_sum(n, precision=None):
@@ -182,12 +178,7 @@ def _lomadze_sum(n, precision=None):
 #: Every public per-n formula, as f(n, precision).
 PER_N_FORMULAS = (
     _lomadze_sum,
-    s24_formula,
-    s28_formula,
-    lomadze_s24,
-    lomadze_s28,
     tau_from_lattice_sums,
-    *(partial(theorem_formula, k) for k in identities.ODD_WEIGHTS),
     *(partial(s2k_from_divisor_sums, k) for k in identities.FORMULA_KS),
 )
 
@@ -231,7 +222,7 @@ def test_decomposition_constant_terms_are_one():
 
 def test_s14_formula_printed_variant():
     # the printed rho* gives 216/7 at n = 1 while the count is 42
-    assert theorem_formula(7, 1, N) == Fraction(216, 7)
+    assert formula_table("s14-theorem", N)[1] == Fraction(216, 7)
     assert lattice.s2k_bruteforce(7, 1)[1] == 42
     assert decomposition(7, N).coefficient(1) == 42
 
@@ -246,18 +237,20 @@ def test_scalar_formula_path_matches_brute_force():
 def test_s24_s28_formulas():
     ref12 = lattice.s2k_bruteforce(12, N)
     ref14 = lattice.s2k_bruteforce(14, N)
+    s24, s28 = (formula_table(name, N) for name in ("s24-formula", "s28-formula"))
     for n in range(1, 101):
-        assert s24_formula(n, N) == ref12[n]
-        assert s28_formula(n, N) == ref14[n]
-    assert s28_formula(1, N) == 84
+        assert s24[n] == s2k_from_divisor_sums(12, n, N) == ref12[n]
+        assert s28[n] == s2k_from_divisor_sums(14, n, N) == ref14[n]
+    assert s28[1] == 84
 
 
 def test_lomadze_formulas():
     ref12 = lattice.s2k_bruteforce(12, N)
     ref14 = lattice.s2k_bruteforce(14, N)
+    s24, s28 = (formula_table(name, N) for name in ("lomadze-s24", "lomadze-s28"))
     for n in range(1, 61):
-        assert lomadze_s24(n, N) == ref12[n]
-        assert lomadze_s28(n, N) == ref14[n]
+        assert s24[n] == ref12[n]
+        assert s28[n] == ref14[n]
 
 
 def test_tau_from_lattice_sums():
@@ -379,11 +372,6 @@ def test_rho_star_reports():
         assert r.n_max == 50 and len(r.entries) == 50
 
 
-def test_theorem_formula_rejects_unsupported_weights():
-    with pytest.raises(ValueError, match=r"k=8; supported: \(7, 9, 11\)"):
-        theorem_formula(8, 1)
-
-
 def test_rho_star_rejects_unsupported_orders():
     with pytest.raises(ValueError, match=r"ell=7; supported: \(6, 8, 10\)"):
         check_rho_star(7, 5)
@@ -397,6 +385,30 @@ def test_check_against_counts_reads_the_weight_from_the_formula():
         assert report.rhs == lattice.s2k_bruteforce(k, N)[1:6]
         assert identities.IDENTITY_BUILDERS[name].args == (name,)
     assert check_against_counts("s24-formula", 5, N).all_match
+
+
+@pytest.mark.parametrize("k", (12, 14))
+def test_even_weight_formulas_read_the_weights_entry(monkeypatch, k):
+    # one cusp coefficient off by one in its numerator: the decomposition and
+    # the s_2k formula both read it, the oracle's own typed constants do not
+    a, b, ((c, name, j, scale), *rest) = identities.WEIGHTS[k]
+    monkeypatch.setitem(identities.WEIGHTS, k, (a, b, ((Fraction(c.numerator + 1, c.denominator), name, j, scale), *rest)))
+    clear_all()
+    try:
+        reports = verify_all(50, (f"f{k}-decomposition", f"s{2 * k}-formula"))
+        assert all(r.first_mismatch for r in reports)
+        direct = FORMULAS_DIRECT[f"s{2 * k}-formula"]
+        assert [direct(n, 50) for n in range(1, 51)] == list(lattice.s2k_bruteforce(k, 50)[1:])
+    finally:
+        clear_all()  # drop the tables built from the patched entry
+
+
+def test_even_weight_eisenstein_parts_are_the_printed_sigma_star_terms():
+    # a E_k(z) + b E_k(3z) = a + b + a (-2k/B_k) sigma*_(k-1) with b = a (-3)^(k/2)
+    for k, printed in ((12, Fraction(6552, 50443)), (14, Fraction(12, 1093))):
+        a, b, _ = identities.WEIGHTS[k]
+        assert b == a * (-3) ** (k // 2)
+        assert a * -2 * k / arith.bernoulli(k) == printed
 
 
 def test_unknown_formula_names_are_refused():
@@ -523,6 +535,12 @@ def test_verify_all_builds_one_report_per_identity(monkeypatch):
     assert built == [r.name for r in reports] == list(IDENTITY_NAMES)
 
 
+def test_verify_all_takes_one_identity_name_as_a_string():
+    assert verify_all(5, "tau-eq") == verify_all(5, ["tau-eq"])
+    with pytest.raises(UnknownIdentity, match=r"unknown identities \['nope'\]"):
+        verify_all(5, "nope")
+
+
 def test_verify_all_contracts():
     with pytest.raises(PrecisionTooLow):
         verify_all(10_000, "all", 200)
@@ -536,7 +554,7 @@ def test_default_precision_resolution():
     # per-n helpers size their tables to max(n, 200) when not told otherwise
     assert tau_from_lattice_sums(3) == 252
     with pytest.raises(PrecisionTooLow):
-        s24_formula(300, 200)
+        s2k_from_divisor_sums(12, 300, 200)
 
 
 @pytest.mark.slow
