@@ -142,7 +142,6 @@ def eisenstein_classical(k: int, precision: int) -> QSeries:
     return linear_combination((factor, sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, precision))) + 1
 
 
-@grow_only(QSeries.truncate)
 def eisenstein_twisted(
     k: int,
     chi: DirichletCharacter,

@@ -82,12 +82,6 @@ def _resolve_precision(n: int, precision: int | None) -> int:
     return precision
 
 
-@grow_only(prefix)
-def tau_10_3_2_values(precision: int) -> tuple:
-    """Weight-10 coefficient sequence, defined as L_10_6(n) / 120 (exact)."""
-    return linear_combination((Fraction(1, 120), lomadze_values("L_10_6", precision))).coeffs
-
-
 # -- the weights --------------------------------------------------------------
 
 #: F_k = a E + b E' + sum(c E_j(scale z) form) for k in FORMULA_KS, as
@@ -153,7 +147,7 @@ def _weight_terms(k: int, N: int) -> tuple:
     else:  # the constant a + b, and the sigma_(k-1) table at n and at n/3
         c = -2 * k / bernoulli(k)
         sigmas = QSeries._trusted(sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, N))
-        eisenstein = (a + b, QSeries.one(N)), (a * c, sigmas), (b * c, sigmas.scale_argument(3))
+        eisenstein = (a + b, QSeries.one(N).coeffs), (a * c, sigmas.coeffs), (b * c, sigmas.scale_argument(3).coeffs)
     return eisenstein + tuple(
         chain.from_iterable(
             _eisenstein_times(c, j, name, N, scale) if j else ((c, _coeffs(name, N)),)
@@ -172,7 +166,24 @@ def _theorem_terms(k: int, N: int) -> tuple:
     return ((a / 3 ** ((k - 1) // 2), rho_star_table(k - 1, N)), *_cusp_terms(k, N))
 
 
-# -- the per-n formulas, one table each -----------------------------------------
+# -- the two sides of every linear identity ------------------------------------
+
+
+def _counts(k: int, N: int) -> tuple:
+    """The brute-force counts s_2k(0..N), the reference side of every s_2k formula."""
+    return ((1, lattice.s2k_bruteforce(k, N)),)
+
+
+def _named(*terms):
+    """The side sum(c x) over (c, catalog form or finite sum name) terms, as a function of N."""
+    return lambda N: tuple((c, _coeffs(name, N)) for c, name in terms)
+
+
+def _rho_star_forced(ell: int, N: int) -> tuple:
+    """rho*_ell solved from s_2k = (a / 3^(ell/2)) rho*_ell + cusp part, k = ell + 1, and the counts."""
+    k = ell + 1
+    f = 3 ** (ell // 2) / WEIGHTS[k][0]
+    return ((f, lattice.s2k_bruteforce(k, N)), *_cusp_terms(k, N, -f))
 
 
 def _lomadze_s24_terms(N: int) -> tuple:
@@ -206,30 +217,72 @@ def _tau_terms(N: int) -> tuple:
     )
 
 
-#: The terms of each per-n formula, by the name of the identity that checks it.
-FORMULAS = {
-    **{f"s{2 * k}-theorem": partial(_theorem_terms, k) for k in THEOREM_KS},
-    **{f"s{2 * k}-formula": partial(_weight_terms, k) for k in WEIGHTS if k % 2 == 0},
-    "lomadze-s24": _lomadze_s24_terms,
-    "lomadze-s28": _lomadze_s28_terms,
-    "tau-eq": _tau_terms,
-}
+def _ramanujan_rhs(N: int) -> tuple:
+    """(1 - n) tau(n) / 24."""
+    tau = _coeffs("delta", N)
+    return (Fraction(1, 24), tau), (Fraction(-1, 24), _times_n(tau))
 
-#: The k of s_2k that each FORMULAS table gives (every formula but tau-eq).
-FORMULA_K = {
-    **{f"s{2 * k}-theorem": k for k in THEOREM_KS},
-    **{f"s{2 * k}-formula": k for k in WEIGHTS if k % 2 == 0},
-    "lomadze-s24": 12,
-    "lomadze-s28": 14,
+
+#: Each linear identity as name: (lhs, rhs, note); each side maps N to its
+#: ((c, integer table over 0..N), ...) terms, and the identity is the exact
+#: equality of the two combinations at every n >= 1.
+SIDES = {
+    **{
+        f"s{2 * k}-theorem": (
+            partial(_theorem_terms, k),
+            partial(_counts, k),
+            "uses the printed rho* definition; mismatches are expected and quantified by the rho-star reports",
+        )
+        for k in THEOREM_KS
+    },
+    **{
+        f"rho-star-{k - 1}": (
+            lambda N, ell=k - 1: ((1, rho_star_table(ell, N)),),
+            partial(_rho_star_forced, k - 1),
+            "lhs is the printed definition, rhs the value forced by the brute-force counts and the "
+            "cusp coefficients; entries listed under mismatches quantify the difference",
+        )
+        for k in THEOREM_KS
+    },
+    **{f"s{2 * k}-formula": (partial(_weight_terms, k), partial(_counts, k), "") for k in WEIGHTS if k % 2 == 0},
+    "lomadze-s24": (_lomadze_s24_terms, partial(_counts, 12), ""),
+    "lomadze-s28": (_lomadze_s28_terms, partial(_counts, 14), ""),
+    "tau-eq": (_tau_terms, _named((1, "delta")), ""),
+    # the newform coefficient identities scale * sum(c cusp(n)) = m L(n)
+    "newform-w6": (_named((12, "delta_6_3")), _named((1, "L_6_2")), ""),
+    "newform-w7": (_named((30, "delta_7_3")), _named((1, "L_7_3")), ""),
+    "newform-w8": (_named((108, "delta_8_3")), _named((1, "L_8_4")), ""),
+    "newform-w9": (_named((168 * 27, "delta_9_3_1"), (168, "delta_9_3_2")), _named((1, "L_9_5")), ""),
+    "newform-w11": (_named((81, "delta_11_3_1"), (81 * 9, "delta_11_3_2")), _named((5, "L_11_7")), ""),
+    # sum(sigma(a) tau(b), a + b = n) = (1 - n) tau(n) / 24
+    "ramanujan-convolution": (lambda N: ((1, _sigma_product(1, "delta", N)),), _ramanujan_rhs, ""),
+    # the sign of -461/3 follows from the substitution chain and from n = 1,
+    # where every convolution is empty and the right side must vanish
+    "s28-convolution": (
+        lambda N: (
+            (73760, _sigma_product(7, "L_6_2", N)),
+            (-Fraction(194432, 3), _sigma_product(5, "L_8_4", N)),
+            (60336, _sigma_product(3, "L_10_6", N)),
+        ),
+        _named(
+            (-Fraction(461, 3), "L_6_2"),
+            (-Fraction(3472, 27), "L_8_4"),
+            (-Fraction(1257, 5), "L_10_6"),
+            (Fraction(94477, 735), "L_14_10"),
+            (Fraction(864, 245), "L_14_8"),
+            (Fraction(144, 175), "L_14_6"),
+        ),
+        "right-hand L_6_2 coefficient is -461/3 (sign fixed by the empty-sum case n = 1)",
+    ),
 }
 
 
 @grow_only(prefix)
 def formula_table(name: str, precision: int) -> tuple:
-    """The named formula's values at n = 0..precision: one exact combination of integer tables."""
-    if name not in FORMULAS:
-        raise UnknownIdentity(f"unknown formula {name!r}; known: {', '.join(FORMULAS)}")
-    return linear_combination(*FORMULAS[name](precision)).coeffs
+    """The lhs of the named SIDES identity at n = 0..precision: one exact combination of integer tables."""
+    if name not in SIDES:
+        raise UnknownIdentity(f"no term lists for {name!r}; known: {', '.join(SIDES)}")
+    return linear_combination(*SIDES[name][0](precision)).coeffs
 
 
 def tau_from_lattice_sums(n: int, precision: int | None = None):
@@ -350,91 +403,33 @@ def check_decomposition(k: int, n_max: int, precision: int | None = None) -> Ide
     )
 
 
-def check_against_counts(name: str, n_max: int, precision: int | None = None, note: str = "") -> IdentityReport:
-    """The FORMULAS table of that name against the brute-force counts s_2k, k = FORMULA_K[name]."""
-    if name not in FORMULA_K:
-        raise UnknownIdentity(f"no s_2k formula {name!r}; known: {', '.join(FORMULA_K)}")
+def check(name: str, n_max: int, precision: int | None = None) -> IdentityReport:
+    """The named SIDES identity: its two term lists combined over n = 0..N, compared at n = 1..n_max."""
     N = _resolve_precision(n_max, precision)
-    return _report(name, n_max, formula_table(name, N), lattice.s2k_bruteforce(FORMULA_K[name], N), note)
+    lhs = formula_table(name, N)  # refuses a name not in SIDES
+    _, rhs, note = SIDES[name]
+    return _report(name, n_max, lhs, linear_combination(*rhs(N)).coeffs, note)
 
 
-def check_rho_star(ell: int, n_max: int, precision: int | None = None) -> IdentityReport:
-    """Printed rho*_ell against the value the decomposition forces from the counts.
-
-    Solving s_2k(n) = (a / 3^(ell/2)) rho*_ell(n) + cusp part for rho*, with
-    k = ell + 1, gives (s_2k(n) - cusp part) 3^(ell/2) / a.
-    """
-    k = ell + 1
-    if k not in THEOREM_KS:
-        supported = tuple(w - 1 for w in THEOREM_KS)
-        raise ValueError(f"no printed rho* for ell={ell}; supported: {supported}")
+def newform_w10(n_max: int, precision: int | None = None) -> IdentityReport:
+    """The weight-10 newform identity: L_10_6(n) is divisible by 120."""
     N = _resolve_precision(n_max, precision)
-    f = 3 ** (ell // 2) / WEIGHTS[k][0]
-    forced = linear_combination((f, lattice.s2k_bruteforce(k, N)), *_cusp_terms(k, N, -f))
     return _report(
-        f"rho-star-{ell}",
+        "newform-w10",
         n_max,
-        rho_star_table(ell, N),
-        forced.coeffs,
+        tuple(v % 120 for v in lomadze_values("L_10_6", N)[: n_max + 1]),
+        (0,) * (n_max + 1),
         note=(
-            "lhs is the printed definition, rhs the value forced by the "
-            "brute-force counts and the cusp coefficients; entries listed "
-            "under mismatches quantify the difference"
+            "the weight-10 coefficients are defined as L_10_6(n)/120, so "
+            "exact divisibility by 120 is the verifiable content here; the "
+            "values themselves are exercised by the convolution identities"
         ),
     )
 
 
-def check_tau_eq(n_max: int, precision: int | None = None) -> IdentityReport:
-    """The lattice-sum expression for tau against the eta-power expansion."""
-    N = _resolve_precision(n_max, precision)
-    return _report("tau-eq", n_max, formula_table("tau-eq", N), _coeffs("delta", N))
-
-
-#: The newform coefficient identities, weights 6 to 11.
-NEWFORM_NAMES = tuple(f"newform-w{w}" for w in range(6, 12))
-
-#: scale * sum(c * cusp(n)) = m * L(n), as (scale, ((c, cusp form name), ...), m, sum name);
-#: weight 10 has no independent cusp expansion and is checked on its own.
-NEWFORM_SUMS = {
-    "newform-w6": (12, ((1, "delta_6_3"),), 1, "L_6_2"),
-    "newform-w7": (30, ((1, "delta_7_3"),), 1, "L_7_3"),
-    "newform-w8": (108, ((1, "delta_8_3"),), 1, "L_8_4"),
-    "newform-w9": (168, ((27, "delta_9_3_1"), (1, "delta_9_3_2")), 1, "L_9_5"),
-    "newform-w11": (81, ((1, "delta_11_3_1"), (9, "delta_11_3_2")), 5, "L_11_7"),
-}
-
-
-def check_newform(name: str, n_max: int, precision: int | None = None) -> IdentityReport:
-    """One coefficient identity tying a cusp expansion to a finite sum."""
-    N = _resolve_precision(n_max, precision)
-    if name == "newform-w10":
-        return _report(
-            name,
-            n_max,
-            tuple(v % 120 for v in lomadze_values("L_10_6", N)[: n_max + 1]),
-            (0,) * (n_max + 1),
-            note=(
-                "the weight-10 coefficients are defined as L_10_6(n)/120, so "
-                "exact divisibility by 120 is the verifiable content here; the "
-                "values themselves are exercised by the convolution identities"
-            ),
-        )
-    scale, cusps, m, sum_name = NEWFORM_SUMS[name]
-    lhs = linear_combination(*((scale * c, _coeffs(form, N)) for c, form in cusps))
-    return _report(name, n_max, lhs.coeffs, linear_combination((m, lomadze_values(sum_name, N))).coeffs)
-
-
 def newform_coeff_identities(n_max: int, precision: int | None = None) -> list[IdentityReport]:
     """The six coefficient identities tying cusp expansions to finite sums."""
-    return [check_newform(name, n_max, precision) for name in NEWFORM_NAMES]
-
-
-def ramanujan_convolution(n_max: int, precision: int | None = None) -> IdentityReport:
-    """sum(sigma(a) tau(b), a + b = n) = (1 - n) tau(n) / 24, exactly."""
-    N = _resolve_precision(n_max, precision)
-    tau = _coeffs("delta", N)
-    rhs = linear_combination((Fraction(1, 24), tau), (Fraction(-1, 24), _times_n(tau)))
-    return _report("ramanujan-convolution", n_max, _sigma_product(1, "delta", N), rhs.coeffs)
+    return verify_all(n_max, [f"newform-w{w}" for w in range(6, 12)], precision)
 
 
 def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityReport:
@@ -451,7 +446,7 @@ def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityRe
         (Fraction(-1, 72), _times_n(tau)),
         (-Fraction(1, 576), _coeffs("delta_6_3", N)),
         (-Fraction(1, 96), _coeffs("delta_8_3", N)),
-        (-Fraction(1, 64), tau_10_3_2_values(N)),
+        (-Fraction(1, 64 * 120), lomadze_values("L_10_6", N)),
     )
 
     # (c, r, x) for each c sum(sigma_r(a) x[b]), a + b = n; tau_10_3_2 is L_10_6 / 120
@@ -475,59 +470,17 @@ def e2_delta_convolution(n_max: int, precision: int | None = None) -> IdentityRe
     return IdentityReport("e2-delta-convolution", n_max, lhs, values, note=note)
 
 
-def s28_convolution_identity(n_max: int, precision: int | None = None) -> IdentityReport:
-    """Three divisor convolutions of finite sums against six finite sums.
-
-    The first term on the right enters with coefficient -461/3: that sign
-    follows from the substitution chain and the n = 1 evaluation, where all
-    convolutions are empty and the right side must vanish.
-    """
-    N = _resolve_precision(n_max, precision)
-    lhs = linear_combination(
-        (73760, _sigma_product(7, "L_6_2", N)),
-        (-Fraction(194432, 3), _sigma_product(5, "L_8_4", N)),
-        (60336, _sigma_product(3, "L_10_6", N)),
-    )
-    rhs = linear_combination(
-        (-Fraction(461, 3), lomadze_values("L_6_2", N)),
-        (-Fraction(3472, 27), lomadze_values("L_8_4", N)),
-        (-Fraction(1257, 5), lomadze_values("L_10_6", N)),
-        (Fraction(94477, 735), lomadze_values("L_14_10", N)),
-        (Fraction(864, 245), lomadze_values("L_14_8", N)),
-        (Fraction(144, 175), lomadze_values("L_14_6", N)),
-    )
-    return _report(
-        "s28-convolution",
-        n_max,
-        lhs.coeffs,
-        rhs.coeffs,
-        note="right-hand L_6_2 coefficient is -461/3 (sign fixed by the empty-sum case n = 1)",
-    )
-
-
 # -- the registry and the full run ----------------------------------------------
 
-IDENTITY_BUILDERS = {
-    **{f"f{k}-decomposition": partial(check_decomposition, k) for k in FORMULA_KS},
-    **{
-        f"s{2 * k}-theorem": partial(
-            check_against_counts,
-            f"s{2 * k}-theorem",
-            note="uses the printed rho* definition; mismatches are expected and quantified by the rho-star reports",
-        )
-        for k in THEOREM_KS
-    },
-    **{f"rho-star-{k - 1}": partial(check_rho_star, k - 1) for k in THEOREM_KS},
-    **{
-        name: partial(check_against_counts, name)
-        for name in ("s24-formula", "s28-formula", "lomadze-s24", "lomadze-s28")
-    },
-    "tau-eq": check_tau_eq,
-    **{name: partial(check_newform, name) for name in NEWFORM_NAMES},
-    "ramanujan-convolution": ramanujan_convolution,
-    "e2-delta-convolution": e2_delta_convolution,
-    "s28-convolution": s28_convolution_identity,
-}
+#: Every report builder, in report order: the decompositions, then each SIDES
+#: identity, with the two other special reports after the identity they follow.
+IDENTITY_BUILDERS = {f"f{k}-decomposition": partial(check_decomposition, k) for k in FORMULA_KS}
+for _name in SIDES:
+    IDENTITY_BUILDERS[_name] = partial(check, _name)
+    if _name == "newform-w9":
+        IDENTITY_BUILDERS["newform-w10"] = newform_w10
+    elif _name == "ramanujan-convolution":
+        IDENTITY_BUILDERS["e2-delta-convolution"] = e2_delta_convolution
 
 IDENTITY_NAMES = tuple(IDENTITY_BUILDERS)
 

@@ -336,7 +336,7 @@ def s2k_odd_direct(k: int, n: int, N: int):
     )
 
 
-#: The per-n oracle of each table in ``identities.FORMULAS``, by name.
+#: The per-n oracle of the lhs table of each s_2k formula and of tau-eq, by ``identities.SIDES`` name.
 FORMULAS_DIRECT = {
     "s14-theorem": lambda n, N: theorem_direct(7, n, N),
     "s18-theorem": lambda n, N: theorem_direct(9, n, N),

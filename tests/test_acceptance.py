@@ -80,12 +80,12 @@ def test_criterion_5_lomadze_cross_checks():
 
 
 def test_criterion_6_convolution_identities():
-    r1 = identities.ramanujan_convolution(200, N)
+    r1 = identities.check("ramanujan-convolution", 200, N)
     assert r1.all_match, r1.first_mismatch
     r2 = identities.e2_delta_convolution(150, N)
     assert r2.all_match, r2.first_mismatch
     assert r2.note  # records which index convention held
-    r3 = identities.s28_convolution_identity(100, N)
+    r3 = identities.check("s28-convolution", 100, N)
     assert r3.all_match, r3.first_mismatch
     _announce(
         "6 convolutions",

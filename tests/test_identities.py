@@ -1,9 +1,11 @@
 """The closed-form identities, their reports, and the verification run."""
 
+import ast
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from memos import clear_all
@@ -27,17 +29,13 @@ from hexrep.identities import (
     _eisenstein_times,
     _sigma_product,
     _with_zero,
-    check_against_counts,
+    check,
     check_decomposition,
-    check_rho_star,
     decomposition,
     e2_delta_convolution,
     formula_table,
     newform_coeff_identities,
-    ramanujan_convolution,
-    s28_convolution_identity,
     s2k_from_divisor_sums,
-    tau_10_3_2_values,
     tau_from_lattice_sums,
     verification_passed,
     verify_all,
@@ -158,7 +156,7 @@ def test_e2_delta_terms_against_quasimodular_product():
 
 
 def test_formula_tables_against_per_n_oracles():
-    assert set(FORMULAS_DIRECT) == set(identities.FORMULAS)
+    assert set(FORMULAS_DIRECT) < set(identities.SIDES)
     clear_all()
     for precision in (50, 300):  # built at 50, then grown
         for name, direct in FORMULAS_DIRECT.items():
@@ -277,15 +275,15 @@ def test_newform_identities():
 
 
 def test_weight_ten_values_are_integers():
-    values = tau_10_3_2_values(N)
-    assert values[1] == 1
-    assert all(isinstance(v, int) for v in values)
+    # the weight-10 coefficients are L_10_6(n) / 120
     l106 = lattice.lomadze_values("L_10_6", N)
+    assert l106[1] == 120  # value 1 at n = 1
+    assert all(isinstance(v, int) for v in l106)
     assert all(v % 120 == 0 for v in l106)
 
 
 def test_ramanujan_convolution():
-    report = ramanujan_convolution(200, N)
+    report = check("ramanujan-convolution", 200, N)
     assert report.all_match
     # two-term evaluation at n = 2
     assert report.lhs[1] == 1 and report.rhs[1] == 1
@@ -355,15 +353,13 @@ def test_e2_delta_convolution_fallback_notes(monkeypatch):
 
 
 def test_s28_convolution_identity():
-    report = s28_convolution_identity(100, N)
+    report = check("s28-convolution", 100, N)
     assert report.all_match
     assert report.lhs[0] == 0 and report.rhs[0] == 0  # all sums empty at n = 1
 
 
 def test_rho_star_reports():
-    r6 = check_rho_star(6, 50, N)
-    r8 = check_rho_star(8, 50, N)
-    r10 = check_rho_star(10, 50, N)
+    r6, r8, r10 = (check(f"rho-star-{ell}", 50, N) for ell in (6, 8, 10))
     assert r6.mismatches[0] == (1, 0, 26)
     assert r8.mismatches[0] == (1, 162, 82)
     assert r10.mismatches[0] == (1, 0, 242)
@@ -372,19 +368,33 @@ def test_rho_star_reports():
         assert r.n_max == 50 and len(r.entries) == 50
 
 
-def test_rho_star_rejects_unsupported_orders():
-    with pytest.raises(ValueError, match=r"ell=7; supported: \(6, 8, 10\)"):
-        check_rho_star(7, 5)
+#: The k of s_2k that each formula's report compares against the counts.
+FORMULA_K = {
+    "s14-theorem": 7,
+    "s18-theorem": 9,
+    "s22-theorem": 11,
+    "s24-formula": 12,
+    "s28-formula": 14,
+    "lomadze-s24": 12,
+    "lomadze-s28": 14,
+}
 
 
-def test_check_against_counts_reads_the_weight_from_the_formula():
-    assert set(identities.FORMULA_K) == set(identities.FORMULAS) - {"tau-eq"}
-    for name, k in identities.FORMULA_K.items():
-        report = check_against_counts(name, 5, N)
+def test_formula_reports_compare_with_their_own_counts():
+    for name, k in FORMULA_K.items():
+        report = check(name, 5, N)
         assert report.name == name
         assert report.rhs == lattice.s2k_bruteforce(k, N)[1:6]
-        assert identities.IDENTITY_BUILDERS[name].args == (name,)
-    assert check_against_counts("s24-formula", 5, N).all_match
+    assert check("s24-formula", 5, N).all_match
+
+
+def test_every_sides_entry_is_built_by_check():
+    special = {"newform-w10", "e2-delta-convolution"} | {f"f{k}-decomposition" for k in identities.FORMULA_KS}
+    assert set(IDENTITY_NAMES) == set(identities.SIDES) | special
+    assert len(identities.SIDES) == 18
+    for name in identities.SIDES:
+        builder = identities.IDENTITY_BUILDERS[name]
+        assert (builder.func, builder.args) == (check, (name,))
 
 
 @pytest.mark.parametrize("k", (12, 14))
@@ -411,12 +421,68 @@ def test_even_weight_eisenstein_parts_are_the_printed_sigma_star_terms():
         assert a * -2 * k / arith.bernoulli(k) == printed
 
 
-def test_unknown_formula_names_are_refused():
-    for name in ("tau-eq", "nope"):
-        with pytest.raises(UnknownIdentity, match=rf"formula '{name}'; known: s14-theorem, .*, lomadze-s28$"):
-            check_against_counts(name, 5, N)
-    with pytest.raises(UnknownIdentity, match=r"formula 'nope'; known: s14-theorem, .*, tau-eq$"):
-        formula_table("nope", 5)
+def test_names_without_term_lists_are_refused():
+    # rho-star-7 and newform-w12 do not exist, f7-decomposition is a report without term lists
+    for name in ("rho-star-7", "newform-w12", "f7-decomposition", "nope"):
+        message = rf"no term lists for '{name}'; known: s14-theorem, .*, newform-w9, newform-w11, .*, s28-convolution$"
+        with pytest.raises(UnknownIdentity, match=message):
+            check(name, 5, N)
+        with pytest.raises(UnknownIdentity, match=message):
+            formula_table(name, 5)
+
+
+def test_sides_are_term_lists_that_check_combines():
+    for name, (lhs, rhs, note) in identities.SIDES.items():
+        combined = []
+        for side in (lhs, rhs):
+            terms = side(40)
+            assert type(terms) is tuple and terms, name
+            for c, table in terms:
+                assert type(c) in (int, Fraction), name
+                assert type(table) is tuple and len(table) == 41, name
+                assert all(type(v) is int for v in table), name
+            combined.append(linear_combination(*terms).coeffs[1:])
+        report = check(name, 40)
+        assert (report.lhs, report.rhs, report.note) == (*combined, note), name
+
+
+def _replace_coefficient(side, old, new):
+    return lambda N: tuple((new if c == old else c, table) for c, table in side(N))
+
+
+@pytest.mark.parametrize(
+    "name, side, old, new",
+    (("s28-convolution", 1, -Fraction(461, 3), -Fraction(460, 3)), ("newform-w9", 0, 168 * 27, 168 * 28)),
+)
+def test_one_changed_constant_fails_only_its_own_report(monkeypatch, name, side, old, new):
+    sides = list(identities.SIDES[name])
+    assert old in [c for c, _ in sides[side](50)]
+    sides[side] = _replace_coefficient(sides[side], old, new)
+    monkeypatch.setitem(identities.SIDES, name, tuple(sides))
+    clear_all()  # stored lhs tables were built from the printed constants
+    try:
+        reports = verify_all(50)
+        assert {r.name for r in reports if not r.all_match} == DOCUMENTED_DISCREPANCIES | {name}
+    finally:
+        clear_all()
+
+
+def test_every_identities_function_is_referenced_in_src():
+    package = Path(identities.__file__).parent
+    defined = {
+        node.name for node in ast.parse(Path(identities.__file__).read_text()).body if isinstance(node, ast.FunctionDef)
+    }
+    referenced = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    # the benchmark's tracer wraps newform_coeff_identities by name
+    assert defined - referenced == {"newform_coeff_identities"}
 
 
 def test_theorem_reports_are_documented_mismatches():
@@ -427,7 +493,7 @@ def test_theorem_reports_are_documented_mismatches():
 
 
 def test_report_structure():
-    report = ramanujan_convolution(25, N)
+    report = check("ramanujan-convolution", 25, N)
     assert report.n_max == 25
     assert len(report.entries) == 25
     assert report.entries[0][0] == 1

@@ -18,14 +18,12 @@ from hexrep.series import QSeries, grow_only, prefix
 MEMOIZED = {
     "hexrep.arith.sigma_table",
     "hexrep.forms.eisenstein_classical",
-    "hexrep.forms.eisenstein_twisted",
     "hexrep.forms.named_form",
     "hexrep.lattice._f1_moment_rows",
     "hexrep.lattice.theta_series",
     "hexrep.lattice.moment_table",
     "hexrep.lattice.lomadze_values",
     "hexrep.identities._sigma_product",
-    "hexrep.identities.tau_10_3_2_values",
     "hexrep.identities.decomposition",
     "hexrep.identities.formula_table",
 }
@@ -34,14 +32,12 @@ MEMOIZED = {
 QUANTITIES = (
     (arith.sigma_table, (6, CHI_TRIVIAL, CHI3), {}),
     (forms.eisenstein_classical, (4,), {}),
-    (forms.eisenstein_twisted, (7, CHI3, CHI_TRIVIAL), {}),
     (forms.named_form, ("delta_7_3",), {}),
     (lattice._f1_moment_rows, (), {}),
     (lattice.theta_series, (3,), {}),
     (lattice.moment_table, (2, 4), {}),
     (lattice.lomadze_values, ("L_6_2",), {}),
     (identities._sigma_product, (1, "delta"), {"scale": 3}),
-    (identities.tau_10_3_2_values, (), {}),
     (identities.decomposition, (7,), {}),
     (identities.formula_table, ("s28-formula",), {}),
 )
