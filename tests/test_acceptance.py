@@ -42,7 +42,7 @@ def test_criterion_1_theta_oracle():
 
 def test_criterion_2_decompositions():
     for k in (7, 9, 11, 12, 14):
-        report = identities.check_decomposition(k, N, N)
+        report = identities.check(f"f{k}-decomposition", N, N)
         assert report.all_match, f"decomposition k={k}: {report.first_mismatch}"
         assert report.constant_term == (1, 1)
     _announce("2 decompositions", "F7/F9/F11/F12/F14 equal brute force for n=0..200")
@@ -82,7 +82,7 @@ def test_criterion_5_lomadze_cross_checks():
 def test_criterion_6_convolution_identities():
     r1 = identities.check("ramanujan-convolution", 200, N)
     assert r1.all_match, r1.first_mismatch
-    r2 = identities.e2_delta_convolution(150, N)
+    r2 = identities.check("e2-delta-convolution", 150, N)
     assert r2.all_match, r2.first_mismatch
     assert r2.note  # records which index convention held
     r3 = identities.check("s28-convolution", 100, N)

@@ -1,6 +1,7 @@
 """The closed-form identities, their reports, and the verification run."""
 
 import ast
+import importlib.util
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,7 +12,6 @@ import pytest
 from memos import clear_all
 from oracles import (
     FORMULAS_DIRECT,
-    SIGMA_AT_ZERO,
     conv_direct,
     eisenstein_times_form,
     quasimodular_combination,
@@ -30,9 +30,7 @@ from hexrep.identities import (
     _sigma_product,
     _with_zero,
     check,
-    check_decomposition,
     decomposition,
-    e2_delta_convolution,
     formula_table,
     newform_coeff_identities,
     s2k_from_divisor_sums,
@@ -85,7 +83,6 @@ CONVOLUTIONS = (
     (3, "L_8_4", False, 1),
     (5, "L_6_2", False, 1),
     (3, "L_10_6", False, 1),
-    (3, "L_10_6", True, 1),
     (7, "L_6_2", False, 1),
     (5, "L_8_4", False, 1),
 )
@@ -103,10 +100,10 @@ def test_conv_against_per_n_oracle(power, name, with_zero, scale):
         assert _sigma_product(power, name, 100, scale=scale) == expected
 
 
-def record_convolutions(monkeypatch, product=None) -> list:
-    """Log each sum the identities take as (power, name, with_zero, scale); product stands in for the memo."""
+def record_convolutions(monkeypatch) -> list:
+    """Log each sum the identities take as (power, name, with_zero, scale)."""
     log, inside = [], []
-    product = product or identities._sigma_product
+    product = identities._sigma_product
     with_zero = identities._with_zero
 
     def recording_product(power, name, precision, scale=1):
@@ -128,12 +125,10 @@ def record_convolutions(monkeypatch, product=None) -> list:
 
 
 def test_convolution_list_is_complete(monkeypatch):
-    clear_all()  # stored formula tables and decompositions would answer without a convolution
+    clear_all()  # stored formula tables would answer without a convolution
     seen = record_convolutions(monkeypatch)
     verify_all(10, "all", 10)
-    # e2-delta-convolution takes its 0-inclusive sums only when the plain
-    # convention fails; of those, only (3, L_10_6) is taken nowhere else
-    assert set(seen) == set(CONVOLUTIONS) - {(3, "L_10_6", True, 1)}
+    assert set(seen) == set(CONVOLUTIONS)
 
 
 @pytest.mark.parametrize("k, name", ((4, "delta_8_3"), (6, "delta_6_3"), (8, "delta_6_3"), (6, "delta_8_3")))
@@ -213,7 +208,7 @@ def test_decompositions_equal_brute_force():
 def test_decomposition_constant_terms_are_one():
     # resolved question: the combinations hold at q^0 as well
     for k in (7, 9, 11, 12, 14):
-        report = check_decomposition(k, 10, N)
+        report = check(f"f{k}-decomposition", 10, N)
         assert report.constant_term == (1, 1)
         assert report.constant_term_matches
 
@@ -301,7 +296,7 @@ def test_ramanujan_convolution_series_oracle():
 
 
 def test_e2_delta_convolution():
-    report = e2_delta_convolution(150, N)
+    report = check("e2-delta-convolution", 150, N)
     assert report.all_match
     assert "a, b >= 1" in report.note
     assert report.lhs[0] == 0 and report.lhs[1] == 0  # empty sums at n = 1, 2
@@ -312,44 +307,29 @@ def test_e2_delta_lhs_against_series_product():
     scaled = forms.eisenstein_classical(2, 150).scale_argument(3)
     delta = forms.named_form("delta", 150).series
     product = scaled * delta
-    report = e2_delta_convolution(150, N)
+    report = check("e2-delta-convolution", 150, N)
     for n in range(1, 151):
         assert product.coefficient(n) == delta.coefficient(n) - 24 * report.lhs[n - 1]
 
 
-def test_e2_delta_convolution_fallback_notes(monkeypatch):
-    product = identities._sigma_product
-    assert e2_delta_convolution(30, N).note == "inner sums taken over a, b >= 1; no boundary terms needed"
-
-    def swapped(power, name, precision, scale=1):
-        # the right side's sums (powers 3, 5, 7) trade conventions: each loses its
-        # a = 0 term, which only the 0-inclusive convention puts back
-        table = product(power, name, precision, scale=scale)
-        if power == 1:
-            return table
-        return linear_combination((1, table), (-SIGMA_AT_ZERO[power], identities._coeffs(name, precision))).coeffs
-
-    monkeypatch.setattr(identities, "_sigma_product", swapped)
-    report = e2_delta_convolution(30, N)
-    assert report.all_match
-    assert report.note == (
-        "inner sums over a, b >= 1 fail; the identity holds under the "
-        "0-inclusive convention with the stated boundary constants"
+def test_e2_delta_convolution_takes_its_inner_sums_over_a_b_at_least_one():
+    # the 0-inclusive convention adds sigma_r(0) x[n] to each inner sum, which
+    # already breaks the identity at n = 1, where every sum over a, b >= 1 is empty
+    tau = identities._coeffs("delta", 30)
+    fixed = (
+        (Fraction(3, 72), tau),
+        (Fraction(-1, 72), tuple(n * v for n, v in enumerate(tau))),
+        (-Fraction(1, 576), identities._coeffs("delta_6_3", 30)),
+        (-Fraction(1, 96), identities._coeffs("delta_8_3", 30)),
+        (-Fraction(1, 64 * 120), lattice.lomadze_values("L_10_6", 30)),
     )
-
-    def broken(power, name, precision, scale=1):
-        table = product(power, name, precision, scale=scale)
-        return tuple(v + (power > 1) for v in table)
-
-    requested = record_convolutions(monkeypatch, broken)
-    report = e2_delta_convolution(30, N)
-    assert not report.all_match
-    # each convention's right side is built once, the left side once
-    assert sorted((p, z) for p, _, z, _ in requested) == [(1, False)] + [(p, z) for p in (3, 5, 7) for z in (False, True)]
-    # the values shown are the plain ones, each off by the added 1 in its three sums
-    shift = -Fraction(5, 6) + Fraction(21, 4) - Fraction(15, 4) / 120
-    assert report.rhs == tuple(v + shift for v in report.lhs)
-    assert report.note == "neither index convention reproduces the left side; values shown use a, b >= 1"
+    sums = ((-Fraction(5, 6), 7, "delta_6_3"), (Fraction(21, 4), 5, "delta_8_3"), (-Fraction(15, 4) / 120, 3, "L_10_6"))
+    with_zero = linear_combination(*fixed, *(term for c, r, name in sums for term in _with_zero(c, r, name, 30)))
+    lhs = _sigma_product(1, "delta", 30, scale=3)
+    assert lhs[1] == 0 != with_zero.coeffs[1]
+    report = check("e2-delta-convolution", 150)
+    assert report.all_match
+    assert report.note == "inner sums taken over a, b >= 1; no boundary terms needed"
 
 
 def test_s28_convolution_identity():
@@ -389,9 +369,8 @@ def test_formula_reports_compare_with_their_own_counts():
 
 
 def test_every_sides_entry_is_built_by_check():
-    special = {"newform-w10", "e2-delta-convolution"} | {f"f{k}-decomposition" for k in identities.FORMULA_KS}
-    assert set(IDENTITY_NAMES) == set(identities.SIDES) | special
-    assert len(identities.SIDES) == 18
+    assert IDENTITY_NAMES == tuple(identities.SIDES)
+    assert len(identities.SIDES) == 25
     for name in identities.SIDES:
         builder = identities.IDENTITY_BUILDERS[name]
         assert (builder.func, builder.args) == (check, (name,))
@@ -422,9 +401,12 @@ def test_even_weight_eisenstein_parts_are_the_printed_sigma_star_terms():
 
 
 def test_names_without_term_lists_are_refused():
-    # rho-star-7 and newform-w12 do not exist, f7-decomposition is a report without term lists
-    for name in ("rho-star-7", "newform-w12", "f7-decomposition", "nope"):
-        message = rf"no term lists for '{name}'; known: s14-theorem, .*, newform-w9, newform-w11, .*, s28-convolution$"
+    # rho-star-7 and newform-w12 do not exist
+    for name in ("rho-star-7", "newform-w12", "nope"):
+        message = (
+            rf"no term lists for '{name}'; known: f7-decomposition, .*, s14-theorem, .*, "
+            r"newform-w9, newform-w10, newform-w11, .*, s28-convolution$"
+        )
         with pytest.raises(UnknownIdentity, match=message):
             check(name, 5, N)
         with pytest.raises(UnknownIdentity, match=message):
@@ -432,7 +414,9 @@ def test_names_without_term_lists_are_refused():
 
 
 def test_sides_are_term_lists_that_check_combines():
-    for name, (lhs, rhs, note) in identities.SIDES.items():
+    decompositions = {f"f{k}-decomposition" for k in identities.FORMULA_KS}
+    assert {name for name, sides in identities.SIDES.items() if sides.at_zero} == decompositions
+    for name, (lhs, rhs, note, _) in identities.SIDES.items():
         combined = []
         for side in (lhs, rhs):
             terms = side(40)
@@ -444,6 +428,7 @@ def test_sides_are_term_lists_that_check_combines():
             combined.append(linear_combination(*terms).coeffs[1:])
         report = check(name, 40)
         assert (report.lhs, report.rhs, report.note) == (*combined, note), name
+        assert report.constant_term == ((1, 1) if name in decompositions else None), name
 
 
 def _replace_coefficient(side, old, new):
@@ -452,7 +437,11 @@ def _replace_coefficient(side, old, new):
 
 @pytest.mark.parametrize(
     "name, side, old, new",
-    (("s28-convolution", 1, -Fraction(461, 3), -Fraction(460, 3)), ("newform-w9", 0, 168 * 27, 168 * 28)),
+    (
+        ("s28-convolution", 1, -Fraction(461, 3), -Fraction(460, 3)),
+        ("newform-w9", 0, 168 * 27, 168 * 28),
+        ("e2-delta-convolution", 1, Fraction(21, 4), Fraction(22, 4)),
+    ),
 )
 def test_one_changed_constant_fails_only_its_own_report(monkeypatch, name, side, old, new):
     sides = list(identities.SIDES[name])
@@ -467,22 +456,40 @@ def test_one_changed_constant_fails_only_its_own_report(monkeypatch, name, side,
         clear_all()
 
 
-def test_every_identities_function_is_referenced_in_src():
+def test_every_src_function_is_referenced_in_src():
+    # a module-level function that only its own def and the re-export in
+    # hexrep/__init__.py name is kept alive by the benchmark tracer's WRAPPED table
     package = Path(identities.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     defined = {
-        node.name for node in ast.parse(Path(identities.__file__).read_text()).body if isinstance(node, ast.FunctionDef)
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
     }
     referenced = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and module != "__init__":
                 referenced.add(node.name)
-    # the benchmark's tracer wraps newform_coeff_identities by name
-    assert defined - referenced == {"newform_coeff_identities"}
+    unreferenced = {(module, name) for module, name in defined if name not in referenced}
+    assert unreferenced == {
+        ("arith", "rho_star"),
+        ("arith", "sigma_star"),
+        ("arith", "sigma_twisted"),
+        ("forms", "eisenstein_twisted"),
+        ("forms", "eta_quotient"),
+        ("lattice", "lomadze_sum"),
+        ("identities", "newform_coeff_identities"),
+    }
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", package.parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert unreferenced <= {(module, attr) for module, attr, _ in tracer.WRAPPED}
 
 
 def test_theorem_reports_are_documented_mismatches():
@@ -614,6 +621,10 @@ def test_verify_all_contracts():
         verify_all(10, ("no-such-identity",), N)
     reports = verify_all(0, ("tau-eq",), N)
     assert reports[0].n_max == 0 and reports[0].all_match
+    for name in ("tau-eq", "f7-decomposition", "e2-delta-convolution"):
+        for precision in (None, N):
+            with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+                check(name, -1, precision)
 
 
 def test_default_precision_resolution():

@@ -24,7 +24,6 @@ MEMOIZED = {
     "hexrep.lattice.moment_table",
     "hexrep.lattice.lomadze_values",
     "hexrep.identities._sigma_product",
-    "hexrep.identities.decomposition",
     "hexrep.identities.formula_table",
 }
 
@@ -38,7 +37,6 @@ QUANTITIES = (
     (lattice.moment_table, (2, 4), {}),
     (lattice.lomadze_values, ("L_6_2",), {}),
     (identities._sigma_product, (1, "delta"), {"scale": 3}),
-    (identities.decomposition, (7,), {}),
     (identities.formula_table, ("s28-formula",), {}),
 )
 
