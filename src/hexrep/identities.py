@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 
 from . import forms, lattice
 from .arith import CHI3, CHI_TRIVIAL, bernoulli, bernoulli_generalized, rho_star_table, sigma_star_table, sigma_table
@@ -27,51 +26,51 @@ class UnknownIdentity(ValueError):
     """Identity name not in the registry."""
 
 
-# -- divisor convolutions ------------------------------------------------------
+# -- sources: the integer tables every identity combines ------------------------
 
-
-def _coeffs(name: str, precision: int) -> tuple:
-    """Coefficients 0..precision of a catalog cusp form or a catalog finite sum."""
-    if name in forms.CATALOG_NAMES:
-        return forms.named_form(name, precision).series.coeffs
-    return lomadze_values(name, precision)
+#: The source of the constant series 1.
+ONE = ("one",)
 
 
 @grow_only(prefix)
-def _sigma_product(power: int, name: str, precision: int, *, scale: int = 1) -> tuple:
-    """The table over n <= precision of sum(sigma_power(a) * x[b]), scale*a + b = n, a, b >= 1.
+def table(source, precision: int) -> tuple:
+    """The integer table at n = 0..precision of a source, a small hashable value.
 
-    x is the named sequence of `_coeffs` (x[0] = 0), times the sigma_r table.
+    A source is a catalog form or catalog sum name, or one of ONE,
+    ("s2k", k) the counts s_2k, ("rho*", ell), ("sigma*", ell),
+    ("sigma", r, chi, psi, scale) the table sigma_(r; chi, psi) at n / scale
+    (0 where scale does not divide n), ("conv", r, x, scale) the sums
+    sum(sigma_r(a) * x[b]) over scale*a + b = n with a, b >= 1, ("n", x) the
+    table n x[n] and ("mod", m, x) the table x[n] mod m, for sources x.
     """
-    sigmas = QSeries._trusted(sigma_table(power, CHI_TRIVIAL, CHI_TRIVIAL, precision))
-    return (sigmas.scale_argument(scale) * QSeries._trusted(_coeffs(name, precision))).coeffs
+    match source:
+        case str() if source in forms.CATALOG_NAMES:
+            return forms.named_form(source, precision).series.coeffs
+        case str():
+            return lomadze_values(source, precision)
+        case ("one",):
+            return QSeries.one(precision).coeffs
+        case ("s2k", k):
+            return lattice.s2k_bruteforce(k, precision)
+        case ("rho*", ell):
+            return rho_star_table(ell, precision)
+        case ("sigma*", ell):
+            return sigma_star_table(ell, precision)
+        case ("sigma", r, chi, psi, scale):
+            return QSeries._trusted(sigma_table(r, chi, psi, precision)).scale_argument(scale).coeffs
+        case ("conv", r, x, scale):
+            sigmas = table(("sigma", r, CHI_TRIVIAL, CHI_TRIVIAL, scale), precision)
+            return (QSeries._trusted(sigmas) * QSeries._trusted(table(x, precision))).coeffs
+        case ("n", x):
+            return tuple(n * v for n, v in enumerate(table(x, precision)))
+        case ("mod", m, x):
+            return tuple(v % m for v in table(x, precision))
+    raise ValueError(f"unknown source {source!r}")
 
 
-def _with_zero(c, power: int, name: str, N: int, scale: int = 1) -> tuple:
-    """c sum(sigma_power(a) * x[b]), scale*a + b = n, a >= 0, b >= 1, as two integer terms.
-
-    They are the `_sigma_product` (a >= 1) and the a = 0 term sigma_r(0) x[n],
-    with sigma_r(0) = -B_(r+1) / (2(r+1)): 1/240, -1/504, 1/480 for r = 3, 5, 7.
-    """
-    sigma_at_zero = -bernoulli(power + 1) / (2 * (power + 1))
-    return (c, _sigma_product(power, name, N, scale=scale)), (c * sigma_at_zero, _coeffs(name, N))
-
-
-def _eisenstein_times(c, k: int, name: str, N: int, scale: int = 1) -> tuple:
-    """c E_k(scale z) x for a catalog form x, read off the convolution memo as two integer terms.
-
-    E_k = 1 - (2k/B_k) sum(sigma_(k-1)(n) q^n) is -(2k/B_k) times the
-    sigma_(k-1) series with its a = 0 term.
-    """
-    return _with_zero(c * -2 * k / bernoulli(k), k - 1, name, N, scale)
-
-
-def _times_n(table: tuple) -> tuple:
-    """The table n * table[n]."""
-    return tuple(n * v for n, v in enumerate(table))
-
-
-# -- coefficient tables -------------------------------------------------------
+def combine(terms: tuple, precision: int) -> tuple:
+    """sum(c * table(source)) over the (c, source) terms, at n = 0..precision."""
+    return linear_combination(*((c, table(source, precision)) for c, source in terms)).coeffs
 
 
 def _resolve_precision(n: int, precision: int | None) -> int:
@@ -136,168 +135,142 @@ FORMULA_KS = tuple(WEIGHTS)
 THEOREM_KS = tuple(k for k in WEIGHTS if k % 2)
 
 
-def _weight_terms(k: int, N: int) -> tuple:
-    """F_k from its WEIGHTS entry as (coefficient, integer table) terms over n = 0..N."""
+def _weight_terms(k: int) -> tuple:
+    """F_k from its WEIGHTS entry as (coefficient, source) terms.
+
+    E_j(scale z) x for a catalog form x is x - (2j/B_j) times the sums of
+    sigma_(j-1)(a) x[b] over scale*a + b = n, a, b >= 1.
+    """
     a, b, cusps = WEIGHTS[k]
     if k % 2:  # sigma(chi3, 1) and sigma(1, chi3); only E_k(1, chi3) has a constant term
         constant = b * -bernoulli_generalized(k, CHI3) / (2 * k)
-        sigmas = sigma_table(k - 1, CHI3, CHI_TRIVIAL, N), sigma_table(k - 1, CHI_TRIVIAL, CHI3, N)
+        sigmas = ("sigma", k - 1, CHI3, CHI_TRIVIAL, 1), ("sigma", k - 1, CHI_TRIVIAL, CHI3, 1)
     else:  # the constant a + b, and the sigma_(k-1) table at n and at n/3
         c = -2 * k / bernoulli(k)
         constant, a, b = a + b, a * c, b * c
-        sigma = QSeries._trusted(sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, N))
-        sigmas = sigma.coeffs, sigma.scale_argument(3).coeffs
+        sigmas = ("sigma", k - 1, CHI_TRIVIAL, CHI_TRIVIAL, 1), ("sigma", k - 1, CHI_TRIVIAL, CHI_TRIVIAL, 3)
     return (
-        (constant, QSeries.one(N).coeffs),
+        (constant, ONE),
         (a, sigmas[0]),
         (b, sigmas[1]),
-        *chain.from_iterable(
-            _eisenstein_times(c, j, name, N, scale) if j else ((c, _coeffs(name, N)),)
-            for c, name, j, scale in cusps
-        ),
+        *_cusp_terms(k),
+        *((c * -2 * j / bernoulli(j), ("conv", j - 1, name, scale)) for c, name, j, scale in cusps if j),
     )
 
 
-def _cusp_terms(k: int, precision: int, scale=1) -> list:
-    """The cusp part of F_k for odd k, times scale, as (coefficient, table) terms."""
-    return [(scale * c, _coeffs(name, precision)) for c, name, _, _ in WEIGHTS[k][2]]
+def _cusp_terms(k: int, scale=1) -> tuple:
+    """The catalog forms of F_k with their coefficients times scale: the cusp part for odd k."""
+    return tuple((scale * c, name) for c, name, _, _ in WEIGHTS[k][2])
 
 
-def _theorem_terms(k: int, N: int) -> tuple:
-    a = WEIGHTS[k][0]
-    return ((a / 3 ** ((k - 1) // 2), rho_star_table(k - 1, N)), *_cusp_terms(k, N))
+def _rho_star_forced(ell: int) -> tuple:
+    """rho*_ell solved from s_2k = (a / 3^(ell/2)) rho*_ell + cusp part, k = ell + 1, and the counts."""
+    k = ell + 1
+    f = 3 ** (ell // 2) / WEIGHTS[k][0]
+    return ((f, ("s2k", k)), *_cusp_terms(k, -f))
 
 
 # -- the two sides of every identity ------------------------------------------
 
-
-def _counts(k: int, N: int) -> tuple:
-    """The brute-force counts s_2k(0..N), the reference side of every s_2k formula."""
-    return ((1, lattice.s2k_bruteforce(k, N)),)
-
-
-def _named(*terms):
-    """The side sum(c x) over (c, catalog form or finite sum name) terms, as a function of N."""
-    return lambda N: tuple((c, _coeffs(name, N)) for c, name in terms)
-
-
-def _rho_star_forced(ell: int, N: int) -> tuple:
-    """rho*_ell solved from s_2k = (a / 3^(ell/2)) rho*_ell + cusp part, k = ell + 1, and the counts."""
-    k = ell + 1
-    f = 3 ** (ell // 2) / WEIGHTS[k][0]
-    return ((f, lattice.s2k_bruteforce(k, N)), *_cusp_terms(k, N, -f))
-
-
-def _lomadze_s24_terms(N: int) -> tuple:
-    c = Fraction(1, 73 * 691)
-    return (
-        (c * 6552, sigma_star_table(11, N)),
-        (c * Fraction(291096, 35), lomadze_values("L_12_8", N)),
-        (c * 864, lomadze_values("L_12_6", N)),
-        (c * 360, lomadze_values("L_12_4", N)),
-    )
-
-
-def _lomadze_s28_terms(N: int) -> tuple:
-    return (
-        (Fraction(12, 1093), sigma_star_table(13, N)),
-        (Fraction(188954, 803355), lomadze_values("L_14_10", N)),
-        (Fraction(1728, 267785), lomadze_values("L_14_8", N)),
-        (Fraction(288, 191275), lomadze_values("L_14_6", N)),
-    )
-
-
-def _tau_terms(N: int) -> tuple:
-    c = Fraction(1, 73 * 3728)
-    return (
-        (c * Fraction(36387, 35), lomadze_values("L_12_8", N)),
-        (c * 108, lomadze_values("L_12_6", N)),
-        (c * Fraction(1, 3), lomadze_values("Lcal_4", N)),
-        (-c * Fraction(32668, 12), lomadze_values("L_6_2", N)),
-        (-c * 329680, _sigma_product(3, "L_8_4", N)),
-        (c * 1372056, _sigma_product(5, "L_6_2", N)),
-    )
-
-
-def _ramanujan_rhs(N: int) -> tuple:
-    """(1 - n) tau(n) / 24."""
-    tau = _coeffs("delta", N)
-    return (Fraction(1, 24), tau), (Fraction(-1, 24), _times_n(tau))
-
-
-def _e2_delta_rhs(N: int) -> tuple:
-    """(3 - n) tau(n) / 72, three cusp terms, and three sums sum(sigma_r(a) x[b]), a + b = n, a, b >= 1."""
-    tau = _coeffs("delta", N)
-    return (
-        (Fraction(3, 72), tau),
-        (Fraction(-1, 72), _times_n(tau)),
-        (-Fraction(1, 576), _coeffs("delta_6_3", N)),
-        (-Fraction(1, 96), _coeffs("delta_8_3", N)),
-        (-Fraction(1, 64 * 120), lomadze_values("L_10_6", N)),  # tau_10_3_2 is L_10_6 / 120
-        (-Fraction(5, 6), _sigma_product(7, "delta_6_3", N)),
-        (Fraction(21, 4), _sigma_product(5, "delta_8_3", N)),
-        (-Fraction(15, 4) / 120, _sigma_product(3, "L_10_6", N)),
-    )
-
-
-#: One identity: lhs and rhs each map N to ((c, integer table over 0..N), ...)
-#: terms, and the identity is the exact equality of the two combinations at
-#: every n >= 1; at_zero also reports the pair at n = 0 as the constant term.
+#: One identity: lhs and rhs are ((c, source), ...) terms, and the identity is
+#: the exact equality of the two combinations at every n >= 1; at_zero also
+#: reports the pair at n = 0 as the constant term.
 Sides = namedtuple("Sides", "lhs rhs note at_zero", defaults=("", False))
 
 #: Every identity, in report order.
 SIDES = {
-    **{f"f{k}-decomposition": Sides(partial(_weight_terms, k), partial(_counts, k), at_zero=True) for k in WEIGHTS},
+    **{f"f{k}-decomposition": Sides(_weight_terms(k), ((1, ("s2k", k)),), at_zero=True) for k in WEIGHTS},
     **{
         f"s{2 * k}-theorem": Sides(
-            partial(_theorem_terms, k),
-            partial(_counts, k),
+            ((WEIGHTS[k][0] / 3 ** ((k - 1) // 2), ("rho*", k - 1)), *_cusp_terms(k)),
+            ((1, ("s2k", k)),),
             "uses the printed rho* definition; mismatches are expected and quantified by the rho-star reports",
         )
         for k in THEOREM_KS
     },
     **{
         f"rho-star-{k - 1}": Sides(
-            lambda N, ell=k - 1: ((1, rho_star_table(ell, N)),),
-            partial(_rho_star_forced, k - 1),
+            ((1, ("rho*", k - 1)),),
+            _rho_star_forced(k - 1),
             "lhs is the printed definition, rhs the value forced by the brute-force counts and the "
             "cusp coefficients; entries listed under mismatches quantify the difference",
         )
         for k in THEOREM_KS
     },
-    **{f"s{2 * k}-formula": Sides(partial(_weight_terms, k), partial(_counts, k)) for k in WEIGHTS if k % 2 == 0},
-    "lomadze-s24": Sides(_lomadze_s24_terms, partial(_counts, 12)),
-    "lomadze-s28": Sides(_lomadze_s28_terms, partial(_counts, 14)),
-    "tau-eq": Sides(_tau_terms, _named((1, "delta"))),
+    **{f"s{2 * k}-formula": Sides(_weight_terms(k), ((1, ("s2k", k)),)) for k in WEIGHTS if k % 2 == 0},
+    "lomadze-s24": Sides(
+        tuple(
+            (Fraction(c) / (73 * 691), source)
+            for c, source in (
+                (6552, ("sigma*", 11)), (Fraction(291096, 35), "L_12_8"), (864, "L_12_6"), (360, "L_12_4")
+            )
+        ),
+        ((1, ("s2k", 12)),),
+    ),
+    "lomadze-s28": Sides(
+        (
+            (Fraction(12, 1093), ("sigma*", 13)),
+            (Fraction(188954, 803355), "L_14_10"),
+            (Fraction(1728, 267785), "L_14_8"),
+            (Fraction(288, 191275), "L_14_6"),
+        ),
+        ((1, ("s2k", 14)),),
+    ),
+    "tau-eq": Sides(
+        tuple(
+            (Fraction(c) / (73 * 3728), source)
+            for c, source in (
+                (Fraction(36387, 35), "L_12_8"),
+                (108, "L_12_6"),
+                (Fraction(1, 3), "Lcal_4"),
+                (-Fraction(32668, 12), "L_6_2"),
+                (-329680, ("conv", 3, "L_8_4", 1)),
+                (1372056, ("conv", 5, "L_6_2", 1)),
+            )
+        ),
+        ((1, "delta"),),
+    ),
     # the newform coefficient identities scale * sum(c cusp(n)) = m L(n)
-    "newform-w6": Sides(_named((12, "delta_6_3")), _named((1, "L_6_2"))),
-    "newform-w7": Sides(_named((30, "delta_7_3")), _named((1, "L_7_3"))),
-    "newform-w8": Sides(_named((108, "delta_8_3")), _named((1, "L_8_4"))),
-    "newform-w9": Sides(_named((168 * 27, "delta_9_3_1"), (168, "delta_9_3_2")), _named((1, "L_9_5"))),
+    "newform-w6": Sides(((12, "delta_6_3"),), ((1, "L_6_2"),)),
+    "newform-w7": Sides(((30, "delta_7_3"),), ((1, "L_7_3"),)),
+    "newform-w8": Sides(((108, "delta_8_3"),), ((1, "L_8_4"),)),
+    "newform-w9": Sides(((168 * 27, "delta_9_3_1"), (168, "delta_9_3_2")), ((1, "L_9_5"),)),
     "newform-w10": Sides(
-        lambda N: ((1, tuple(v % 120 for v in lomadze_values("L_10_6", N))),),
-        lambda N: ((1, (0,) * (N + 1)),),
+        ((1, ("mod", 120, "L_10_6")),),
+        ((0, ONE),),
         "the weight-10 coefficients are defined as L_10_6(n)/120, so exact divisibility by 120 is the "
         "verifiable content here; the values themselves are exercised by the convolution identities",
     ),
-    "newform-w11": Sides(_named((81, "delta_11_3_1"), (81 * 9, "delta_11_3_2")), _named((5, "L_11_7"))),
+    "newform-w11": Sides(((81, "delta_11_3_1"), (81 * 9, "delta_11_3_2")), ((5, "L_11_7"),)),
     # sum(sigma(a) tau(b), a + b = n) = (1 - n) tau(n) / 24
-    "ramanujan-convolution": Sides(lambda N: ((1, _sigma_product(1, "delta", N)),), _ramanujan_rhs),
-    # sum(sigma(a) tau(b), 3a + b = n) as seven terms; the 0-inclusive sums already differ at n = 1
+    "ramanujan-convolution": Sides(
+        ((1, ("conv", 1, "delta", 1)),), ((Fraction(1, 24), "delta"), (Fraction(-1, 24), ("n", "delta")))
+    ),
+    # sum(sigma(a) tau(b), 3a + b = n) as (3 - n) tau(n) / 72, three cusp terms and
+    # three sums over a + b = n, a, b >= 1; the 0-inclusive sums already differ at n = 1
     "e2-delta-convolution": Sides(
-        lambda N: ((1, _sigma_product(1, "delta", N, scale=3)),),
-        _e2_delta_rhs,
+        ((1, ("conv", 1, "delta", 3)),),
+        (
+            (Fraction(3, 72), "delta"),
+            (Fraction(-1, 72), ("n", "delta")),
+            (-Fraction(1, 576), "delta_6_3"),
+            (-Fraction(1, 96), "delta_8_3"),
+            (-Fraction(1, 64 * 120), "L_10_6"),  # tau_10_3_2 is L_10_6 / 120
+            (-Fraction(5, 6), ("conv", 7, "delta_6_3", 1)),
+            (Fraction(21, 4), ("conv", 5, "delta_8_3", 1)),
+            (-Fraction(15, 4) / 120, ("conv", 3, "L_10_6", 1)),
+        ),
         "inner sums taken over a, b >= 1; no boundary terms needed",
     ),
     # the sign of -461/3 follows from the substitution chain and from n = 1,
     # where every convolution is empty and the right side must vanish
     "s28-convolution": Sides(
-        lambda N: (
-            (73760, _sigma_product(7, "L_6_2", N)),
-            (-Fraction(194432, 3), _sigma_product(5, "L_8_4", N)),
-            (60336, _sigma_product(3, "L_10_6", N)),
+        (
+            (73760, ("conv", 7, "L_6_2", 1)),
+            (-Fraction(194432, 3), ("conv", 5, "L_8_4", 1)),
+            (60336, ("conv", 3, "L_10_6", 1)),
         ),
-        _named(
+        (
             (-Fraction(461, 3), "L_6_2"),
             (-Fraction(3472, 27), "L_8_4"),
             (-Fraction(1257, 5), "L_10_6"),
@@ -309,13 +282,23 @@ SIDES = {
     ),
 }
 
+#: Each SIDES name -> the first SIDES name with an equal lhs, whose stored table it shares.
+_LHS_OWNER = {name: next(first for first in SIDES if SIDES[first].lhs == sides.lhs) for name, sides in SIDES.items()}
+
 
 @grow_only(prefix)
+def _lhs_table(name: str, precision: int) -> tuple:
+    return combine(SIDES[name].lhs, precision)
+
+
 def formula_table(name: str, precision: int) -> tuple:
-    """The lhs of the named SIDES identity at n = 0..precision: one exact combination of integer tables."""
-    if name not in SIDES:
+    """The lhs of the named SIDES identity at n = 0..precision: one exact combination of integer tables.
+
+    Entries with equal lhs share one memoized table, stored under the first such name.
+    """
+    if name not in _LHS_OWNER:
         raise UnknownIdentity(f"no term lists for {name!r}; known: {', '.join(SIDES)}")
-    return linear_combination(*SIDES[name][0](precision)).coeffs
+    return _lhs_table(_LHS_OWNER[name], precision)
 
 
 def tau_from_lattice_sums(n: int, precision: int | None = None):
@@ -408,7 +391,7 @@ def check(name: str, n_max: int, precision: int | None = None) -> IdentityReport
     N = _resolve_precision(n_max, precision)
     lhs = formula_table(name, N)  # refuses a name not in SIDES
     _, rhs_terms, note, at_zero = SIDES[name]
-    rhs = linear_combination(*rhs_terms(N)).coeffs
+    rhs = combine(rhs_terms, N)
     constant_term = (lhs[0], rhs[0]) if at_zero else None
     return IdentityReport(name, n_max, lhs[1 : n_max + 1], rhs[1 : n_max + 1], constant_term, note)
 

@@ -29,9 +29,9 @@ def grow_only(cut: Callable):
 
     Every quantity memoized this way is a table whose entry at n does not
     depend on the precision it was computed at.  The precision is the last
-    positional parameter of f; the other arguments, and the keyword options
-    not at their defaults, form the key.  An entry holds the value at the
-    largest precision asked for so far, and the last cut made from it:
+    parameter of f and may come by keyword; the other arguments form the
+    key, so f takes no keyword-only parameter.  An entry holds the value at
+    the largest precision asked for so far, and the last cut made from it:
 
     * a request at either precision is served as stored, after one dict
       lookup;
@@ -50,21 +50,20 @@ def grow_only(cut: Callable):
     def decorate(fn):
         arity = fn.__code__.co_argcount
         positional = fn.__code__.co_varnames[:arity]
-        defaults = fn.__kwdefaults__ or {}
-        if positional[-1:] != ("precision",):
-            raise TypeError(f"{fn.__name__}: precision must be the last positional parameter")
+        if positional[-1:] != ("precision",) or fn.__code__.co_kwonlyargcount:
+            raise TypeError(f"{fn.__name__}: precision must be the last parameter, and none may be keyword-only")
         entries: dict = {}  # key -> (stored precision, value, cut precision, cut value)
 
         @functools.wraps(fn)
-        def memo(*args, **options):
-            if len(args) < arity:  # arguments given by keyword go back in their place
+        def memo(*args, **kwargs):
+            if kwargs or len(args) < arity:  # arguments given by keyword go back in their place
                 try:
-                    args += tuple(options.pop(name) for name in positional[len(args) :])
+                    args += tuple(kwargs.pop(name) for name in positional[len(args) :])
                 except KeyError as missing:
                     raise TypeError(f"{fn.__name__}() missing argument {missing}") from None
-            if options:  # an option given at its default names the same table
-                options = {k: v for k, v in options.items() if k not in defaults or defaults[k] != v}
-            key = args[:-1] + tuple(options.items()) if options else args[:-1]
+                if kwargs:
+                    raise TypeError(f"{fn.__name__}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+            key = args[:-1]
             precision = args[-1]
             entry = entries.get(key)
             if entry is not None:
@@ -76,7 +75,7 @@ def grow_only(cut: Callable):
                 raise ValueError("precision must be >= 0")
             if entry is None or precision > entry[0]:
                 grown = precision if entry is None else max(precision, 2 * entry[0])
-                value = fn(*args[:-1], grown, **options)
+                value = fn(*key, grown)
                 entries[key] = entry = (grown, value, grown, value)
                 if grown == precision:
                     return value

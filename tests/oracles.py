@@ -8,9 +8,9 @@ from math import comb, isqrt
 
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
-from hexrep.forms import EtaQuotientSpec, eisenstein_classical, eta_quotient, named_form
-from hexrep.identities import DOCUMENTED_DISCREPANCIES, WEIGHTS, _coeffs, _sigma_product
-from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, moment_table, theta_series
+from hexrep.forms import CATALOG_NAMES, EtaQuotientSpec, eisenstein_classical, eta_quotient, named_form
+from hexrep.identities import DOCUMENTED_DISCREPANCIES, WEIGHTS
+from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, lomadze_values, moment_table, theta_series
 from hexrep.series import QSeries, linear_combination
 
 
@@ -202,12 +202,6 @@ def bernoulli_generalized_at_fractions(k: int, psi) -> Fraction:
 SIGMA_AT_ZERO = {1: Fraction(-1, 24), 3: Fraction(1, 240), 5: Fraction(-1, 504), 7: Fraction(1, 480)}
 
 
-def conv_entry(power: int, name: str, N: int, n: int, with_zero: bool = False, scale: int = 1):
-    """Entry n of the memoized product sigma_power * x over a >= 1; with_zero adds the a = 0 term sigma_power(0) x[n]."""
-    value = _sigma_product(power, name, N, scale=scale)[n]
-    return value + SIGMA_AT_ZERO[power] * _coeffs(name, N)[n] if with_zero else value
-
-
 def conv_direct(power: int, x, n: int, with_zero: bool = False, scale: int = 1):
     """sum(sigma_power(a) * x[n - scale*a]) over a >= 1 with n - scale*a >= 1, one n at a time.
 
@@ -238,6 +232,27 @@ def sigma_table_sieve(r: int, chi: DirichletCharacter, psi: DirichletCharacter, 
                     for n in range((a or f) * d, precision + 1, f * d):
                         out[n] += vw
     return tuple(out)
+
+
+def catalog_values(name: str, N: int) -> tuple:
+    """The coefficients 0..N of a catalog cusp form or a catalog finite sum, read from forms and lattice."""
+    return named_form(name, N).series.coeffs if name in CATALOG_NAMES else lomadze_values(name, N)
+
+
+@functools.cache
+def _sigma_sieved(power: int, N: int) -> tuple[int, ...]:
+    return sigma_table_sieve(power, CHI_TRIVIAL, CHI_TRIVIAL, N)
+
+
+def conv_entry(power: int, name: str, N: int, n: int, with_zero: bool = False, scale: int = 1):
+    """sum(sigma_power(a) * x[n - scale*a]) over a >= 1 with n - scale*a >= 1, as one O(n) sum over the sieved sigma table.
+
+    x is the catalog sequence at precision N; with_zero adds the a = 0 term
+    sigma_power(0) * x[n].
+    """
+    x, sigmas = catalog_values(name, N), _sigma_sieved(power, N)
+    total = sum(sigmas[a] * x[n - scale * a] for a in range(1, (n - 1) // scale + 1))
+    return total + SIGMA_AT_ZERO[power] * x[n] if with_zero else total
 
 
 def eisenstein_times_form(k: int, name: str, precision: int) -> QSeries:
@@ -272,7 +287,7 @@ def euler_product_direct(scale: int, precision: int) -> list[int]:
 def s24_direct(n: int, N: int):
     return (
         Fraction(6552, 73 * 691) * sigma_star(11, n)
-        + Fraction(29824, 691) * _coeffs("delta", N)[n]
+        + Fraction(29824, 691) * catalog_values("delta", N)[n]
         + Fraction(240 * 1186848, 50443) * conv_entry(3, "delta_8_3", N, n, with_zero=True)
         - Fraction(504 * 261344, 50443) * conv_entry(5, "delta_6_3", N, n, with_zero=True)
     )
@@ -281,7 +296,7 @@ def s24_direct(n: int, N: int):
 def s28_direct(n: int, N: int):
     return (
         Fraction(12, 1093) * sigma_star(13, n)
-        + Fraction(107264, 1093) * _coeffs("delta", N)[n]
+        + Fraction(107264, 1093) * catalog_values("delta", N)[n]
         + Fraction(107264 * 12, 1093) * (conv_entry(1, "delta", N, n) - 3 * conv_entry(1, "delta", N, n, scale=3))
         + Fraction(12448 * 504, 1093) * conv_entry(5, "delta_8_3", N, n, with_zero=True)
         - Fraction(3016 * 480, 1093) * conv_entry(7, "delta_6_3", N, n, with_zero=True)
@@ -291,27 +306,27 @@ def s28_direct(n: int, N: int):
 def lomadze_s24_direct(n: int, N: int):
     return Fraction(1, 73 * 691) * (
         6552 * sigma_star(11, n)
-        + Fraction(291096, 35) * _coeffs("L_12_8", N)[n]
-        + 864 * _coeffs("L_12_6", N)[n]
-        + 360 * _coeffs("L_12_4", N)[n]
+        + Fraction(291096, 35) * catalog_values("L_12_8", N)[n]
+        + 864 * catalog_values("L_12_6", N)[n]
+        + 360 * catalog_values("L_12_4", N)[n]
     )
 
 
 def lomadze_s28_direct(n: int, N: int):
     return (
         Fraction(12, 1093) * sigma_star(13, n)
-        + Fraction(188954, 803355) * _coeffs("L_14_10", N)[n]
-        + Fraction(1728, 267785) * _coeffs("L_14_8", N)[n]
-        + Fraction(288, 191275) * _coeffs("L_14_6", N)[n]
+        + Fraction(188954, 803355) * catalog_values("L_14_10", N)[n]
+        + Fraction(1728, 267785) * catalog_values("L_14_8", N)[n]
+        + Fraction(288, 191275) * catalog_values("L_14_6", N)[n]
     )
 
 
 def tau_direct(n: int, N: int):
     inner = (
-        Fraction(36387, 35) * _coeffs("L_12_8", N)[n]
-        + 108 * _coeffs("L_12_6", N)[n]
-        + Fraction(1, 3) * _coeffs("Lcal_4", N)[n]
-        - Fraction(32668, 12) * _coeffs("L_6_2", N)[n]
+        Fraction(36387, 35) * catalog_values("L_12_8", N)[n]
+        + 108 * catalog_values("L_12_6", N)[n]
+        + Fraction(1, 3) * catalog_values("Lcal_4", N)[n]
+        - Fraction(32668, 12) * catalog_values("L_6_2", N)[n]
         - 329680 * conv_entry(3, "L_8_4", N, n)
         + 1372056 * conv_entry(5, "L_6_2", N, n)
     )
@@ -319,7 +334,7 @@ def tau_direct(n: int, N: int):
 
 
 def _cusp_part_direct(k: int, n: int, N: int):
-    return sum(c * _coeffs(name, N)[n] for c, name, _, _ in WEIGHTS[k][2])
+    return sum(c * catalog_values(name, N)[n] for c, name, _, _ in WEIGHTS[k][2])
 
 
 def theorem_direct(k: int, n: int, N: int):

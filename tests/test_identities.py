@@ -12,6 +12,8 @@ import pytest
 from memos import clear_all
 from oracles import (
     FORMULAS_DIRECT,
+    SIGMA_AT_ZERO,
+    catalog_values,
     conv_direct,
     eisenstein_times_form,
     quasimodular_combination,
@@ -26,29 +28,35 @@ from hexrep.identities import (
     IdentityReport,
     PrecisionTooLow,
     UnknownIdentity,
-    _eisenstein_times,
-    _sigma_product,
-    _with_zero,
     check,
+    combine,
     decomposition,
     formula_table,
     newform_coeff_identities,
     s2k_from_divisor_sums,
+    table,
     tau_from_lattice_sums,
     verification_passed,
     verify_all,
 )
-from hexrep.series import linear_combination
 
 N = 200
+
+
+def _with_zero(c, power, name, scale=1):
+    """c sum(sigma_power(a) * x[b]), scale*a + b = n, a >= 0, b >= 1, as two terms: the sums over a >= 1 and sigma_power(0) x[n]."""
+    return (c, ("conv", power, name, scale)), (c * SIGMA_AT_ZERO[power], name)
 
 
 def test_convention_constants():
     # delta_8_3 is normalized (first coefficient 1), so at n = 1 the a = 0
     # term alone gives sigma_r(0)
-    for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
-        assert _sigma_product(power, "delta_8_3", N)[1] == 0  # plain sums start at a = 1
-        assert linear_combination(*_with_zero(1, power, "delta_8_3", N)).coeffs[1] == sigma_at_zero
+    for power, sigma_at_zero in SIGMA_AT_ZERO.items():
+        assert table(("conv", power, "delta_8_3", 1), N)[1] == 0  # plain sums start at a = 1
+        assert combine(_with_zero(1, power, "delta_8_3"), N)[1] == sigma_at_zero
+        # E_(r+1) is -(2(r+1)/B_(r+1)) times the sigma_r series with its a = 0 term, constant
+        # term 1, so the weight terms write the a = 0 term of E_j x as the bare x
+        assert -2 * (power + 1) / arith.bernoulli(power + 1) * sigma_at_zero == 1
     # cusp expansions and finite sums vanish at index 0, so b = 0 never contributes
     for name in forms.CATALOG_NAMES:
         assert forms.named_form(name, 5).series.coeffs[0] == 0
@@ -61,8 +69,8 @@ def test_boundary_term_of_zero_inclusive_convolution():
     tau83 = forms.named_form("delta_8_3", 30).series.coeffs
     assert tau83[0] == 0  # so b = 0 adds nothing
     for power, sigma_at_zero in ((3, Fraction(1, 240)), (5, Fraction(-1, 504)), (7, Fraction(1, 480))):
-        plain = _sigma_product(power, "delta_8_3", 30)
-        with_zero = linear_combination(*_with_zero(1, power, "delta_8_3", 30)).coeffs
+        plain = table(("conv", power, "delta_8_3", 1), 30)
+        with_zero = combine(_with_zero(1, power, "delta_8_3"), 30)
         for n in (1, 5, 12):
             assert with_zero[n] - plain[n] == sigma_at_zero * tau83[n]
 
@@ -90,64 +98,46 @@ CONVOLUTIONS = (
 
 @pytest.mark.parametrize("power, name, with_zero, scale", CONVOLUTIONS)
 def test_conv_against_per_n_oracle(power, name, with_zero, scale):
-    x = identities._coeffs(name, 100)
+    x = catalog_values(name, 100)
     expected = tuple(conv_direct(power, x, n, with_zero, scale) for n in range(101))
     if with_zero:
-        terms = _with_zero(1, power, name, 100, scale)
-        assert all(type(v) is int for _, table in terms for v in table)  # the boundary is a term, not a Fraction table
-        assert linear_combination(*terms).coeffs == expected
+        terms = _with_zero(1, power, name, scale)
+        assert all(type(v) is int for _, source in terms for v in table(source, 100))  # the boundary is a term, not a Fraction table
+        assert combine(terms, 100) == expected
     else:
-        assert _sigma_product(power, name, 100, scale=scale) == expected
+        assert table(("conv", power, name, scale), 100) == expected
 
 
-def record_convolutions(monkeypatch) -> list:
-    """Log each sum the identities take as (power, name, with_zero, scale)."""
-    log, inside = [], []
-    product = identities._sigma_product
-    with_zero = identities._with_zero
-
-    def recording_product(power, name, precision, scale=1):
-        if not inside:  # the product under a 0-inclusive sum is logged as that sum
-            log.append((power, name, False, scale))
-        return product(power, name, precision, scale=scale)
-
-    def recording_with_zero(c, power, name, N, scale=1):
-        log.append((power, name, True, scale))
-        inside.append(power)
-        try:
-            return with_zero(c, power, name, N, scale)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(identities, "_sigma_product", recording_product)
-    monkeypatch.setattr(identities, "_with_zero", recording_with_zero)
-    return log
+def test_convolution_list_is_complete():
+    sources = {
+        source
+        for sides in identities.SIDES.values()
+        for terms in (sides.lhs, sides.rhs)
+        for _, source in terms
+        if source[0] == "conv"
+    }
+    assert sources == {("conv", power, name, scale) for power, name, _, scale in CONVOLUTIONS}
 
 
-def test_convolution_list_is_complete(monkeypatch):
-    clear_all()  # stored formula tables would answer without a convolution
-    seen = record_convolutions(monkeypatch)
-    verify_all(10, "all", 10)
-    assert set(seen) == set(CONVOLUTIONS)
+def _eisenstein_times(c, k, name, scale=1):
+    """c E_k(scale z) x for a catalog form x as two terms: E_k is -(2k/B_k) times the sigma_(k-1) series with its a = 0 term."""
+    return _with_zero(c * -2 * k / arith.bernoulli(k), k - 1, name, scale)
 
 
 @pytest.mark.parametrize("k, name", ((4, "delta_8_3"), (6, "delta_6_3"), (8, "delta_6_3"), (6, "delta_8_3")))
 def test_eisenstein_terms_against_series_product(k, name):
-    terms = _eisenstein_times(1, k, name, 400)
-    assert all(type(v) is int for _, table in terms for v in table)
-    assert linear_combination(*terms) == eisenstein_times_form(k, name, 400)
+    terms = _eisenstein_times(1, k, name)
+    assert all(type(v) is int for _, source in terms for v in table(source, 400))
+    as_weight_terms = ((1, name), (-2 * k / arith.bernoulli(k), ("conv", k - 1, name, 1)))  # as _weight_terms writes it
+    assert combine(terms, 400) == combine(as_weight_terms, 400) == eisenstein_times_form(k, name, 400).coeffs
 
 
 def test_e2_delta_terms_against_quasimodular_product():
     # (3 E_2(3z) - E_2(z)) / 2 delta = delta + 12 sigma * delta - 36 sigma(./3) * delta
-    terms = (*_eisenstein_times(Fraction(3, 2), 2, "delta", 400, 3), *_eisenstein_times(Fraction(-1, 2), 2, "delta", 400))
-    assert linear_combination(*terms) == quasimodular_combination(400)
-    expected = (
-        (1, identities._coeffs("delta", 400)),
-        (12, _sigma_product(1, "delta", 400)),
-        (-36, _sigma_product(1, "delta", 400, scale=3)),
-    )
-    assert linear_combination(*terms) == linear_combination(*expected)
+    terms = (*_eisenstein_times(Fraction(3, 2), 2, "delta", 3), *_eisenstein_times(Fraction(-1, 2), 2, "delta"))
+    assert combine(terms, 400) == quasimodular_combination(400).coeffs
+    expected = ((1, "delta"), (12, ("conv", 1, "delta", 1)), (-36, ("conv", 1, "delta", 3)))
+    assert combine(terms, 400) == combine(expected, 400)
 
 
 def test_formula_tables_against_per_n_oracles():
@@ -315,18 +305,17 @@ def test_e2_delta_lhs_against_series_product():
 def test_e2_delta_convolution_takes_its_inner_sums_over_a_b_at_least_one():
     # the 0-inclusive convention adds sigma_r(0) x[n] to each inner sum, which
     # already breaks the identity at n = 1, where every sum over a, b >= 1 is empty
-    tau = identities._coeffs("delta", 30)
     fixed = (
-        (Fraction(3, 72), tau),
-        (Fraction(-1, 72), tuple(n * v for n, v in enumerate(tau))),
-        (-Fraction(1, 576), identities._coeffs("delta_6_3", 30)),
-        (-Fraction(1, 96), identities._coeffs("delta_8_3", 30)),
-        (-Fraction(1, 64 * 120), lattice.lomadze_values("L_10_6", 30)),
+        (Fraction(3, 72), "delta"),
+        (Fraction(-1, 72), ("n", "delta")),
+        (-Fraction(1, 576), "delta_6_3"),
+        (-Fraction(1, 96), "delta_8_3"),
+        (-Fraction(1, 64 * 120), "L_10_6"),
     )
     sums = ((-Fraction(5, 6), 7, "delta_6_3"), (Fraction(21, 4), 5, "delta_8_3"), (-Fraction(15, 4) / 120, 3, "L_10_6"))
-    with_zero = linear_combination(*fixed, *(term for c, r, name in sums for term in _with_zero(c, r, name, 30)))
-    lhs = _sigma_product(1, "delta", 30, scale=3)
-    assert lhs[1] == 0 != with_zero.coeffs[1]
+    with_zero = combine((*fixed, *(term for c, r, name in sums for term in _with_zero(c, r, name))), 30)
+    lhs = table(("conv", 1, "delta", 3), 30)
+    assert lhs[1] == 0 != with_zero[1]
     report = check("e2-delta-convolution", 150)
     assert report.all_match
     assert report.note == "inner sums taken over a, b >= 1; no boundary terms needed"
@@ -382,6 +371,8 @@ def test_even_weight_formulas_read_the_weights_entry(monkeypatch, k):
     # the s_2k formula both read it, the oracle's own typed constants do not
     a, b, ((c, name, j, scale), *rest) = identities.WEIGHTS[k]
     monkeypatch.setitem(identities.WEIGHTS, k, (a, b, ((Fraction(c.numerator + 1, c.denominator), name, j, scale), *rest)))
+    for entry in (f"f{k}-decomposition", f"s{2 * k}-formula"):  # SIDES is built from WEIGHTS at import
+        monkeypatch.setitem(identities.SIDES, entry, identities.SIDES[entry]._replace(lhs=identities._weight_terms(k)))
     clear_all()
     try:
         reports = verify_all(50, (f"f{k}-decomposition", f"s{2 * k}-formula"))
@@ -418,21 +409,36 @@ def test_sides_are_term_lists_that_check_combines():
     assert {name for name, sides in identities.SIDES.items() if sides.at_zero} == decompositions
     for name, (lhs, rhs, note, _) in identities.SIDES.items():
         combined = []
-        for side in (lhs, rhs):
-            terms = side(40)
-            assert type(terms) is tuple and terms, name
-            for c, table in terms:
+        for terms in (lhs, rhs):
+            assert type(terms) is tuple and terms and not callable(terms), name
+            for c, source in terms:
                 assert type(c) in (int, Fraction), name
-                assert type(table) is tuple and len(table) == 41, name
-                assert all(type(v) is int for v in table), name
-            combined.append(linear_combination(*terms).coeffs[1:])
+                assert not callable(source), name
+                hash(source)
+                values = table(source, 40)
+                assert type(values) is tuple and len(values) == 41, name
+                assert all(type(v) is int for v in values), name
+            combined.append(combine(terms, 40)[1:])
         report = check(name, 40)
         assert (report.lhs, report.rhs, report.note) == (*combined, note), name
         assert report.constant_term == ((1, 1) if name in decompositions else None), name
+    for source in (("nope", 3), ("conv", 1, "delta"), ("sigma", 3)):
+        with pytest.raises(ValueError, match=rf"^unknown source \('{source[0]}',"):
+            table(source, 5)
 
 
-def _replace_coefficient(side, old, new):
-    return lambda N: tuple((new if c == old else c, table) for c, table in side(N))
+def test_equal_lhs_share_one_stored_table():
+    clear_all()
+    verify_all(200)
+    assert len(identities._lhs_table.stored()) == len(identities.SIDES) - 2 == 23
+    for formula, decomposed in (("s24-formula", "f12-decomposition"), ("s28-formula", "f14-decomposition")):
+        assert identities.SIDES[formula].lhs == identities.SIDES[decomposed].lhs
+        assert formula_table(formula, N) is formula_table(decomposed, N)
+        assert check(formula, 5, N).lhs == check(decomposed, 5, N).lhs
+
+
+def _replace_coefficient(terms, old, new):
+    return tuple((new if c == old else c, source) for c, source in terms)
 
 
 @pytest.mark.parametrize(
@@ -445,9 +451,9 @@ def _replace_coefficient(side, old, new):
 )
 def test_one_changed_constant_fails_only_its_own_report(monkeypatch, name, side, old, new):
     sides = list(identities.SIDES[name])
-    assert old in [c for c, _ in sides[side](50)]
+    assert old in [c for c, _ in sides[side]]
     sides[side] = _replace_coefficient(sides[side], old, new)
-    monkeypatch.setitem(identities.SIDES, name, tuple(sides))
+    monkeypatch.setitem(identities.SIDES, name, identities.Sides(*sides))
     clear_all()  # stored lhs tables were built from the printed constants
     try:
         reports = verify_all(50)

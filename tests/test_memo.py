@@ -23,21 +23,21 @@ MEMOIZED = {
     "hexrep.lattice.theta_series",
     "hexrep.lattice.moment_table",
     "hexrep.lattice.lomadze_values",
-    "hexrep.identities._sigma_product",
-    "hexrep.identities.formula_table",
+    "hexrep.identities.table",
+    "hexrep.identities._lhs_table",
 }
 
-#: One call of each memoized quantity, as (memo, key arguments, keyword options).
+#: One call of each memoized quantity, as (memo, key arguments).
 QUANTITIES = (
-    (arith.sigma_table, (6, CHI_TRIVIAL, CHI3), {}),
-    (forms.eisenstein_classical, (4,), {}),
-    (forms.named_form, ("delta_7_3",), {}),
-    (lattice._f1_moment_rows, (), {}),
-    (lattice.theta_series, (3,), {}),
-    (lattice.moment_table, (2, 4), {}),
-    (lattice.lomadze_values, ("L_6_2",), {}),
-    (identities._sigma_product, (1, "delta"), {"scale": 3}),
-    (identities.formula_table, ("s28-formula",), {}),
+    (arith.sigma_table, (6, CHI_TRIVIAL, CHI3)),
+    (forms.eisenstein_classical, (4,)),
+    (forms.named_form, ("delta_7_3",)),
+    (lattice._f1_moment_rows, ()),
+    (lattice.theta_series, (3,)),
+    (lattice.moment_table, (2, 4)),
+    (lattice.lomadze_values, ("L_6_2",)),
+    (identities.table, (("conv", 1, "delta", 3),)),
+    (identities._lhs_table, ("f14-decomposition",)),
 )
 
 
@@ -52,7 +52,7 @@ def _precision(value) -> int:
 
 def test_every_memo_is_listed():
     assert set(all_memos()) == MEMOIZED
-    assert {f"{fn.__module__}.{fn.__name__}" for fn, _, _ in QUANTITIES} == MEMOIZED
+    assert {f"{fn.__module__}.{fn.__name__}" for fn, _ in QUANTITIES} == MEMOIZED
 
 
 def test_no_lru_cache_is_keyed_by_precision():
@@ -88,19 +88,13 @@ def test_grow_only_contract():
     assert table.stored() == {(2,): 50, (3,): 5}
     with pytest.raises(ValueError, match="precision must be >= 0"):
         table(2, -1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'scale'"):
+        table(2, 50, scale=3)  # refused on a hit too
+    with pytest.raises(TypeError, match="missing argument 'precision'"):
+        table(2)
+    assert builds == [10, 20, 50, 5]
     table.clear()
     assert table.stored() == {}
-
-
-def test_an_option_at_its_default_shares_the_entry():
-    identities.verify_all(5, precision=20)
-    keys = set(identities._sigma_product.stored())
-    assert (3, "L_10_6") in keys
-    assert (1, "delta", ("scale", 3)) in keys
-    # the 0-inclusive sums name scale=1 on every call
-    assert identities._with_zero(1, 3, "delta_8_3", 20)[0][1] is identities._sigma_product(3, "delta_8_3", 20)
-    assert set(identities._sigma_product.stored()) == keys
-    assert not any(("scale", 1) in key for key in keys)
 
 
 def test_grow_only_needs_the_precision_last():
@@ -108,6 +102,12 @@ def test_grow_only_needs_the_precision_last():
 
         @grow_only(prefix)
         def table(precision, k):
+            return ()
+
+    with pytest.raises(TypeError):  # a keyword-only option would be left out of the key
+
+        @grow_only(prefix)
+        def scaled(k, precision, *, scale=1):
             return ()
 
 
@@ -120,9 +120,9 @@ def test_results_have_the_requested_precision_in_any_order():
     def check(precisions):
         clear_all()
         for precision in precisions:
-            for memo, args, options in QUANTITIES:
-                value = memo(*args, precision, **options)
-                assert value == memo.__wrapped__(*args, precision, **options), memo.__name__
+            for memo, args in QUANTITIES:
+                value = memo(*args, precision)
+                assert value == memo.__wrapped__(*args, precision), memo.__name__
                 assert _precision(value) == precision, memo.__name__
 
     check()
