@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import identities, lattice
+from . import forms, identities, lattice
 from .identities import (
     FORMULA_KS,
     IDENTITY_NAMES,
@@ -31,8 +31,8 @@ class UnsupportedK(ValueError):
 BRUTEFORCE_KS = tuple(range(1, 15))
 
 
-def _parse_n_spec(text: str) -> list[int]:
-    """Parse '7' or an inclusive range '1..50' into a list of positive ints."""
+def _parse_n_spec(text: str) -> range:
+    """Parse '7' or an inclusive range '1..50' into a range of non-negative ints."""
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo, hi = int(lo_text), int(hi_text if dots else lo_text)
@@ -41,20 +41,18 @@ def _parse_n_spec(text: str) -> list[int]:
     if dots:
         if lo < 0 or hi < lo:
             raise ValueError(f"bad range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if lo < 0:
         raise ValueError("n must be >= 0")
-    return [lo]
+    return range(lo, lo + 1)
 
 
 def _working_precision(args, n_values) -> int:
     """Explicit --precision must cover the request; otherwise size to fit."""
-    needed = max(n_values) if n_values else 0
+    needed = n_values[-1]
     if args.precision is not None:
         if args.precision < needed:
-            raise PrecisionTooLow(
-                f"--precision {args.precision} is below the requested n={needed}"
-            )
+            raise PrecisionTooLow(f"--precision {args.precision} is below the requested n={needed}")
         return args.precision
     return max(DEFAULT_PRECISION, needed)
 
@@ -80,7 +78,7 @@ def _print_values(rows, fmt, out):
     elif fmt == "csv":
         out.write("n,value\n" + "".join(map("%d,%s\n".__mod__, rows)))
     else:
-        width = max((len(str(n)) for n, _ in rows), default=1)
+        width = len(str(rows[-1][0])) if rows else 1  # the rows run up in n
         out.write("".join(["%*d  %s\n" % (width, n, v) for n, v in rows]))
 
 
@@ -88,44 +86,30 @@ def _cmd_s2k(args, out) -> int:
     n_values = _parse_n_spec(args.n)
     if args.method == "bruteforce":
         if args.k not in BRUTEFORCE_KS:
-            raise UnsupportedK(
-                f"k={args.k} not supported for bruteforce; valid: 1..14"
-            )
+            raise UnsupportedK(f"k={args.k} not supported for bruteforce; valid: 1..14")
     elif args.k not in FORMULA_KS:
-        raise UnsupportedK(
-            f"k={args.k} not supported for {args.method}; valid: {FORMULA_KS}"
-        )
+        raise UnsupportedK(f"k={args.k} not supported for {args.method}; valid: {FORMULA_KS}")
     precision = _working_precision(args, n_values)
     if args.method == "bruteforce":
         table = lattice.s2k_bruteforce(args.k, precision)
-        rows = [(n, table[n]) for n in n_values]
-    elif args.method == "decomposition":
-        series = identities.decomposition(args.k, precision)
-        rows = [(n, series.coefficient(n)) for n in n_values]
     else:
-        rows = [
-            (n, identities.s2k_from_divisor_sums(args.k, n, precision))
-            for n in n_values
-        ]
-    _print_values(rows, args.format, out)
+        if args.method == "formula" and n_values[0] < 1:
+            raise ValueError("n must be >= 1")
+        table = identities.decomposition(args.k, precision).coeffs  # the formula's table too
+    _print_values([(n, table[n]) for n in n_values], args.format, out)
     return 0
 
 
 def _cmd_tau(args, out) -> int:
     n_values = _parse_n_spec(args.n)
-    if any(n < 1 for n in n_values):
+    if n_values[0] < 1:
         raise ValueError("tau is defined for n >= 1")
     precision = _working_precision(args, n_values)
     if args.method == "eta":
-        from .forms import named_form
-
-        coeffs = named_form("delta", precision).series.coeffs
-        rows = [(n, coeffs[n]) for n in n_values]
+        table = forms.named_form("delta", precision).series.coeffs
     else:
-        rows = [
-            (n, identities.tau_from_lattice_sums(n, precision)) for n in n_values
-        ]
-    _print_values(rows, args.format, out)
+        table = identities.formula_table("tau-eq", precision)
+    _print_values([(n, table[n]) for n in n_values], args.format, out)
     return 0
 
 
@@ -310,38 +294,48 @@ def _read(word, flags, command):
     return "", None
 
 
-#: Per subcommand, built once: options by flag, values before any word is read, required options.
+#: Per subcommand, built once: options by flag, values before any word is
+#: read, required options, positional names.
 PARSERS = {
     command: (
         {"-h": HELP, "--help": HELP, **{f"--{o[0]}": o for o in options}},
         {"command": command, **{o[0]: None if o[2] == REQUIRED else o[2] for o in options}},
         tuple(o[0] for o in options if o[2] == REQUIRED),
+        tuple(name for name, _ in positionals),
     )
-    for command, (_, _, _, options) in COMMANDS.items()
+    for command, (_, _, positionals, options) in COMMANDS.items()
 }
 
 
 def _parse_command(command, words) -> SimpleNamespace:
-    by_flag, defaults, required = PARSERS[command]
+    by_flag, defaults, required, positional_names = PARSERS[command]
     values = dict(defaults)
-    waiting = [name for name, _ in COMMANDS[command][2]]
-    only_values = False
+    waiting = list(positional_names)
+    only_values = filled = False  # filled: the last word was a positional
     words = iter(words)
     for word in words:
-        read = None if only_values else _read(word, by_flag, command)
-        if read is None:
-            if not waiting:
+        option = None if only_values else by_flag.get(word)
+        flag, text = word, None
+        if option is None:  # a value, or a word for the argparse grammar
+            read = _read(word, by_flag, command) if word[:1] == "-" and not only_values else None
+            if read is None:
+                if not waiting:
+                    _fail(command, f"unrecognized arguments: {word}")
+                values[waiting.pop(0)] = word
+                filled = True
+                continue
+            flag, text = read
+            if flag == "--":  # every later word is a value; the '--' goes with a positional next to it
+                if not (waiting or filled):
+                    _fail(command, "unrecognized arguments: --")
+                only_values = True
+                continue
+            option = by_flag.get(flag)
+            if option is None:
                 _fail(command, f"unrecognized arguments: {word}")
-            values[waiting.pop(0)] = word
-            continue
-        flag, text = read
-        if flag == "--":  # every later word is a value
-            only_values = True
-            continue
-        if flag not in by_flag:
-            _fail(command, f"unrecognized arguments: {word}")
-        name, kind, _, _ = by_flag[flag]
-        if kind == FLAG:
+        filled = False
+        name, kind, _, _ = option
+        if kind is FLAG:
             if text is not None:
                 _fail(command, f"argument {flag}: ignored explicit argument {text!r}")
             if name == "help":
@@ -353,7 +347,7 @@ def _parse_command(command, words) -> SimpleNamespace:
             continue
         if text is None:
             text = next(words, None)
-            if text is None or _read(text, by_flag, command) is not None:
+            if text is None or text[:1] == "-" and _read(text, by_flag, command) is not None:
                 _fail(command, f"argument {flag}: expected one argument")
         if kind is int:
             try:
@@ -362,9 +356,9 @@ def _parse_command(command, words) -> SimpleNamespace:
                 _fail(command, f"argument {flag}: invalid int value: {text!r}")
         elif isinstance(kind, tuple) and text not in kind:
             _fail(command, f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
-        values[name] = (values[name] or []) + [text] if kind == REPEAT else text
-    missing = waiting + [f"--{name}" for name in required if values[name] is None]
-    if missing:
+        values[name] = (values[name] or []) + [text] if kind is REPEAT else text
+    if waiting or None in map(values.get, required):
+        missing = waiting + [f"--{name}" for name in required if values[name] is None]
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(**values)
 
@@ -372,20 +366,24 @@ def _parse_command(command, words) -> SimpleNamespace:
 def parse_args(argv=None) -> SimpleNamespace:
     """Read a command line by the COMMANDS table, with argparse's grammar and errors.
 
-    Options take their full name or a unique prefix, and --opt=value.  A
-    usage error prints the usage and the error to stderr and raises
-    SystemExit(2); -h/--help prints the help to stdout and raises
-    SystemExit(0).  A valid command line builds no usage text.
+    A command, and a flag spelled in full, is one dict lookup; every other
+    word that starts with '-' takes the argparse grammar of _read: a unique
+    prefix, --opt=value, '--', '-', a negative number, a word with a space
+    or an unknown option.  A usage error prints the usage and the error to
+    stderr and raises SystemExit(2); -h/--help prints the help to stdout
+    and raises SystemExit(0).  A valid command line builds no usage text.
     """
     words = sys.argv[1:] if argv is None else list(argv)
     for i, word in enumerate(words):
+        if word in COMMANDS:
+            return _parse_command(word, words[i + 1 :])
         read = _read(word, ("-h", "--help"), None)
         if read is None:
-            if word not in COMMANDS:
-                _fail(None, f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, COMMANDS))})")
-            return _parse_command(word, words[i + 1 :])
+            _fail(None, f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, COMMANDS))})")
         if read[0] not in ("-h", "--help"):
             _fail(None, f"unrecognized arguments: {word}")
+        if read[1] is not None:
+            _fail(None, f"argument -h/--help: ignored explicit argument {read[1]!r}")
         rows = [(name, command[1]) for name, command in COMMANDS.items()]
         _help(None, DESCRIPTION, [("commands:", rows), ("options:", [("-h, --help", HELP[3])])])
     _fail(None, "the following arguments are required: command")

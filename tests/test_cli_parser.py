@@ -5,6 +5,8 @@ to have.  On valid command lines ``cli.parse_args`` must give the same
 values; on invalid ones both must exit with code 2.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -52,6 +54,8 @@ GRAMMAR = [
     "lsum --n 1..3 L_6_2",
     "lsum --format csv L_6_2 --n 1",
     "lsum --n 1 -- L_6_2",
+    "lsum --n 1 -- --",
+    "lsum --n 1 L_6_2 --",
     "lsum L_6_2 --n 1 --format json --format table",
     "lsum BAD --n -1",
     "lsum -1 --n -2",
@@ -120,6 +124,11 @@ INVALID = [
     ("s2k --k 7 --n 1 extra", "extra"),
     ("lsum -- L_6_2 --n 1", "--n"),
     ("verify --all=yes --nmax 5", "--all"),
+    ("tau --n 5 --", "--"),
+    ("lsum L_6_2 --n 1 --", "--"),
+    ("verify --all --nmax 3 --", "--"),
+    ("--help=x", "--help"),
+    ("--=", "--help"),
 ]
 
 
@@ -155,3 +164,55 @@ def test_help_lists_every_option_and_choice(argv, capsys):
         words = [*COMMANDS, *(summary for _, summary, _, _ in COMMANDS.values())]
     for word in words:
         assert word in out, word
+
+
+#: How a differential command line starts: a command with its required
+#: options, a bare command, or a word that is no command.
+STARTS = [
+    "s2k --k 7 --n 1..5", "tau --n 3", "lsum --n 2", "lsum L_6_2 --n 2", "verify --nmax 3",
+    *COMMANDS, "--k", "--", "-", "x", "--=",
+]
+
+#: Words and short runs of words drawn to follow the start: every flag,
+#: prefixes, --opt=value, '--', '-', negative numbers, words with a space,
+#: values, bad choices and unknown options.  No -h/--help: help comes
+#: before any error, and test_help_lists_every_option_and_choice pins that.
+CHUNKS = [
+    *([f"--{name}"] for name in ("k", "n", "method", "format", "precision", "all", "identity", "nmax", "strict")),
+    ["--k", "12"], ["--n", "1..5"], ["--nm", "4"], ["--all"],
+    ["--meth", "formula"], ["--m", "eta"], ["--form", "csv"], ["--f", "json"], ["--prec", "300"], ["--p", "-5"],
+    ["--al"], ["--str"], ["--ident", "tau-eq"], ["--identity", "s14-theorem"],
+    "--k=9", "--n=1..3", "--n=-1", "--format=json", "--method=decomposition", "--all=yes", "--nmax=2",
+    "--identity=rho-star-6", "--i=tau-eq", "--=", "--=csv",
+    "--", "-", "-1", "-.5", "+3", "-1 5", "a b", "--x y",
+    "L_6_2", "Lcal_4", "x", "7", "1..4", "formula", "paper-formula", "eta", "table",
+    ["--method", "fast"], ["--format", "xml"], ["--k", "seven"], ["--nmax", "1e3"],
+    "--bogus", "-x", "--bogus=1",
+]
+
+
+def outcome(parse, argv):
+    """The parsed values without the handler, or the exit code."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            values = vars(parse(argv))
+    except SystemExit as exit_:
+        return exit_.code
+    values.pop("func", None)
+    return values
+
+
+def test_drawn_command_lines_parse_as_argparse_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chunk = st.sampled_from(CHUNKS).map(lambda c: [c] if isinstance(c, str) else c)
+
+    @hypothesis.settings(deadline=None, max_examples=1500)
+    @hypothesis.given(st.sampled_from(STARTS), st.lists(chunk, max_size=5))
+    def check(start, chunks):
+        argv = start.split() + [word for c in chunks for word in c]
+        expected = outcome(build_parser().parse_args, argv)
+        assert expected == 2 or isinstance(expected, dict)
+        assert outcome(parse_args, argv) == expected, argv
+
+    check()

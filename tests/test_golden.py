@@ -49,6 +49,17 @@ CASES = {
     "s2k-12-formula-csv-n400": ["s2k", "--k", "12", "--n", "390..400", "--method", "formula", "--format", "csv"],
     "s2k-14-formula-n0": ["s2k", "--k", "14", "--n", "0", "--method", "formula"],
     "s2k-13-formula-bad": ["s2k", "--k", "13", "--n", "5", "--method", "formula"],
+    # one case per method and format the warm queries use, and the option spellings they may take
+    "s2k-3-bruteforce-json": ["s2k", "--k", "3", "--n", "17..36", "--method", "bruteforce", "--format", "json"],
+    "s2k-14-bruteforce-csv": ["s2k", "--k", "14", "--n", "1..20", "--format", "csv"],
+    "tau-eta-csv": ["tau", "--n", "1..20", "--method", "eta", "--format", "csv"],
+    "tau-paper-formula-json": ["tau", "--n", "5..25", "--method", "paper-formula", "--format", "json"],
+    "lsum-L_12_4-json-n7": ["lsum", "L_12_4", "--n", "7", "--format", "json"],
+    "s2k-9-formula-prefixes": ["s2k", "--k=9", "--n=3..7", "--meth", "formula", "--form", "csv"],
+    "lsum-Lcal_4-after-dashes": ["lsum", "--n", "1..3", "--format=json", "--", "Lcal_4"],
+    "verify-two-identities-strict": ["verify", "--identity", "tau-eq", "--ident=s14-theorem", "--nmax", "5", "--str"],
+    "s2k-7-formula-n0-range": ["s2k", "--k", "7", "--n", "0..3", "--method", "formula"],
+    "tau-paper-formula-n0": ["tau", "--n", "0..3", "--method", "paper-formula"],
 }
 
 

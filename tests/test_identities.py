@@ -491,6 +491,8 @@ def test_every_src_function_is_referenced_in_src():
         ("forms", "eta_quotient"),
         ("lattice", "lomadze_sum"),
         ("identities", "newform_coeff_identities"),
+        ("identities", "s2k_from_divisor_sums"),  # the per-n API; the command line reads whole tables
+        ("identities", "tau_from_lattice_sums"),
     }
     spec = importlib.util.spec_from_file_location("perfbench_tracer", package.parents[1] / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

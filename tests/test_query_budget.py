@@ -1,17 +1,24 @@
 """What one warm query costs hexrep's command line, counted from outside.
 
 A query that hits the caches is the command line's own work: read
-the words, write the answer.  A valid command line builds no usage text
-and each answer goes out in one write; the usage line still appears,
-unchanged, on every usage error.
+the words, write the answer.  A valid command line builds no usage text,
+a flag spelled in full takes no grammar, each answer reads one table and
+goes out in one write; the usage line still appears, unchanged, on every
+usage error.
 """
 
 import contextlib
+import importlib.util
 import io
+import random
+from pathlib import Path
 
 import pytest
+from oracles import build_parser
 
-from hexrep import cli
+from hexrep import cli, identities
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 QUERIES = [
     ["s2k", "--k", "7", "--n", "1..40"],
@@ -52,6 +59,40 @@ def test_a_valid_command_line_builds_no_usage(monkeypatch):
     monkeypatch.setattr(cli, "_invocation", no_usage)
     for argv in QUERIES + [["verify", "--all", "--nmax", "5", "--str"]]:
         assert cli.parse_args(argv).command == argv[0]
+
+
+def test_the_benchmark_lines_take_one_lookup_per_flag(monkeypatch):
+    pytest.importorskip("sympy")  # the benchmark's checks import it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    rng = random.Random(1)
+    lines = run.verify_commands(rng) + run.value_commands(rng) + run.serve_stream(random.Random(1))
+
+    def no_grammar(*args):
+        raise AssertionError("a benchmark word took the argparse grammar")
+
+    expected = [vars(build_parser().parse_args(argv)) for argv in lines]
+    monkeypatch.setattr(cli, "_read", no_grammar)
+    for argv, values in zip(lines, expected):
+        del values["func"]
+        assert vars(cli.parse_args(argv)) == values, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["s2k", "--k", "12", "--n", "1..20", "--method", "formula"],
+    ["tau", "--n", "1..20", "--method", "paper-formula"],
+])
+def test_a_warm_formula_query_reads_one_table(argv, monkeypatch):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # fills the caches
+    calls = []
+    formula_table = identities.formula_table
+    monkeypatch.setattr(identities, "formula_table", lambda *args: calls.append(args) or formula_table(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(calls) == 1
 
 
 USAGE = {
