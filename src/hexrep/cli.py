@@ -2,13 +2,15 @@
 
 Subcommands: ``s2k`` (representation numbers), ``tau`` (Ramanujan tau),
 ``lsum`` (catalog finite sums), and ``verify`` (run the identity checks).
-Values print bare when integral and as p/q otherwise.
+Values print bare when integral and as p/q otherwise.  The ``COMMANDS``
+table is the grammar: a line with every flag spelled in full is read
+straight from it, and argparse, built from it on demand, reads the rest
+and owns the help and the usage errors.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -192,7 +194,6 @@ DESCRIPTION = (
 REQUIRED = "required"  # the default of an option that must be given
 FLAG = "flag"  # an option without a value: True when given
 REPEAT = "repeatable"  # an option whose values collect in a list
-HELP = ("help", FLAG, False, "show this help message and exit")
 
 N_OPTION = ("n", str, REQUIRED, "index n or inclusive range a..b")
 COMMON_OPTIONS = (
@@ -232,73 +233,34 @@ COMMANDS = {
 }
 
 
-def _invocation(option) -> str:
-    name, kind, _, _ = option
-    if kind == FLAG:
-        return f"--{name}"
-    return f"--{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name.upper())
+def _argparser():
+    """The argparse parser of the COMMANDS table: it reads every line the fast lane leaves, help and errors included."""
+    import argparse
 
+    def formatter(prog):  # one line per item, whatever the terminal width
+        return argparse.RawTextHelpFormatter(prog, width=sys.maxsize)
 
-def _usage(command) -> str:
-    """The usage line of a subcommand, or of the whole program when command is None."""
-    if command is None:
-        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
-    _, _, positionals, options = COMMANDS[command]
-    return " ".join(
-        [f"usage: {PROG} {command} [-h]"]
-        + [_invocation(o) if o[2] == REQUIRED else f"[{_invocation(o)}]" for o in options]
-        + [name for name, _ in positionals]
-    )
-
-
-def _help(command, description, sections):
-    """Print the help, each section a heading over (name, help) rows, and exit 0."""
-    lines = [_usage(command), "", description]
-    for heading, rows in sections:
-        lines += ["", heading]
-        for left, text in rows:
-            lines += [f"  {left:<22}{text}"] if len(left) <= 20 else [f"  {left}", " " * 24 + text]
-    print("\n".join(lines))
-    raise SystemExit(0)
-
-
-def _fail(command, message):
-    """A usage error as argparse reports it: usage and message on stderr, exit 2."""
-    prog = PROG if command is None else f"{PROG} {command}"
-    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _read(word, flags, command):
-    """Read a word as argparse does: None for a value, else (flag, text after '=' or None).
-
-    A flag is named in full or by a unique prefix, and '--' reads as the
-    flag '--'.  Any other word that starts with '-' is an unknown option
-    (flag "") unless it is '-' alone, a negative number or holds a space.
-    """
-    if not word.startswith("-") or word == "-":
-        return None
-    if word == "--":
-        return word, None
-    name, eq, text = word.partition("=")
-    if name in flags:
-        hits = [name]
-    else:  # a unique prefix names a long flag
-        hits = [f for f in flags if f.startswith(name)] if name.startswith("--") else []
-    if len(hits) > 1:
-        _fail(command, f"ambiguous option: {name} could match {', '.join(hits)}")
-    if hits:
-        return hits[0], text if eq else None
-    if re.fullmatch(r"-\d+|-\d*\.\d+", word) or " " in word:
-        return None
-    return "", None
+    parser = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION, formatter_class=formatter)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary, positionals, options) in COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary, description=summary, formatter_class=formatter)
+        for name, text in positionals:
+            sub.add_argument(name, help=text)
+        for name, kind, default, text in options:
+            if kind in (FLAG, REPEAT):
+                spec = {"action": "store_true" if kind == FLAG else "append"}
+            else:
+                spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            required = default == REQUIRED
+            sub.add_argument(f"--{name}", help=text, required=required, default=None if required else default, **spec)
+    return parser
 
 
 #: Per subcommand, built once: options by flag, values before any word is
 #: read, required options, positional names.
 PARSERS = {
     command: (
-        {"-h": HELP, "--help": HELP, **{f"--{o[0]}": o for o in options}},
+        {f"--{o[0]}": o for o in options},
         {"command": command, **{o[0]: None if o[2] == REQUIRED else o[2] for o in options}},
         tuple(o[0] for o in options if o[2] == REQUIRED),
         tuple(name for name, _ in positionals),
@@ -307,86 +269,56 @@ PARSERS = {
 }
 
 
-def _parse_command(command, words) -> SimpleNamespace:
+def _parse_command(command, words):
+    """The values of a complete line with every flag spelled in full, else None.
+
+    One lookup per flag; any other word that starts with '-', a value that
+    starts with '-' or is missing, a bad int or choice, an extra word or a
+    missing argument gives None, and argparse reads the line instead.
+    """
     by_flag, defaults, required, positional_names = PARSERS[command]
     values = dict(defaults)
     waiting = list(positional_names)
-    only_values = filled = False  # filled: the last word was a positional
     words = iter(words)
     for word in words:
-        option = None if only_values else by_flag.get(word)
-        flag, text = word, None
-        if option is None:  # a value, or a word for the argparse grammar
-            read = _read(word, by_flag, command) if word[:1] == "-" and not only_values else None
-            if read is None:
-                if not waiting:
-                    _fail(command, f"unrecognized arguments: {word}")
-                values[waiting.pop(0)] = word
-                filled = True
-                continue
-            flag, text = read
-            if flag == "--":  # every later word is a value; the '--' goes with a positional next to it
-                if not (waiting or filled):
-                    _fail(command, "unrecognized arguments: --")
-                only_values = True
-                continue
-            option = by_flag.get(flag)
-            if option is None:
-                _fail(command, f"unrecognized arguments: {word}")
-        filled = False
+        option = by_flag.get(word)
+        if option is None:
+            if word[:1] == "-" or not waiting:
+                return None
+            values[waiting.pop(0)] = word
+            continue
         name, kind, _, _ = option
         if kind is FLAG:
-            if text is not None:
-                _fail(command, f"argument {flag}: ignored explicit argument {text!r}")
-            if name == "help":
-                _, summary, positionals, options = COMMANDS[command]
-                rows = [("-h, --help", HELP[3])] + [(_invocation(o), o[3]) for o in options]
-                sections = [("positional arguments:", positionals)] if positionals else []
-                _help(command, summary, sections + [("options:", rows)])
             values[name] = True
             continue
-        if text is None:
-            text = next(words, None)
-            if text is None or text[:1] == "-" and _read(text, by_flag, command) is not None:
-                _fail(command, f"argument {flag}: expected one argument")
+        text = next(words, "-")  # a missing value goes to argparse as a dashed one does
+        if text[:1] == "-":
+            return None
         if kind is int:
             try:
                 text = int(text)
             except ValueError:
-                _fail(command, f"argument {flag}: invalid int value: {text!r}")
+                return None
         elif isinstance(kind, tuple) and text not in kind:
-            _fail(command, f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+            return None
         values[name] = (values[name] or []) + [text] if kind is REPEAT else text
     if waiting or None in map(values.get, required):
-        missing = waiting + [f"--{name}" for name in required if values[name] is None]
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+        return None
     return SimpleNamespace(**values)
 
 
-def parse_args(argv=None) -> SimpleNamespace:
-    """Read a command line by the COMMANDS table, with argparse's grammar and errors.
+def parse_args(argv=None):
+    """Read a command line by the COMMANDS table, as argparse reads it.
 
-    A command, and a flag spelled in full, is one dict lookup; every other
-    word that starts with '-' takes the argparse grammar of _read: a unique
-    prefix, --opt=value, '--', '-', a negative number, a word with a space
-    or an unknown option.  A usage error prints the usage and the error to
-    stderr and raises SystemExit(2); -h/--help prints the help to stdout
-    and raises SystemExit(0).  A valid command line builds no usage text.
+    A line that starts with a command and spells every flag in full is read
+    by the fast lane, one dict lookup per flag, and builds no parser; every
+    other line (a prefix, --opt=value, '--', a value that starts with '-',
+    -h/--help or a usage error) goes to argparse, which prints help and
+    exits 0, or prints the usage and the error to stderr and exits 2.
     """
     words = sys.argv[1:] if argv is None else list(argv)
-    for i, word in enumerate(words):
-        if word in COMMANDS:
-            return _parse_command(word, words[i + 1 :])
-        read = _read(word, ("-h", "--help"), None)
-        if read is None:
-            _fail(None, f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, COMMANDS))})")
-        if read[0] not in ("-h", "--help"):
-            _fail(None, f"unrecognized arguments: {word}")
-        if read[1] is not None:
-            _fail(None, f"argument -h/--help: ignored explicit argument {read[1]!r}")
-        rows = [(name, command[1]) for name, command in COMMANDS.items()]
-        _help(None, DESCRIPTION, [("commands:", rows), ("options:", [("-h, --help", HELP[3])])])
-    _fail(None, "the following arguments are required: command")
+    values = _parse_command(words[0], words[1:]) if words and words[0] in COMMANDS else None
+    return _argparser().parse_args(words) if values is None else values
 
 
 def main(argv=None) -> int:

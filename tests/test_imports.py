@@ -1,8 +1,9 @@
 """A cold import, and a cold command, load only what hexrep runs.
 
-hexrep's records are namedtuples, its lock comes from ``_thread``, its
-command line is read from its own option table and its JSON is formatted
-by hand, so a fresh interpreter
+hexrep's records are namedtuples, its lock comes from ``_thread``, a
+command line with every flag spelled in full is read by its own fast lane
+(argparse is imported only for help, usage errors and other spellings)
+and its JSON is formatted by hand, so a fresh interpreter
 that imports the package or answers a command must not pull in the stdlib
 modules it never calls.
 """
@@ -39,8 +40,14 @@ def test_cold_import_leaves_unused_modules_out(module):
     assert loaded_after(f"import {module}", UNUSED) == "[]"
 
 
-def test_cold_command_loads_no_argument_parser():
-    code = 'import hexrep.cli; hexrep.cli.main(["s2k", "--k", "7", "--n", "1"])'
+@pytest.mark.parametrize("line", [
+    "verify --all --nmax 30 --format json",
+    "s2k --k 9 --n 37..60 --method decomposition --format csv",
+    "tau --n 5..9 --method paper-formula --format table",
+    "lsum Lcal_4 --n 12..20 --precision 40",
+])
+def test_cold_command_loads_no_argument_parser(line):
+    code = f"import hexrep.cli; hexrep.cli.main({line.split()!r})"
     assert loaded_after(code, UNUSED + PARSER_MODULES) == "[]"
 
 
