@@ -177,9 +177,12 @@ def _rho_star_forced(ell: int) -> tuple:
 #: reports the pair at n = 0 as the constant term.
 Sides = namedtuple("Sides", "lhs rhs note at_zero", defaults=("", False))
 
+#: F_k as terms, shared by the f{k}-decomposition and s{2k}-formula entries.
+_WEIGHT_TERMS = {k: _weight_terms(k) for k in WEIGHTS}
+
 #: Every identity, in report order.
 SIDES = {
-    **{f"f{k}-decomposition": Sides(_weight_terms(k), ((1, ("s2k", k)),), at_zero=True) for k in WEIGHTS},
+    **{f"f{k}-decomposition": Sides(_WEIGHT_TERMS[k], ((1, ("s2k", k)),), at_zero=True) for k in WEIGHTS},
     **{
         f"s{2 * k}-theorem": Sides(
             ((WEIGHTS[k][0] / 3 ** ((k - 1) // 2), ("rho*", k - 1)), *_cusp_terms(k)),
@@ -197,7 +200,7 @@ SIDES = {
         )
         for k in THEOREM_KS
     },
-    **{f"s{2 * k}-formula": Sides(_weight_terms(k), ((1, ("s2k", k)),)) for k in WEIGHTS if k % 2 == 0},
+    **{f"s{2 * k}-formula": Sides(_WEIGHT_TERMS[k], ((1, ("s2k", k)),)) for k in WEIGHTS if k % 2 == 0},
     "lomadze-s24": Sides(
         tuple(
             (Fraction(c) / (73 * 691), source)

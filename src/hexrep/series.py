@@ -4,6 +4,9 @@ A series is stored as its coefficients c_0 .. c_N; it is known exactly
 modulo q^(N+1) and N is called the precision.  Coefficients are Python
 ints or Fractions, never floats, so every operation in this module is
 exact.  Instances are immutable and safe to share between threads.
+
+A product of two series is one two-point Kronecker substitution: each side
+packed once into one int, and two big-int products of half the bits.
 """
 
 from __future__ import annotations
@@ -126,8 +129,12 @@ def _normal(values: Iterable) -> tuple:
 
 
 def _integral(coeffs: tuple) -> tuple[tuple | list, int]:
-    """Integers c * d for the coefficients c, with d the lcm of their denominators."""
-    if Fraction not in set(map(type, coeffs)):
+    """Integers c * d for the coefficients c, with d the lcm of their denominators; any other type (bool, float) is a TypeError."""
+    kinds = set(map(type, coeffs))
+    for kind in kinds:  # the types _as_coeff accepts
+        if kind is bool or not issubclass(kind, (int, Fraction)):
+            raise TypeError(f"coefficients must be int or Fraction, got {kind.__name__}")
+    if Fraction not in kinds:
         return coeffs, 1
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
@@ -199,6 +206,16 @@ def _unpack(value: int, width: int, flip: int, count: int) -> list:
         return array("q", low).tolist()
     high = _restride(raw, width, 8, width, 8, count)  # a signed limb above an unsigned one
     return [lo + (hi << 64) for lo, hi in zip(array("Q", low).tolist(), array("q", high).tolist())]
+
+
+def _plus_minus(ints, width: int, flip: int) -> tuple[int, int]:
+    """(A(x), A(-x)), A(x) = sum(ints[i] * x^i), x = 2^(4 width): one _pack, evens below odds, by _signed_flip(width, len(ints))."""
+    cut = 8 * width * ((len(ints) + 1) // 2)  # the bits of the even slots
+    mask = (1 << cut) - 1
+    value = _pack(ints[0::2] + ints[1::2], width, flip) + flip  # slots lifted to c + X/2 >= 0: the split borrows nothing
+    even = (value & mask) - (flip & mask)
+    odd = ((value >> cut) - (flip >> cut)) << (4 * width)
+    return even + odd, even - odd
 
 
 class QSeries:
@@ -283,20 +300,23 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product truncated at the smaller precision, by Kronecker substitution.
+        """Product truncated at the smaller precision, by two-point Kronecker substitution.
 
-        Both sides, cleared of denominators, are evaluated at X = 2^(8w) as
-        one int each and multiplied; w is the exact byte width of every
-        input coefficient and of the product bound (n+1) * max|a| * max|b|.
-        A slot holds its coefficient in two's complement: XOR with the top
-        bit of every slot (flip) and subtracting flip gives the signed
-        evaluation, and adding flip to the product lifts each slot to
-        c + X/2 >= 0, so no slot borrows from its neighbour when read back.
-        On a little-endian host an operand whose ints all fit in 64 bits is
-        packed from one signed 64-bit array at any w, and a w of at most 16
-        is read back as 64-bit limbs; larger ints and wider slots go through
-        bytes one coefficient at a time.  A series times itself is packed
-        once.
+        Both sides, cleared of denominators, are packed once each into w-byte
+        slots, even-indexed coefficients below odd ones, and evaluated at
+        x = 2^(4w) and -x; the products P(x), P(-x) of half the bits give the
+        even and odd coefficients, (P(x) + P(-x)) / 2 and (P(x) - P(-x)) / 2x,
+        in w-byte slots again (Harvey, J. Symbolic Comput. 44, 2009).  w is
+        the exact byte width of every input coefficient and of the product
+        bound (n+1) * max|a| * max|b|.  A slot holds its coefficient in two's
+        complement: XOR with the top bit of every slot (flip) and subtracting
+        flip gives the signed int, and adding flip lifts each slot to
+        c + X/2 >= 0, so no slot borrows from its neighbour when split or read
+        back.  On a little-endian host an operand whose ints all fit in 64
+        bits is packed from one signed 64-bit array at any w, and a w of at
+        most 16 is read back as 64-bit limbs; larger ints and wider slots go
+        through bytes one coefficient at a time.  A series times itself is
+        packed once and squared twice.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
@@ -304,9 +324,17 @@ class QSeries:
             b, db, mb = (a, da, ma) if other is self else _operand(other._coeffs[: n + 1])
             w = (max((n + 1) * ma * mb, ma, mb).bit_length() + 8) // 8
             flip = _signed_flip(w, n + 1)
-            a = _pack(a, w, flip)  # the operand's array is dropped once packed
-            a *= a if other is self else _pack(b, w, flip)
-            return QSeries._trusted(_over(_unpack(a, w, flip, n + 1), da * db))
+            a = _plus_minus(a, w, flip)  # the operand's array is dropped once packed
+            b = a if other is self else _plus_minus(b, w, flip)
+            plus, minus = a[0] * b[0], a[1] * b[1]
+            half = n // 2 + 1  # the even coefficients, read back below the odd ones
+            mask = (1 << (8 * w * half)) - 1
+            low = flip & mask
+            even = ((((plus + minus) >> 1) + low) & mask) - low  # cut to half slots, signed
+            odd = (plus - minus) >> (4 * w + 1)
+            ints = _unpack(even + (odd << (8 * w * half)), w, flip, n + 1)
+            ints[0::2], ints[1::2] = ints[:half], ints[half:]
+            return QSeries._trusted(_over(ints, da * db))
         if isinstance(other, (int, Fraction)):
             return linear_combination((other, self))
         return NotImplemented
@@ -393,8 +421,9 @@ class QSeries:
 def linear_combination(*terms: tuple[int | Fraction, QSeries | tuple]) -> QSeries:
     """sum(c * s) over the (c, s) terms, truncated at the smallest precision.
 
-    Each s is a series or a table of coefficients (a tuple of ints and
-    Fractions).  Every term is cleared of denominators and the sum is taken
+    Each c is an int or Fraction, each s a series or a table of coefficients
+    (a tuple of ints and Fractions); a float or bool in either place is a
+    TypeError.  Every term is cleared of denominators and the sum is taken
     in int arithmetic over one common denominator, so each coefficient is
     reduced once instead of once per term.
     """
@@ -403,8 +432,8 @@ def linear_combination(*terms: tuple[int | Fraction, QSeries | tuple]) -> QSerie
     parts = []
     for (c, _), table in zip(terms, tables):
         ints, d = _integral(table[: n + 1])
-        c = Fraction(c)
-        parts.append((c.numerator, c.denominator * d, ints))
+        (p,), q = _integral((c,))  # c = p / q, its type checked as a table entry is
+        parts.append((p, q * d, ints))
     den = lcm(*(q for _, q, _ in parts))
     total = [0] * (n + 1)
     for p, q, ints in parts:

@@ -149,6 +149,38 @@ def mul_schoolbook(a, b) -> list:
     return out
 
 
+#: the Mersenne prime 2^61 - 1, the modulus of product_at_point
+P61 = 2**61 - 1
+
+
+def product_at_point(a, b, c, r: int, p: int = P61) -> bool:
+    """Whether c = a * b mod q^(n+1), n = len(c) - 1, holds at q = r mod the prime p, in O(n).
+
+    sum c_k r^k must equal sum a_i r^i B_(n-i), B_m = sum(b_j r^j, j <= m)
+    the prefix sums of b at r; a Fraction is its numerator times the inverse
+    of its denominator mod p.  A wrong c passes at a random r with
+    probability at most n / p (Schwartz, J. ACM 27, 1980).
+    """
+
+    def mod(x):
+        return x % p if type(x) is int else x.numerator * pow(x.denominator, -1, p) % p
+
+    n = len(c) - 1
+    prefix, acc, power = [], 0, 1
+    for bj in b[: n + 1]:
+        acc = (acc + mod(bj) * power) % p
+        prefix.append(acc)
+        power = power * r % p
+    lhs = 0
+    for ck in reversed(c):
+        lhs = (lhs * r + mod(ck)) % p
+    rhs, power = 0, 1
+    for i, ai in enumerate(a[: n + 1]):
+        rhs = (rhs + mod(ai) * power * prefix[n - i]) % p
+        power = power * r % p
+    return lhs == rhs
+
+
 def invert_dense(a) -> list:
     """1 / a by b_0 = 1/a_0, b_n = -(1/a_0) sum(a_i b_(n-i), 1 <= i <= n), summing over every i."""
     inv0 = Fraction(1) / a[0]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from oracles import euler_product_direct, invert_dense
 
-from hexrep.series import OutOfPrecision, QSeries, ZeroConstantTerm
+from hexrep.series import OutOfPrecision, QSeries, ZeroConstantTerm, linear_combination
 
 
 def random_series(rng, precision, unit_constant=False):
@@ -156,6 +156,29 @@ def test_no_floats_accepted():
         QSeries([1.0, 2.0])
     with pytest.raises(TypeError):
         QSeries([1]) * 0.5
+
+
+@pytest.mark.parametrize(
+    "terms, kind",
+    [
+        (((0.1, QSeries([1, 2])),), "float"),
+        (((True, QSeries([1, 2])),), "bool"),
+        (((1, (1, 0.5)),), "float"),
+        (((1, QSeries([1])), (Fraction(1, 3), (False, 2))), "bool"),
+        (((Fraction(1, 2), (1, Fraction(1, 3), 2.0)),), "float"),
+    ],
+)
+def test_linear_combination_refuses_floats_and_bools(terms, kind):
+    # Fraction(0.1) would be exact but is not the 1/10 meant, so no float reaches the sum
+    with pytest.raises(TypeError, match=f"^coefficients must be int or Fraction, got {kind}$"):
+        linear_combination(*terms)
+
+
+def test_scalar_product_refuses_bool():
+    with pytest.raises(TypeError, match="got bool$"):
+        QSeries([1, 2]) * True
+    with pytest.raises(TypeError, match="got bool$"):
+        False * QSeries([1, 2])
 
 
 def test_integral_fractions_normalize_to_int():

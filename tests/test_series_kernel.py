@@ -1,5 +1,6 @@
 """The Kronecker-substitution product and the common-denominator linear
-combination against plain per-coefficient Fraction arithmetic."""
+combination against plain per-coefficient Fraction arithmetic, and the
+products too long for that against their values at random points."""
 
 import random
 from array import array
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 from memos import clear_all
-from oracles import mul_schoolbook
+from oracles import P61, mul_schoolbook, product_at_point
 
 from hexrep import identities, series
 from hexrep.series import QSeries, _pack, _signed_flip, _unpack, linear_combination
@@ -99,6 +100,45 @@ def test_pack_unpack_round_trip(w, slot_path):
         assert _unpack(packed, w, _signed_flip(w, 3), 3) == values[:3]
 
 
+#: per kind, (a, b) at length n + 1: small signed ints, int64 edges (array
+#: packs, 17-byte slots past n = 0), ints past 2^64 (18 bytes and more, bytes
+#: read-back) and Fractions
+KERNEL_KINDS = {
+    "signed": lambda rng, m: [rng.randrange(-1000, 1000) for _ in range(m)],
+    "int64 edges": lambda rng, m: [rng.choice((-(2**63), 2**63 - 1, 0, 1, -1)) for _ in range(m)],
+    "past int64": lambda rng, m: [rng.choice((2**64, -(2**64), 2**63, 3, -(2**70) + 1)) for _ in range(m)],
+    "fractions": lambda rng, m: [Fraction(rng.randrange(-99, 99), rng.randrange(1, 12)) for _ in range(m)],
+}
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_products_and_squares_at_every_length(kind, slot_path, monkeypatch):
+    """Every length 1..41: n = 0, and odd and even n, whose even and odd halves are of equal or unequal size."""
+    packs = recorded_packs(monkeypatch)
+    rng = random.Random(kind)
+    for length in range(1, 42):
+        a, b = (KERNEL_KINDS[kind](rng, length) for _ in range(2))
+        assert (QSeries(a) * QSeries(b)).coeffs == QSeries(mul_schoolbook(a, b)).coeffs
+        s = QSeries(a)
+        assert (s * s).coeffs == QSeries(mul_schoolbook(a, a)).coeffs
+    assert len(packs) == 3 * 41  # one pack per operand, one per square
+    if kind in ("int64 edges", "past int64"):  # reaches the over-16-byte read-back
+        assert max(width for width, _ in packs) > 16
+
+
+@pytest.mark.parametrize("w", range(1, 25))
+def test_plus_minus_is_the_evaluation_at_both_points(w, slot_path):
+    half = 2 ** (8 * w - 1)
+    rng = random.Random(w)
+    x = 2 ** (4 * w)
+    for length in (1, 2, 3, 4, 11, 40):
+        ints = [rng.choice((half - 1, -half, 0)) if rng.random() < 0.3 else rng.randrange(-half, half) for _ in range(length)]
+        items = series._int64(ints)
+        plus, minus = series._plus_minus(ints if items is None else items, w, _signed_flip(w, length))
+        assert plus == sum(c * x**i for i, c in enumerate(ints))
+        assert minus == sum(c * (-x) ** i for i, c in enumerate(ints))
+
+
 def test_int64_check(monkeypatch):
     assert series._int64([2**63 - 1, -(2**63), 0]).tolist() == [2**63 - 1, -(2**63), 0]
     assert series._int64([1, Fraction(1, 3)]) is None
@@ -133,6 +173,42 @@ def test_cold_verify_packs_every_operand_from_an_int64_array(monkeypatch):
     identities.verify_all(200)
     assert packs and all(from_array for _, from_array in packs)
     assert any(width > 8 for width, _ in packs)
+
+
+def test_point_oracle_catches_one_wrong_coefficient():
+    rng = random.Random(5)
+    a = [rng.randrange(-(2**80), 2**80) for _ in range(300)]
+    b = [Fraction(rng.randrange(-99, 99), rng.randrange(1, 9)) for _ in range(301)]
+    c = list((QSeries(a) * QSeries(b)).coeffs)
+    assert c == mul_schoolbook(a, b)
+    r = rng.randrange(2, P61 - 1)
+    assert product_at_point(a, b, c, r)
+    for k in (0, 150, 299):
+        wrong = c[:k] + [c[k] + Fraction(1, 7)] + c[k + 1 :]
+        assert not product_at_point(a, b, wrong, r)
+
+
+def test_cold_verify_products_at_two_random_points(monkeypatch):
+    """Every product of a cold verify_all(2000), too long for the schoolbook oracle, checked at two points mod 2^61 - 1."""
+    rng = random.Random(2000)
+    kernel = QSeries.__mul__
+    checked = []
+
+    def checked_mul(self, other):
+        product = kernel(self, other)
+        if isinstance(other, QSeries):
+            for r in (rng.randrange(2, P61 - 1), rng.randrange(2, P61 - 1)):
+                assert product_at_point(self.coeffs, other.coeffs, product.coeffs, r), (product.precision, r)
+            checked.append(product.precision)
+        return product
+
+    monkeypatch.setattr(QSeries, "__mul__", checked_mul)
+    clear_all()
+    try:
+        identities.verify_all(2000)
+    finally:
+        clear_all()  # no table built under the wrapper outlives the test
+    assert len(checked) > 20 and max(checked) == 2000
 
 
 if hypothesis is None:
