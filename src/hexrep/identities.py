@@ -11,11 +11,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from math import lcm
+from operator import add
 
 from . import forms, lattice
 from .arith import CHI3, CHI_TRIVIAL, bernoulli, bernoulli_generalized, rho_star_table, sigma_star_table, sigma_table
 from .lattice import lomadze_values
-from .series import DEFAULT_PRECISION, QSeries, grow_only, linear_combination, prefix
+from .series import DEFAULT_PRECISION, QSeries, _over, grow_only, prefix
 
 
 class PrecisionTooLow(ValueError):
@@ -69,8 +71,20 @@ def table(source, precision: int) -> tuple:
 
 
 def combine(terms: tuple, precision: int) -> tuple:
-    """sum(c * table(source)) over the (c, source) terms, at n = 0..precision."""
-    return linear_combination(*((c, table(source, precision)) for c, source in terms)).coeffs
+    """sum(c * table(source)) over the (c, source) terms, at n = 0..precision.
+
+    One lone term of coefficient 1 is its table itself.  Otherwise every int
+    table is added times c * den, den the lcm of the coefficients'
+    denominators, and the int sum is divided by den once.
+    """
+    if len(terms) == 1 and terms[0][0] == 1:
+        return table(terms[0][1], precision)
+    den = lcm(*(c.denominator for c, _ in terms))
+    total = [0] * (precision + 1)
+    for c, source in terms:
+        factor = c.numerator * (den // c.denominator)
+        total = list(map(add, total, map(factor.__mul__, table(source, precision))))
+    return _over(total, den)
 
 
 def _resolve_precision(n: int, precision: int | None) -> int:

@@ -115,7 +115,7 @@ class OutOfPrecision(ValueError):
 def _as_coeff(value) -> int | Fraction:
     """Validate and normalize a coefficient (Fractions with denominator 1 become ints)."""
     if isinstance(value, bool):
-        raise TypeError("coefficients must be int or Fraction, not bool")
+        raise TypeError("coefficients must be int or Fraction, got bool")
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
@@ -282,8 +282,8 @@ class QSeries:
             n = min(self.precision, other.precision)
             a, b = self._coeffs, other._coeffs
             return QSeries._trusted(_normal(a[i] + b[i] for i in range(n + 1)))
-        if isinstance(other, (int, Fraction)):
-            return QSeries._trusted((_as_coeff(self._coeffs[0] + other),) + self._coeffs[1:])
+        if isinstance(other, (int, Fraction)):  # a bool is refused by _as_coeff
+            return QSeries._trusted((_as_coeff(self._coeffs[0] + _as_coeff(other)),) + self._coeffs[1:])
         return NotImplemented
 
     __radd__ = __add__
@@ -292,8 +292,10 @@ class QSeries:
         return QSeries._trusted(tuple(-c for c in self._coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (QSeries, int, Fraction)):
+        if isinstance(other, QSeries):
             return self + (-other)
+        if isinstance(other, (int, Fraction)):
+            return self + -_as_coeff(other)
         return NotImplemented
 
     def __rsub__(self, other):

@@ -26,6 +26,7 @@ from hexrep.identities import (
     DOCUMENTED_DISCREPANCIES,
     IDENTITY_NAMES,
     IdentityReport,
+    ONE,
     PrecisionTooLow,
     UnknownIdentity,
     check,
@@ -39,6 +40,7 @@ from hexrep.identities import (
     verification_passed,
     verify_all,
 )
+from hexrep.series import linear_combination
 
 N = 200
 
@@ -425,6 +427,26 @@ def test_sides_are_term_lists_that_check_combines():
     for source in (("nope", 3), ("conv", 1, "delta"), ("sigma", 3)):
         with pytest.raises(ValueError, match=rf"^unknown source \('{source[0]}',"):
             table(source, 5)
+
+
+def test_combine_against_linear_combination():
+    # linear_combination, which forms and scalar products use, is the independent oracle of combine
+    fraction_sides = set()
+    for name, sides in identities.SIDES.items():
+        for side, terms in zip(("lhs", "rhs"), sides[:2]):
+            combined = combine(terms, 300)
+            expected = linear_combination(*((c, table(source, 300)) for c, source in terms)).coeffs
+            assert len(combined) == 301, (name, side)
+            assert combined == expected, (name, side)
+            assert list(map(type, combined)) == list(map(type, expected)), (name, side)
+            if Fraction in map(type, combined):
+                fraction_sides.add((name, side))
+    # the printed rho* theorems and the rho* values they force are the sides off the integers
+    theorems = {(f"s{2 * k}-theorem", "lhs") for k in identities.THEOREM_KS}
+    assert fraction_sides == theorems | {(f"rho-star-{k - 1}", "rhs") for k in identities.THEOREM_KS}
+    for source in (ONE, ("s2k", 7), "delta", ("conv", 1, "delta", 3)):
+        assert combine(((1, source),), 300) is table(source, 300)
+    assert combine(identities.SIDES["newform-w10"].rhs, 300) == (0,) * 301
 
 
 def test_equal_lhs_share_one_stored_table():

@@ -1,14 +1,16 @@
-"""How many series products the memoized paths take, from cleared memos.
+"""How many series products and combinations the memoized paths take, from cleared memos.
 
 Each power of a series is one product on a shared ladder of squarings and
 no product is taken twice, so the counts below are budgets, not exact
 figures: a change that multiplies more has lost that.
 """
 
+import sys
+
 import pytest
 from memos import clear_all
 
-from hexrep import forms, identities, lattice
+from hexrep import forms, identities, lattice, series
 from hexrep.series import QSeries
 
 BUDGETS = {
@@ -44,3 +46,22 @@ def test_series_products_within_budget(name, monkeypatch):
     clear_all()
     run()
     assert 0 < products <= budget, products
+
+
+def test_identity_sides_skip_linear_combination(monkeypatch):
+    # identities.combine sums every side in ints; only the catalog's b^3 and E_4 builds in forms
+    # go through series.linear_combination
+    combination = series.linear_combination
+    calls = 0
+
+    def counting(*terms):
+        nonlocal calls
+        calls += 1
+        return combination(*terms)
+
+    for name, module in list(sys.modules.items()):  # every hexrep module that imported it
+        if name.split(".")[0] == "hexrep" and getattr(module, "linear_combination", None) is combination:
+            monkeypatch.setattr(module, "linear_combination", counting)
+    clear_all()
+    identities.verify_all(200)
+    assert 0 < calls <= 3, calls

@@ -181,6 +181,23 @@ def test_scalar_product_refuses_bool():
         False * QSeries([1, 2])
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda a, flag: a + flag,
+        lambda a, flag: flag + a,
+        lambda a, flag: a - flag,
+        lambda a, flag: flag - a,
+    ],
+    ids=["add", "radd", "sub", "rsub"],
+)
+@pytest.mark.parametrize("flag", [True, False])
+def test_scalar_sum_refuses_bool(operation, flag):
+    # as the scalar product does: True is not the coefficient 1
+    with pytest.raises(TypeError, match="^coefficients must be int or Fraction, got bool$"):
+        operation(QSeries([1, 2]), flag)
+
+
 def test_integral_fractions_normalize_to_int():
     a = QSeries([Fraction(4, 2), Fraction(1, 3)])
     assert isinstance(a.coefficient(0), int)
@@ -213,5 +230,9 @@ def test_scalar_arithmetic():
     assert a + 1 == QSeries([2, 2])
     assert 1 + a == QSeries([2, 2])
     assert a - 1 == QSeries([0, 2])
+    assert 1 - a == QSeries([0, -2])
+    assert a + Fraction(1, 2) == Fraction(1, 2) + a == QSeries([Fraction(3, 2), 2])
+    assert a - Fraction(1, 2) == QSeries([Fraction(1, 2), 2])
+    assert Fraction(3, 2) - a == QSeries([Fraction(1, 2), -2])
     assert 3 * a == QSeries([3, 6])
     assert Fraction(1, 2) * a == QSeries([Fraction(1, 2), 1])
