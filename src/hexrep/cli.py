@@ -21,7 +21,7 @@ from .identities import (
     IDENTITY_NAMES,
     PrecisionTooLow,
     verification_passed,
-    verify_all,
+    verify_stream,
 )
 from .series import DEFAULT_PRECISION
 
@@ -75,8 +75,7 @@ def _json_string(text):
 def _print_values(rows, fmt, out):
     """Write all rows in one call; %s prints an int as it is and a non-integral Fraction as p/q."""
     if fmt == "json":
-        rows = [(n, _json_number(v)) for n, v in rows]
-        out.write("[%s]\n" % ", ".join(map('{"n": %d, "value": %s}'.__mod__, rows)))
+        out.write("[%s]\n" % ", ".join(['{"n": %d, "value": %s}' % (n, _json_number(v)) for n, v in rows]))
     elif fmt == "csv":
         out.write("n,value\n" + "".join(map("%d,%s\n".__mod__, rows)))
     else:
@@ -123,38 +122,39 @@ def _cmd_lsum(args, out) -> int:
     return 0
 
 
-def _print_verify_table(reports, passed, strict, out):
-    lines = []
+def _print_verify_table(reports, out):
+    """Write each report's lines as soon as it comes; the verdict line is the caller's."""
     for r in reports:
         tag = " [documented]" if r.name in identities.DOCUMENTED_DISCREPANCIES else ""
         if r.all_match:
-            lines.append(f"{r.name}: ok (n=1..{r.n_max}){tag}\n")
+            lines = [f"{r.name}: ok (n=1..{r.n_max}){tag}\n"]
         else:
             n, lhs, rhs = r.first_mismatch
             more = len(r.mismatches) - 1
             extra = f" (+{more} more)" if more else ""
-            lines.append(f"{r.name}: MISMATCH at n={n}: lhs={lhs} rhs={rhs}{extra}{tag}\n")
+            lines = [f"{r.name}: MISMATCH at n={n}: lhs={lhs} rhs={rhs}{extra}{tag}\n"]
         if r.constant_term is not None and not r.constant_term_matches:
             lhs0, rhs0 = r.constant_term
             lines.append(f"  constant term: {lhs0} vs {rhs0} (informational; the identity covers n >= 1)\n")
         if r.note:
             lines.append(f"  note: {r.note}\n")
-    verdict = "PASS" if passed else "FAIL"
-    lines.append(f"verification: {verdict} ({len(reports)} identities, strict={strict})\n")
-    out.write("".join(lines))
+        out.write("".join(lines))
 
 
 def _print_verify_csv(reports, out):
-    lines = []
+    """Write each report's rows in one call, as soon as it comes."""
     for r in reports:
-        lines += [f"# identity: {r.name}\n", "n,lhs,rhs,match\n"]
-        lines += map("%d,%s,%s,%s\n".__mod__, zip(range(1, r.n_max + 1), r.lhs, r.rhs, map(operator.eq, r.lhs, r.rhs)))
-    out.write("".join(lines))
+        rows = zip(range(1, r.n_max + 1), r.lhs, r.rhs, map(operator.eq, r.lhs, r.rhs))
+        out.write(f"# identity: {r.name}\nn,lhs,rhs,match\n" + "".join(map("%d,%s,%s,%s\n".__mod__, rows)))
 
 
 def _print_verify_json(reports, out):
-    """Write the reports as json.dumps(..., indent=2) writes a list of {name, n_max, status, mismatches, ...} objects, in one call."""
-    items = []
+    """Write the reports as json.dumps(..., indent=2) writes a list of {name, n_max, status, mismatches, ...} objects.
+
+    Each object is written in one call as soon as its report comes, after
+    the opening bracket and before the closing one.
+    """
+    separator = "["
     for r in reports:
         rows = [(n, _json_number(lhs), _json_number(rhs)) for n, lhs, rhs in r.mismatches]
         listed = ",".join(map('\n      {\n        "n": %d,\n        "lhs": %s,\n        "rhs": %s\n      }'.__mod__, rows))
@@ -166,8 +166,12 @@ def _print_verify_json(reports, out):
                 *map(_json_number, r.constant_term), match)
         if r.note:
             item += ',\n    "note": ' + _json_string(r.note)
-        items.append(item + "\n  }")
-    out.write("[%s]\n" % (",".join(items) + "\n" if items else ""))
+        out.write(separator + item + "\n  }")
+        separator = ","
+    out.write("[]\n" if separator == "[" else "\n]\n")
+
+
+VERIFY_WRITERS = {"json": _print_verify_json, "csv": _print_verify_csv, "table": _print_verify_table}
 
 
 def _cmd_verify(args, out) -> int:
@@ -175,14 +179,19 @@ def _cmd_verify(args, out) -> int:
         selection = "all"
     else:
         selection = args.identity
-    reports = verify_all(args.nmax, selection, args.precision)
-    passed = verification_passed(reports, strict=args.strict)
-    if args.format == "json":
-        _print_verify_json(reports, out)
-    elif args.format == "csv":
-        _print_verify_csv(reports, out)
-    else:
-        _print_verify_table(reports, passed, args.strict, out)
+    reports = verify_stream(args.nmax, selection, args.precision)  # a bad request raises here, before any output
+    passed, count = True, 0
+
+    def judged():  # the reports as they come, with the verdict and the count kept on the way
+        nonlocal passed, count
+        for r in reports:
+            passed = passed and verification_passed((r,), strict=args.strict)
+            count += 1
+            yield r
+
+    VERIFY_WRITERS[args.format](judged(), out)
+    if args.format == "table":
+        out.write(f"verification: {'PASS' if passed else 'FAIL'} ({count} identities, strict={args.strict})\n")
     return 0 if passed else 1
 
 

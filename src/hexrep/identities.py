@@ -420,9 +420,9 @@ def newform_coeff_identities(n_max: int, precision: int | None = None) -> list[I
 
 # -- the registry and the full run ----------------------------------------------
 
-#: Every report builder, in report order.  verify_all could call check
-#: directly; the table stays because the benchmark's tracer
-#: (perfbench/tracer.py) wraps each entry for its per-identity metrics.
+#: Every report builder, in report order.  verify_all and verify_stream
+#: could call check directly; the table stays because the benchmark's
+#: tracer (perfbench/tracer.py) wraps each entry for its per-identity metrics.
 IDENTITY_BUILDERS = {name: partial(check, name) for name in SIDES}
 
 IDENTITY_NAMES = tuple(IDENTITY_BUILDERS)
@@ -441,32 +441,84 @@ DOCUMENTED_DISCREPANCIES = frozenset(
 )
 
 
-def verify_all(
-    n_max: int,
-    selection="all",
-    precision: int | None = None,
-) -> list[IdentityReport]:
-    """Run the selected identity checks for n = 1..n_max at the given precision (default n_max).
-
-    selection is "all", one identity name, or an iterable of names.
-    """
+def _selected(n_max: int, selection, precision: int | None) -> tuple:
+    """The names and the precision of a verify request; refuses a bad one before any check runs."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if precision is None:
         precision = n_max
     if n_max > precision:
-        raise PrecisionTooLow(
-            f"n_max={n_max} exceeds the working precision {precision}"
-        )
+        raise PrecisionTooLow(f"n_max={n_max} exceeds the working precision {precision}")
     if isinstance(selection, str):
         selection = IDENTITY_NAMES if selection == "all" else (selection,)
     names = tuple(selection)
     unknown = [name for name in names if name not in IDENTITY_BUILDERS]
     if unknown:
-        raise UnknownIdentity(
-            f"unknown identities {unknown}; known: {', '.join(IDENTITY_NAMES)}"
-        )
+        raise UnknownIdentity(f"unknown identities {unknown}; known: {', '.join(IDENTITY_NAMES)}")
+    return names, precision
+
+
+def verify_all(n_max: int, selection="all", precision: int | None = None) -> list[IdentityReport]:
+    """Run the selected identity checks for n = 1..n_max at the given precision (default n_max).
+
+    selection is "all", one identity name, or an iterable of names.  Every
+    table built on the way stays in its memo.
+    """
+    names, precision = _selected(n_max, selection, precision)
     return [IDENTITY_BUILDERS[name](n_max, precision) for name in names]
+
+
+def _reads(source) -> tuple:
+    """The source and every source its table build reads, by the grammar of table."""
+    match source:
+        case ("conv", r, x, scale):
+            return (source, ("sigma", r, CHI_TRIVIAL, CHI_TRIVIAL, scale), *_reads(x))
+        case ("n", x) | ("mod", _, x):
+            return (source, *_reads(x))
+    return (source,)
+
+
+def _last_readers(names: tuple) -> list:
+    """Per position in names, the (memo, key) entries that no later position reads.
+
+    A report reads its lhs entry of _lhs_table and every table of its rhs;
+    the tables of a lhs are read only by the first report that builds it,
+    since its entry is kept up to the last report sharing it.
+    """
+    last = {}
+    for i, name in enumerate(names):
+        lhs, rhs = SIDES[name][:2]
+        owner = (_LHS_OWNER[name],)
+        terms = rhs if (_lhs_table, owner) in last else lhs + rhs
+        last[(_lhs_table, owner)] = i
+        for _, source in terms:
+            for read in _reads(source):
+                last[(table, (read,))] = i
+    released = [[] for _ in names]
+    for entry, i in last.items():
+        released[i].append(entry)
+    return released
+
+
+def verify_stream(n_max: int, selection="all", precision: int | None = None):
+    """verify_all's reports one at a time, each table dropped from its memo after its last reader.
+
+    The request is checked at the call, before any report is built.  Only
+    the entries of table and _lhs_table that this run stores are dropped:
+    those stored before it stay, as a value query left them.
+    """
+    names, precision = _selected(n_max, selection, precision)
+    kept = {table: set(table.stored()), _lhs_table: set(_lhs_table.stored())}
+
+    def reports():
+        for name, released in zip(names, _last_readers(names)):
+            report = IDENTITY_BUILDERS[name](n_max, precision)
+            for memo, key in released:
+                if key not in kept[memo]:
+                    memo.discard(*key)
+            yield report
+
+    return reports()
 
 
 def verification_passed(reports, strict: bool = False) -> bool:

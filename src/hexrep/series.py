@@ -44,10 +44,11 @@ def grow_only(cut: Callable):
     * a request above it computes at max(precision, 2 * stored) and
       replaces the entry, so a sweep over precisions makes O(log) builds.
 
-    Entries are never replaced by smaller ones and are never dropped, so
-    the memo holds one value per key (and one cut of it).  A negative
-    precision is a ValueError.  The wrapper has ``__wrapped__``, and
-    ``stored()`` (key -> stored precision) and ``clear()`` for inspection.
+    Entries are never replaced by smaller ones, so the memo holds one value
+    per key (and one cut of it).  A negative precision is a ValueError.  The
+    wrapper has ``__wrapped__``, ``stored()`` (key -> stored precision) and
+    ``clear()`` for inspection, and ``discard(*key)``, which drops one
+    entry, for a caller that knows the table has no later reader.
     """
 
     def decorate(fn):
@@ -88,6 +89,7 @@ def grow_only(cut: Callable):
 
         memo.stored = lambda: {key: entry[0] for key, entry in entries.items()}
         memo.clear = entries.clear
+        memo.discard = lambda *key: entries.pop(key, None)
         return memo
 
     return decorate

@@ -1,4 +1,4 @@
-"""The one-call output writers against the per-row ``print`` and ``json.dumps`` writers they replaced."""
+"""The output writers against the per-row ``print`` and ``json.dumps`` writers they replaced."""
 
 import io
 from fractions import Fraction
@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from oracles import print_values_per_row, print_verify_csv_per_row, print_verify_json_dumps, print_verify_table_per_line
 
+from hexrep import cli
 from hexrep.cli import _print_values, _print_verify_csv, _print_verify_json, _print_verify_table
-from hexrep.identities import IDENTITY_NAMES, IdentityReport, verify_all
+from hexrep.identities import IDENTITY_NAMES, IdentityReport, verification_passed, verify_all
 
 ROWS = {
     "ints": [(1, 42), (2, -756), (3, 0), (4, 12345678901234567890123)],
@@ -35,6 +36,12 @@ def test_values_match_per_row_writer(case, fmt):
     assert written(_print_values, rows, fmt) == written(print_values_per_row, rows, fmt)
 
 
+def test_json_values_quote_only_a_non_integral_fraction():
+    rows = [(1, Fraction(1, 2)), (2, Fraction(-7, 3)), (3, Fraction(6, 1)), (4, 5)]
+    expected = '[{"n": 1, "value": "1/2"}, {"n": 2, "value": "-7/3"}, {"n": 3, "value": 6}, {"n": 4, "value": 5}]\n'
+    assert written(_print_values, rows, "json") == expected
+
+
 def test_verify_csv_matches_per_row_writer():
     reports = verify_all(30)
     assert any(type(v) is Fraction and v.denominator != 1 for r in reports for v in r.lhs + r.rhs)
@@ -47,12 +54,22 @@ def test_verify_table_matches_per_line_writer():
         IdentityReport("s14-theorem", 2, (Fraction(1, 3), 2), (1, 2), (Fraction(2, 5), 1), "a note"),
         IdentityReport("made-up", 1, (4,), (Fraction(8, 2),), (Fraction(-1, 2), 1)),
     ]
-    for passed in (True, False):
-        for strict in (True, False):
-            assert written(_print_verify_table, reports, passed, strict) == written(
-                print_verify_table_per_line, reports, passed, strict
-            )
-    assert "  constant term: 2/5 vs 1 " in written(_print_verify_table, reports, True, False)
+    # the per-line writer ends with the verdict line, which cli._cmd_verify writes after the last report
+    report_lines, verdict, _ = written(print_verify_table_per_line, reports, True, False).rpartition("verification: ")
+    assert verdict
+    assert written(_print_verify_table, reports) == report_lines
+    assert "  constant term: 2/5 vs 1 " in report_lines
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("names", [IDENTITY_NAMES, ("tau-eq", "s14-theorem", "tau-eq"), ("tau-eq",), ()])
+def test_cli_verify_table_matches_per_line_writer(names, strict, capsys):
+    argv = ["verify", "--nmax", "30"] + [word for name in names for word in ("--identity", name)]
+    code = cli.main(argv + ["--strict"] * strict)
+    reports = verify_all(30, names or "all")
+    passed = verification_passed(reports, strict)
+    assert code == (0 if passed else 1)
+    assert capsys.readouterr().out == written(print_verify_table_per_line, reports, passed, strict)
 
 
 MADE_UP_REPORTS = [
