@@ -130,7 +130,7 @@ def _print_verify_table(reports, out):
             lines = [f"{r.name}: ok (n=1..{r.n_max}){tag}\n"]
         else:
             n, lhs, rhs = r.first_mismatch
-            more = len(r.mismatches) - 1
+            more = sum(map(operator.ne, r.lhs, r.rhs)) - 1
             extra = f" (+{more} more)" if more else ""
             lines = [f"{r.name}: MISMATCH at n={n}: lhs={lhs} rhs={rhs}{extra}{tag}\n"]
         if r.constant_term is not None and not r.constant_term_matches:

@@ -380,7 +380,7 @@ class IdentityReport(
 
     @property
     def mismatches(self) -> tuple:
-        return tuple(self._mismatches())
+        return () if self.all_match else tuple(self._mismatches())
 
     @property
     def all_match(self) -> bool:

@@ -39,24 +39,25 @@ class MomentTable(namedtuple("MomentTable", "k t values")):
 
 @grow_only(lambda rows, precision: {t: row[: precision + 1] for t, row in rows.items()})
 def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
-    """One pass over the points of x^2 + xy + y^2 <= precision, x >= 0, for orders 0, 6 and 8.
+    """One point per orbit of the form's 12 automorphisms: x >= y >= 0 with x^2 + xy + y^2 <= precision.
 
-    For fixed x they are the y with |2y + x| <= isqrt(4 * precision - 3x^2),
-    an exact range; a point with x >= 1 stands for itself and its negative.
-    No floating point.  Orders 2 and 4 are 2n theta(n) / 3 and 2n^2 theta(n) / 3:
-    the 12 automorphisms of the form have no harmonic invariant below degree 6.
+    The group is generated by (x, y) -> (-y, x + y) and (x, y) -> (y, x).  Over
+    an orbit the first coordinate takes each of +-x, +-y and +-(x + y) twice,
+    so row t gains 4(x^t + y^t + (x + y)^t), half that on a mirror y = 0 or
+    y = x (an orbit of 6).  By Newton's identities for x, y and -(x + y), with
+    n = x^2 + xy + y^2 and e = (xy(x + y))^2, rows 0..8 gain
+    u(6, 4n, 4n^2, 4n^3 + 6e, 4n^4 + 16ne), u = 2 off the mirrors and 1 on them.
     """
-    rows = {t: [0] * (precision + 1) for t in (0, 6, 8)}
-    for x in range(isqrt(4 * precision // 3) + 1):
-        s = isqrt(4 * precision - 3 * x * x)
-        weights = [(rows[0], 2), (rows[6], 2 * x**6), (rows[8], 2 * x**8)] if x else [(rows[0], 1)]
-        for y in range(-((s + x) // 2), (s - x) // 2 + 1):
-            n = x * x + x * y + y * y
-            for row, w in weights:
-                row[n] += w
-    rows[2] = [v // 3 for v in map(mul, range(0, 2 * precision + 1, 2), rows[0])]
-    rows[4] = map(mul, range(precision + 1), rows[2])
-    return {t: tuple(rows[t]) for t in MOMENT_ORDERS}
+    rows = r0, r2, r4, r6, r8 = [[0] * (precision + 1) for _ in MOMENT_ORDERS]
+    r0[0] = 1
+    for n, u, e in [(x * (x + y) + y * y, 1 + (x > y > 0), (x * y * (x + y)) ** 2) for y in range(isqrt(precision // 3) + 1)
+                    for x in range(y or 1, (isqrt(4 * precision - 3 * y * y) - y) // 2 + 1)]:
+        r0[n] += 6 * u
+        r2[n] += (w := 4 * u * n)
+        r4[n] += (w := w * n)
+        r6[n] += (w := w * n) + 6 * u * e
+        r8[n] += n * (w + 16 * u * e)
+    return dict(zip(MOMENT_ORDERS, map(tuple, rows)))
 
 
 def enumerate_f1(precision: int) -> tuple[QSeries, dict[int, MomentTable]]:
@@ -213,14 +214,24 @@ def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> i
 
 @grow_only(prefix)
 def lomadze_values(name: str, precision: int) -> tuple[int, ...]:
-    """All values L(0..precision) of the named sum (L(0) = 0 for every catalog entry)."""
+    """All values L(0..precision) of the named sum (L(0) = 0 for every catalog entry).
+
+    M_0(k) = s_2k and 3k M_2(k)(n) = 2n s_2k(n) (see ``moment_table``), so
+    3k L = (3k P_0 + 2n P_2) s_2k + sum(3k P_t M_t, t >= 4), divided once, exactly.
+    """
     spec = lomadze_spec(name)
+    k3, terms = 3 * spec.blocks, dict(spec.terms)
+    q0 = [k3 * c for c in terms.pop(0)]
+    for i, c in enumerate(terms.pop(2), 1):  # + 2n P_2(n); every catalog P_0 is of higher degree than its P_2
+        q0[i] += 2 * c
+    rows = [(q0, theta_series(spec.blocks, precision).coeffs)]
+    rows += [([k3 * c for c in poly], moment_table(spec.blocks, t, precision).values) for t, poly in terms.items()]
     values = (0,) * (precision + 1)
-    for t, poly in spec.terms:  # one lazy C-level pass: values(n) += P_t(n) M_t(n)
+    for poly, row in rows:  # one lazy C-level pass: values(n) += Q(n) row(n)
         weights = (poly[-1],) * (precision + 1)
-        for c in reversed(poly[:-1]):  # Horner's rule: P_t(n) = (... (c_d n + c_(d-1)) n + ...) + c_0
+        for c in reversed(poly[:-1]):  # Horner's rule: Q(n) = (... (c_d n + c_(d-1)) n + ...) + c_0
             weights = map(mul, weights, range(precision + 1))
             if c:
                 weights = map(c.__add__, weights)
-        values = map(add, values, map(mul, weights, moment_table(spec.blocks, t, precision).values))
-    return tuple(values)
+        values = map(add, values, map(mul, weights, row))
+    return tuple(map(k3.__rfloordiv__, values))

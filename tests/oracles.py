@@ -10,7 +10,7 @@ from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
 from hexrep.forms import CATALOG_NAMES, EtaQuotientSpec, eisenstein_classical, eta_quotient, named_form
 from hexrep.identities import DOCUMENTED_DISCREPANCIES, WEIGHTS
-from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, lomadze_values, moment_table, theta_series
+from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, lomadze_values, theta_series
 from hexrep.series import QSeries, linear_combination
 
 
@@ -25,6 +25,18 @@ def f1_moments_direct(n_max: int) -> dict[int, list[int]]:
                 for t in MOMENT_ORDERS:
                     rows[t][n] += x**t
     return rows
+
+
+def f1_shell_invariant(n_max: int) -> list[int]:
+    """H(n) = sum of (xy(x + y))^2 over x^2 + xy + y^2 = n, by the plain box enumeration."""
+    bound = isqrt(4 * n_max // 3) + 1
+    h = [0] * (n_max + 1)
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            n = x * x + x * y + y * y
+            if n <= n_max:
+                h[n] += (x * y * (x + y)) ** 2
+    return h
 
 
 def f1_moments_discriminant(precision: int) -> dict[int, list[int]]:
@@ -199,11 +211,15 @@ def lomadze_term(spec, t: int, n: int) -> int:
 
 
 def lomadze_values_per_coefficient(name: str, precision: int) -> tuple[int, ...]:
-    """A catalog sum's values L(0..precision), one list pass per coefficient of each polynomial in n."""
+    """A catalog sum's values L(0..precision), one list pass per coefficient of each polynomial in n.
+
+    Every term reads its own moment row, the one-block row times theta^(k-1)
+    (``moment_product``), orders 0 and 2 included.
+    """
     spec = lomadze_spec(name)
     values = [0] * (precision + 1)
     for t, poly in spec.terms:
-        row = moment_table(spec.blocks, t, precision).values
+        row = moment_product(spec.blocks, t, precision)
         for c in poly:  # c n^i M_t(n) for i = 0, 1, ...: row holds n^i M_t(n)
             if c:
                 values = [s + c * v for s, v in zip(values, row)]

@@ -543,6 +543,14 @@ def test_report_structure():
         IdentityReport("bad", 3, (1,), (1, 1, 1))
 
 
+def test_a_matching_report_lists_its_mismatches_without_a_walk(monkeypatch):
+    matching, documented = check("ramanujan-convolution", 25, N), check("s14-theorem", 25, N)
+    differing = sum(l != r for l, r in zip(documented.lhs, documented.rhs))
+    assert len(documented.mismatches) == differing > 0
+    monkeypatch.setattr(IdentityReport, "_mismatches", lambda self: pytest.fail("walked a matching report"))
+    assert matching.mismatches == ()
+
+
 @dataclass(frozen=True)
 class ReportSummary:
     """The JSON-visible projection of an IdentityReport (mismatches only)."""

@@ -8,6 +8,7 @@ from memos import clear_all
 from oracles import (
     f1_moments_direct,
     f1_moments_discriminant,
+    f1_shell_invariant,
     f2_moments_direct,
     lomadze_term,
     lomadze_values_per_coefficient,
@@ -48,11 +49,20 @@ def test_f1_against_box_enumeration():
 
 
 def test_f1_enumeration_against_discriminant_oracle():
-    # the point walk against the per-n discriminant test, at the edges of the y ranges;
-    # orders 2 and 4 are read off theta, the other three are walked
-    for precision in (*range(7), 200, 401, 2000):
+    # one point per orbit against the per-n discriminant test, past the first mirror shells x^2 and 3x^2
+    # and at the edges of the x ranges
+    for precision in (*range(61), 200, 401, 2000):
         rows = lattice._f1_moment_rows.__wrapped__(precision)
         assert rows == {t: tuple(row) for t, row in f1_moments_discriminant(precision).items()}, precision
+
+
+def test_f1_orders_6_and_8_carry_the_degree_6_invariant():
+    # over a shell, row6 = n row4 + H and row8 = n row6 + 5n H / 3, H the sum of (xy(x + y))^2
+    rows, h = lattice._f1_moment_rows.__wrapped__(300), f1_shell_invariant(300)
+    assert any(h)
+    for n in range(301):
+        assert rows[6][n] == n * rows[4][n] + h[n], n
+        assert 3 * rows[8][n] == 3 * n * rows[6][n] + 5 * n * h[n], n
 
 
 def test_theta_powers_against_chained_products():
@@ -189,8 +199,9 @@ def test_lomadze_against_explicit_solution_sum():
 
 
 def test_lomadze_values_against_per_coefficient_passes():
-    # Horner weights in one lazy pass per term, against one list pass per coefficient
-    for precision in (0, 1, 400):
+    # orders 0 and 2 folded into one s_2k pass, Horner weights and one exact division, against one list
+    # pass per coefficient of every term over its own moment row
+    for precision in (*range(41), 200, 401):
         for spec in LOMADZE_CATALOG:
             values = lattice.lomadze_values.__wrapped__(spec.name, precision)
             assert type(values) is tuple and len(values) == precision + 1

@@ -78,6 +78,41 @@ def test_streamed_verify_takes_the_products_of_verify_all(fmt, monkeypatch):
     )
 
 
+def moment_orders_read(run, monkeypatch) -> set:
+    """The orders t of the lattice.moment_table(k, t, precision) calls run() makes from cleared memos."""
+    table = lattice.moment_table
+    orders = set()
+
+    def recording(k, t, precision):
+        orders.add(t)
+        return table(k, t, precision)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lattice, "moment_table", recording)
+        clear_all()
+        run()
+    return orders
+
+
+def cli_lsum(name):
+    """hexrep lsum NAME --n 1..400 through cli.main, its output kept in memory."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["lsum", name, "--n", "1..400"])
+
+
+CATALOG_SUM_RUNS = {
+    "verify_all(200)": lambda: identities.verify_all(200),
+    **{f"lsum {spec.name} --n 1..400": lambda name=spec.name: cli_lsum(name) for spec in lattice.LOMADZE_CATALOG},
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_SUM_RUNS)
+def test_catalog_sums_take_no_order_0_or_2_moment_table(name, monkeypatch):
+    # M_0(k) = s_2k and 3k M_2(k)(n) = 2n s_2k(n): lomadze_values reads theta^k for both
+    orders = moment_orders_read(CATALOG_SUM_RUNS[name], monkeypatch)
+    assert orders and not orders & {0, 2}, orders
+
+
 def traced_peak(run) -> int:
     """The tracemalloc peak of run() from cleared memos, in bytes."""
     clear_all()

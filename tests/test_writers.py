@@ -61,6 +61,14 @@ def test_verify_table_matches_per_line_writer():
     assert "  constant term: 2/5 vs 1 " in report_lines
 
 
+def test_verify_table_counts_mismatches_without_listing_them(monkeypatch):
+    reports = verify_all(30)
+    assert any(len(r.mismatches) > 1 for r in reports)
+    report_lines = written(print_verify_table_per_line, reports, True, False).rpartition("verification: ")[0]
+    monkeypatch.setattr(IdentityReport, "mismatches", property(lambda self: pytest.fail("built the mismatch tuple")))
+    assert written(_print_verify_table, reports) == report_lines
+
+
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("names", [IDENTITY_NAMES, ("tau-eq", "s14-theorem", "tau-eq"), ("tau-eq",), ()])
 def test_cli_verify_table_matches_per_line_writer(names, strict, capsys):
