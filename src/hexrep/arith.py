@@ -72,7 +72,9 @@ def sigma_table(r: int, chi: DirichletCharacter, psi: DirichletCharacter, precis
     f = sigma_(r; chi, psi) is multiplicative (Hardy and Wright, Thm 357):
     f(p^e) = chi(p) f(p^(e-1)) + psi(p^e) p^(er), and f(mn) = f(m) f(n) for
     coprime m and n, split off the power of the smallest prime factor.
+    The characters are read from their value tables, without a call.
     """
+    (f, chi_values), (g, psi_values) = chi, psi
     out = [0, 1][: precision + 1] + [0] * (precision - 1)
     spf = list(range(precision + 1))  # smallest prime factor: the last p to write n, for p^2 <= n
     for p in range(isqrt(precision), 1, -1):
@@ -82,7 +84,7 @@ def sigma_table(r: int, chi: DirichletCharacter, psi: DirichletCharacter, precis
         p = spf[n]
         m = n // p
         part[n] = q = part[m] * p if spf[m] == p else p
-        out[n] = out[q] * out[n // q] if q < n else chi(p) * out[m] + psi(n) * n**r
+        out[n] = out[q] * out[n // q] if q < n else chi_values[p % f] * out[m] + psi_values[n % g] * n**r
     return tuple(out)
 
 
@@ -120,7 +122,9 @@ def sigma_star_table(ell: int, precision: int) -> tuple[int, ...]:
     """sigma_star(ell, n) for n = 0..precision (0 at n = 0), from the sigma_ell table."""
     sigmas = sigma_table(ell, CHI_TRIVIAL, CHI_TRIVIAL, precision)
     c = (-3) ** ((ell + 1) // 2)
-    return tuple(v + c * sigmas[n // 3] if n % 3 == 0 else v for n, v in enumerate(sigmas))
+    out = list(sigmas)
+    out[::3] = [v + c * w for v, w in zip(sigmas[::3], sigmas)]  # n = 3m gains c sigma_ell(m)
+    return tuple(out)
 
 
 def rho_star_table(ell: int, precision: int) -> tuple[int, ...]:
@@ -130,7 +134,7 @@ def rho_star_table(ell: int, precision: int) -> tuple[int, ...]:
     """
     scale, sign = 3 ** (ell // 2), (-1) ** (ell // 2)
     twisted = zip(sigma_table(ell, CHI3, CHI_TRIVIAL, precision), sigma_table(ell, CHI_TRIVIAL, CHI3, precision))
-    return tuple(scale * (a + sign * b) for a, b in twisted)
+    return tuple([scale * (a + sign * b) for a, b in twisted])
 
 
 # -- Bernoulli numbers -----------------------------------------------------

@@ -12,7 +12,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from operator import add
 
 from . import forms, lattice
 from .arith import CHI3, CHI_TRIVIAL, bernoulli, bernoulli_generalized, rho_star_table, sigma_star_table, sigma_table
@@ -64,9 +63,9 @@ def table(source, precision: int) -> tuple:
             sigmas = table(("sigma", r, CHI_TRIVIAL, CHI_TRIVIAL, scale), precision)
             return (QSeries._trusted(sigmas) * QSeries._trusted(table(x, precision))).coeffs
         case ("n", x):
-            return tuple(n * v for n, v in enumerate(table(x, precision)))
+            return tuple([n * v for n, v in enumerate(table(x, precision))])
         case ("mod", m, x):
-            return tuple(v % m for v in table(x, precision))
+            return tuple([v % m for v in table(x, precision)])
     raise ValueError(f"unknown source {source!r}")
 
 
@@ -80,10 +79,12 @@ def combine(terms: tuple, precision: int) -> tuple:
     if len(terms) == 1 and terms[0][0] == 1:
         return table(terms[0][1], precision)
     den = lcm(*(c.denominator for c, _ in terms))
-    total = [0] * (precision + 1)
-    for c, source in terms:
+    (c, source), *rest = terms
+    factor = c.numerator * (den // c.denominator)
+    total = [factor * b for b in table(source, precision)]
+    for c, source in rest:
         factor = c.numerator * (den // c.denominator)
-        total = list(map(add, total, map(factor.__mul__, table(source, precision))))
+        total = [a + factor * b for a, b in zip(total, table(source, precision))]
     return _over(total, den)
 
 

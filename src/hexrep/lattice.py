@@ -234,4 +234,4 @@ def lomadze_values(name: str, precision: int) -> tuple[int, ...]:
             if c:
                 weights = map(c.__add__, weights)
         values = map(add, values, map(mul, weights, row))
-    return tuple(map(k3.__rfloordiv__, values))
+    return tuple([v // k3 for v in values])

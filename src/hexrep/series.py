@@ -6,7 +6,10 @@ ints or Fractions, never floats, so every operation in this module is
 exact.  Instances are immutable and safe to share between threads.
 
 A product of two series is one two-point Kronecker substitution: each side
-packed once into one int, and two big-int products of half the bits.
+packed once into one int, and two big-int products of half the bits.  A
+series keeps the integer operand of its coefficients from its first product
+at its full precision, so its later products do not convert them again (two
+threads may both convert them, and keep equal operands).
 """
 
 from __future__ import annotations
@@ -223,7 +226,7 @@ def _plus_minus(ints, width: int, flip: int) -> tuple[int, int]:
 class QSeries:
     """An immutable power series sum(c_n * q^n, 0 <= n <= precision)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_kept_operand")  # the _operand of _coeffs, set by the first product that reads it
 
     def __init__(self, coeffs: Iterable, precision: int | None = None):
         cs = [_as_coeff(c) for c in coeffs]
@@ -277,6 +280,16 @@ class QSeries:
             return self
         return QSeries._trusted(self._coeffs[: precision + 1])
 
+    def _operand_at(self, n: int) -> tuple[array | list | tuple, int, int]:
+        """The _operand of the coefficients 0..n; at the full precision it is computed once and kept."""
+        if n < len(self._coeffs) - 1:
+            return _operand(self._coeffs[: n + 1])
+        try:
+            return self._kept_operand
+        except AttributeError:
+            self._kept_operand = operand = _operand(self._coeffs)
+            return operand
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -320,15 +333,17 @@ class QSeries:
         bits is packed from one signed 64-bit array at any w, and a w of at
         most 16 is read back as 64-bit limbs; larger ints and wider slots go
         through bytes one coefficient at a time.  A series times itself is
-        packed once and squared twice.
+        packed once and squared twice.  Each side's operand at its full
+        precision is kept on the series (``_operand_at``) and never mutated,
+        so a memoized series feeding several products is converted once.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            a, da, ma = _operand(self._coeffs[: n + 1])
-            b, db, mb = (a, da, ma) if other is self else _operand(other._coeffs[: n + 1])
+            a, da, ma = self._operand_at(n)
+            b, db, mb = (a, da, ma) if other is self else other._operand_at(n)
             w = (max((n + 1) * ma * mb, ma, mb).bit_length() + 8) // 8
             flip = _signed_flip(w, n + 1)
-            a = _plus_minus(a, w, flip)  # the operand's array is dropped once packed
+            a = _plus_minus(a, w, flip)
             b = a if other is self else _plus_minus(b, w, flip)
             plus, minus = a[0] * b[0], a[1] * b[1]
             half = n // 2 + 1  # the even coefficients, read back below the odd ones

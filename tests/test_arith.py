@@ -6,12 +6,14 @@ import threading
 from fractions import Fraction
 
 import pytest
+from memos import clear_all
 from oracles import bernoulli_generalized_at_fractions, bernoulli_polynomial, sigma_table_sieve
 
-from hexrep import arith
+from hexrep import arith, identities
 from hexrep.arith import (
     CHI3,
     CHI_TRIVIAL,
+    DirichletCharacter,
     bernoulli,
     bernoulli_generalized,
     divisors,
@@ -253,3 +255,32 @@ def test_multiplicative_tables_against_sieve_and_trial_division():
             for precision in (0, 1, 2, 3, 4, 9, 400, 2000):
                 table = sigma_table.__wrapped__(r, chi, psi, precision)  # built at this precision, not cut
                 assert table == sigma_table_sieve(r, chi, psi, precision) == tuple(scalar[: precision + 1]), (r, precision)
+
+
+def test_every_table_verify_reads_against_the_sieve_built_and_cut():
+    # the (r, chi, psi) of every divisor-sum table the catalog and SIDES read, from a cold verify
+    clear_all()
+    identities.verify_all(200)
+    keys = set(sigma_table.stored())
+    clear_all()
+    assert len(keys) == 14
+    precisions = (*range(41), 200, 401)
+    fresh = {CHI3: lambda: DirichletCharacter(3, (0, 1, -1)), CHI_TRIVIAL: lambda: DirichletCharacter(1, (1,))}
+    for r, chi, psi in sorted(keys, key=repr):
+        chi, psi = fresh[chi](), fresh[psi]()  # equal to the module's characters, never the same objects
+        sieved = sigma_table_sieve(r, chi, psi, 401)
+        for precision in precisions:
+            assert sigma_table.__wrapped__(r, chi, psi, precision) == sieved[: precision + 1], (r, precision)
+        for order in (precisions, precisions[::-1]):  # grown by doubling and cut, or built once and cut
+            sigma_table.clear()
+            for precision in order:
+                assert sigma_table(r, chi, psi, precision) == sieved[: precision + 1], (r, precision)
+    sigma_table.clear()
+
+
+def test_starred_tables_at_small_precisions():
+    for precision in range(41):
+        for ell in (11, 13):
+            assert sigma_star_table(ell, precision) == (0,) + tuple(sigma_star(ell, n) for n in range(1, precision + 1))
+        for ell in (6, 8, 10):
+            assert rho_star_table(ell, precision) == (0,) + tuple(rho_star(ell, n) for n in range(1, precision + 1))

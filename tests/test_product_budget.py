@@ -71,6 +71,40 @@ def test_series_products_within_budget(name, monkeypatch):
     assert 0 < products <= budget, products
 
 
+#: series._operand calls from cleared memos, pinned exactly: each product converts its two sides
+#: (a square one), except a side that is a memoized series already converted at its full precision
+#: (86 conversions for the 46 products of verify_all(200) when none is kept)
+CONVERSIONS = {
+    "verify_all(200)": (lambda: identities.verify_all(200), 55),
+    **{f"verify --all --nmax 200 --format {fmt}": (lambda fmt=fmt: cli_verify(200, fmt), 55) for fmt in FORMATS},
+    # 10 products, 4 of them squares; each convolution wraps its two tables in new series, so no series feeds two
+    "decomposition(14, 400)": (lambda: identities.decomposition(14, 400), 16),
+}
+
+
+def cold_conversions(run, monkeypatch) -> int:
+    """The kernel operands run() converts from cleared memos."""
+    operand = series._operand
+    calls = 0
+
+    def counting(coeffs):
+        nonlocal calls
+        calls += 1
+        return operand(coeffs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(series, "_operand", counting)
+        clear_all()
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("name", CONVERSIONS)
+def test_operand_conversions_are_pinned(name, monkeypatch):
+    run, count = CONVERSIONS[name]
+    assert cold_conversions(run, monkeypatch) == count
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_streamed_verify_takes_the_products_of_verify_all(fmt, monkeypatch):
     assert cold_products(lambda: cli_verify(200, fmt), monkeypatch) == cold_products(

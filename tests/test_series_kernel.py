@@ -3,6 +3,8 @@ combination against plain per-coefficient Fraction arithmetic, and the
 products too long for that against their values at random points."""
 
 import random
+import sys
+import threading
 from array import array
 from fractions import Fraction
 from math import isqrt
@@ -12,7 +14,7 @@ import pytest
 from memos import clear_all
 from oracles import P61, mul_schoolbook, product_at_point
 
-from hexrep import identities, series
+from hexrep import forms, identities, lattice, series
 from hexrep.series import QSeries, _pack, _signed_flip, _unpack, linear_combination
 
 try:
@@ -211,6 +213,90 @@ def test_cold_verify_products_at_two_random_points(monkeypatch):
     assert len(checked) > 20 and max(checked) == 2000
 
 
+def test_a_series_converts_its_operand_once(monkeypatch):
+    conversions = []
+    operand = series._operand
+    monkeypatch.setattr(series, "_operand", lambda coeffs: conversions.append(len(coeffs)) or operand(coeffs))
+    a, b = QSeries([Fraction(1, 3), -2, 2**70, 5]), QSeries([7, Fraction(-1, 2), 3, 0])
+    for _ in range(2):
+        assert list((a * b).coeffs) == mul_schoolbook(a.coeffs, b.coeffs)
+        assert list((b * a).coeffs) == mul_schoolbook(a.coeffs, b.coeffs)
+        assert list((a * a).coeffs) == mul_schoolbook(a.coeffs, a.coeffs)
+    assert conversions == [4, 4]
+    short = b.truncate(2)
+    for _ in range(2):  # a's prefix is converted for each product and not kept; short keeps its own
+        assert list((a * short).coeffs) == mul_schoolbook(a.coeffs, short.coeffs)
+    assert conversions == [4, 4, 3, 3, 3]
+    assert a._kept_operand == operand(a.coeffs)
+
+
+def test_shared_series_multiply_under_threads():
+    rng = random.Random(8)
+    shared = [QSeries([rng.randrange(-(2**70), 2**70) if i % 3 else Fraction(i, 7) for i in range(80)]) for _ in range(3)]
+    expected = {(i, j): mul_schoolbook(f.coeffs, g.coeffs) for i, f in enumerate(shared) for j, g in enumerate(shared)}
+    workers = 8
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(w):
+        start.wait()
+        order = sorted(expected, key=lambda ij: (ij[0] + w) % 3)  # the workers start on different series
+        results[w] = {(i, j): list((shared[i] * shared[j]).coeffs) for i, j in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so two threads race to keep one operand
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * workers
+    for f in shared:
+        assert f._kept_operand == series._operand(f.coeffs)
+
+
+def kept_operands() -> list:
+    """(name, series) of every memoized theta power and catalog form whose operand a product kept."""
+    held = [(f"theta^{k}", lattice.theta_series(k, p)) for (k,), p in lattice.theta_series.stored().items()]
+    held += [(name, forms.named_form(name, p).series) for (name,), p in forms.named_form.stored().items()]
+    return [(name, s) for name, s in held if hasattr(s, "_kept_operand")]
+
+
+def test_kept_operands_are_fresh_after_a_cold_verify():
+    clear_all()
+    identities.verify_all(200)
+    kept = kept_operands()
+    assert len(kept) >= 10
+    for name, s in kept:
+        assert s._kept_operand == series._operand(s.coeffs), name
+
+
+@pytest.mark.parametrize("n", [60, 2000])
+def test_products_of_series_with_kept_operands(n):
+    rng = random.Random(n)
+    clear_all()
+    try:
+        identities.verify_all(n)
+        kept = [s for _, s in kept_operands()]
+        for f in kept:
+            if n <= 60:  # every pair, each square included
+                for g in kept:
+                    assert list((f * g).coeffs) == mul_schoolbook(f.coeffs, g.coeffs)
+            else:  # too long for the schoolbook: the square and one other product, at a random point
+                for g in (f, rng.choice(kept)):
+                    assert product_at_point(f.coeffs, g.coeffs, (f * g).coeffs, rng.randrange(2, P61 - 1))
+        short = kept[0].truncate(n // 2)  # a prefix of a series with a kept operand
+        assert list((kept[-1] * short).coeffs) == mul_schoolbook(kept[-1].coeffs, short.coeffs)
+        for s in kept:  # no product changed a kept operand
+            assert s._kept_operand == series._operand(s.coeffs)
+    finally:
+        clear_all()
+
+
 if hypothesis is None:
 
     def test_property_tests_need_hypothesis():
@@ -256,7 +342,7 @@ else:
     @hypothesis.example([2**64 + 1, -5])  # past 2^63 and 17-byte slots: bytes both ways
     @hypothesis.example([Fraction(1, 3), Fraction(-1, 2), 4])
     def test_square_matches_schoolbook(a):
-        s = QSeries(a)  # s * s packs once and squares one int
+        s = QSeries(a)  # s * s packs once and squares two ints, A(x)^2 and A(-x)^2
         assert (s * s).coeffs == QSeries(mul_schoolbook(a, a)).coeffs
 
 
