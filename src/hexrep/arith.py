@@ -65,26 +65,39 @@ def sigma_twisted(r: int, chi: DirichletCharacter, psi: DirichletCharacter, n: i
     return sum(psi(d) * chi(n // d) * d**r for d in divisors(n))
 
 
+@grow_only(lambda sieve, precision: tuple(row[: precision + 1] for row in sieve))
+def _sieve(precision: int) -> tuple[list[int], list[int]]:
+    """(spf, part) at n = 0..precision: the smallest prime factor of n and the power of it that divides n (n >= 2).
+
+    One sieve per precision, read by every sigma_table; its lists are never mutated.
+    """
+    spf = list(range(precision + 1))  # the last p to write n, for p^2 <= n
+    for p in range(isqrt(precision), 1, -1):
+        spf[p * p :: p] = [p] * ((precision - p * p) // p + 1)
+    part = [1] * (precision + 1)
+    for n in range(2, precision + 1):
+        p = spf[n]
+        m = n // p
+        part[n] = part[m] * p if spf[m] == p else p
+    return spf, part
+
+
 @grow_only(prefix)
 def sigma_table(r: int, chi: DirichletCharacter, psi: DirichletCharacter, precision: int) -> tuple[int, ...]:
     """sigma_twisted(r, chi, psi, n) for n = 0..precision (0 at n = 0), one product per n.
 
     f = sigma_(r; chi, psi) is multiplicative (Hardy and Wright, Thm 357):
     f(p^e) = chi(p) f(p^(e-1)) + psi(p^e) p^(er), and f(mn) = f(m) f(n) for
-    coprime m and n, split off the power of the smallest prime factor.
-    The characters are read from their value tables, without a call.
+    coprime m and n, split off the power of the smallest prime factor, both
+    read from the shared ``_sieve``.  The characters are read from their
+    value tables, without a call.
     """
     (f, chi_values), (g, psi_values) = chi, psi
+    spf, part = _sieve(precision)
     out = [0, 1][: precision + 1] + [0] * (precision - 1)
-    spf = list(range(precision + 1))  # smallest prime factor: the last p to write n, for p^2 <= n
-    for p in range(isqrt(precision), 1, -1):
-        spf[p * p :: p] = [p] * ((precision - p * p) // p + 1)
-    part = [1] * (precision + 1)  # the power of spf[n] that divides n
     for n in range(2, precision + 1):
-        p = spf[n]
-        m = n // p
-        part[n] = q = part[m] * p if spf[m] == p else p
-        out[n] = out[q] * out[n // q] if q < n else chi_values[p % f] * out[m] + psi_values[n % g] * n**r
+        q = part[n]
+        out[n] = out[q] * out[n // q] if q < n else chi_values[(p := spf[n]) % f] * out[n // p] + psi_values[n % g] * n**r
     return tuple(out)
 
 

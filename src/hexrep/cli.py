@@ -142,10 +142,13 @@ def _print_verify_table(reports, out):
 
 
 def _print_verify_csv(reports, out):
-    """Write each report's rows in one call, as soon as it comes."""
+    """Write each report's rows in one call, as soon as it comes; a matching report's values are formatted once."""
     for r in reports:
-        rows = zip(range(1, r.n_max + 1), r.lhs, r.rhs, map(operator.eq, r.lhs, r.rhs))
-        out.write(f"# identity: {r.name}\nn,lhs,rhs,match\n" + "".join(map("%d,%s,%s,%s\n".__mod__, rows)))
+        if r.all_match:
+            rows = [f"{n},{v},{v},True\n" for n, v in enumerate(map(str, r.lhs), 1)]
+        else:
+            rows = map("%d,%s,%s,%s\n".__mod__, zip(range(1, r.n_max + 1), r.lhs, r.rhs, map(operator.eq, r.lhs, r.rhs)))
+        out.write(f"# identity: {r.name}\nn,lhs,rhs,match\n" + "".join(rows))
 
 
 def _print_verify_json(reports, out):

@@ -4,7 +4,8 @@ Everything is produced as a QSeries at an explicitly requested precision;
 there is no global precision state.  Constructors are pure; the Eisenstein
 series and the catalog forms are memoized, one grow-only entry per argument
 set (``series.grow_only``).  The catalog's level-3 eta quotients are products
-of the divisor-sum series b^3 = eta(z)^9/eta(3z)^3 and c' = eta(3z)^9/eta(z)^3:
+of the divisor-sum series b^3 = eta(z)^9/eta(3z)^3 and c' = eta(3z)^9/eta(z)^3,
+memoized too, so each feeds its two products one kernel operand:
 delta_6_3 = c' b^3, delta_9_3_1 = c'^2 b^3 and delta_9_3_2 = c' b^6; delta is
 q (eta^3)^8 from Jacobi's cube.  ``eta_quotient`` is the general constructor.
 """
@@ -119,12 +120,14 @@ def eta_quotient(spec: EtaQuotientSpec, precision: int) -> QSeries:
     return reduce(mul, powers or [QSeries.one(precision)]).shift(lead)
 
 
+@grow_only(QSeries.truncate)
 def _b_cube(precision: int) -> QSeries:
     """b^3 = eta(z)^9 / eta(3z)^3 = 1 - 9 sum(sigma_(2; 1, chi_-3)(n) q^n)
     (Borwein, Borwein and Garvan, Trans. AMS 343, 1994; theta^3 = b^3 + 27 c')."""
     return linear_combination((-9, sigma_table(2, CHI_TRIVIAL, CHI3, precision))) + 1
 
 
+@grow_only(QSeries.truncate)
 def _c_prime(precision: int) -> QSeries:
     """c' = eta(3z)^9 / eta(z)^3 = sum(sigma_(2; chi_-3, 1)(n) q^n)."""
     return QSeries._trusted(sigma_table(2, CHI3, CHI_TRIVIAL, precision))

@@ -60,13 +60,23 @@ def table(source, precision: int) -> tuple:
         case ("sigma", r, chi, psi, scale):
             return QSeries._trusted(sigma_table(r, chi, psi, precision)).scale_argument(scale).coeffs
         case ("conv", r, x, scale):
-            sigmas = table(("sigma", r, CHI_TRIVIAL, CHI_TRIVIAL, scale), precision)
-            return (QSeries._trusted(sigmas) * QSeries._trusted(table(x, precision))).coeffs
+            return (factor(("sigma", r, CHI_TRIVIAL, CHI_TRIVIAL, scale), precision) * factor(x, precision)).coeffs
         case ("n", x):
             return tuple([n * v for n, v in enumerate(table(x, precision))])
         case ("mod", m, x):
             return tuple([v % m for v in table(x, precision)])
     raise ValueError(f"unknown source {source!r}")
+
+
+@grow_only(QSeries.truncate)
+def factor(source, precision: int) -> QSeries:
+    """The table of a source as a series, for the ("conv", ...) tables it feeds: kept, so its operand is converted once.
+
+    A catalog form is its memoized series, whose operand the catalog's own products keep.
+    """
+    if source in forms.CATALOG_NAMES:
+        return forms.named_form(source, precision).series
+    return QSeries._trusted(table(source, precision))
 
 
 def combine(terms: tuple, precision: int) -> tuple:
@@ -80,11 +90,11 @@ def combine(terms: tuple, precision: int) -> tuple:
         return table(terms[0][1], precision)
     den = lcm(*(c.denominator for c, _ in terms))
     (c, source), *rest = terms
-    factor = c.numerator * (den // c.denominator)
-    total = [factor * b for b in table(source, precision)]
+    weight = c.numerator * (den // c.denominator)
+    total = [weight * b for b in table(source, precision)]
     for c, source in rest:
-        factor = c.numerator * (den // c.denominator)
-        total = [a + factor * b for a, b in zip(total, table(source, precision))]
+        weight = c.numerator * (den // c.denominator)
+        total = [a + weight * b for a, b in zip(total, table(source, precision))]
     return _over(total, den)
 
 
@@ -470,21 +480,23 @@ def verify_all(n_max: int, selection="all", precision: int | None = None) -> lis
 
 
 def _reads(source) -> tuple:
-    """The source and every source its table build reads, by the grammar of table."""
+    """The (memo, key) entries of table and factor that a table build of the source reads, by the grammar of table."""
     match source:
         case ("conv", r, x, scale):
-            return (source, ("sigma", r, CHI_TRIVIAL, CHI_TRIVIAL, scale), *_reads(x))
+            sigmas = ("sigma", r, CHI_TRIVIAL, CHI_TRIVIAL, scale)
+            return ((table, (source,)), (table, (sigmas,)), (factor, (sigmas,)), (factor, (x,)), *_reads(x))
         case ("n", x) | ("mod", _, x):
-            return (source, *_reads(x))
-    return (source,)
+            return ((table, (source,)), *_reads(x))
+    return ((table, (source,)),)
 
 
 def _last_readers(names: tuple) -> list:
     """Per position in names, the (memo, key) entries that no later position reads.
 
-    A report reads its lhs entry of _lhs_table and every table of its rhs;
-    the tables of a lhs are read only by the first report that builds it,
-    since its entry is kept up to the last report sharing it.
+    A report reads its lhs entry of _lhs_table and every table of its rhs,
+    with the factor series of its convolutions; the tables of a lhs are
+    read only by the first report that builds it, since its entry is kept
+    up to the last report sharing it.
     """
     last = {}
     for i, name in enumerate(names):
@@ -494,7 +506,7 @@ def _last_readers(names: tuple) -> list:
         last[(_lhs_table, owner)] = i
         for _, source in terms:
             for read in _reads(source):
-                last[(table, (read,))] = i
+                last[read] = i
     released = [[] for _ in names]
     for entry, i in last.items():
         released[i].append(entry)
@@ -505,11 +517,11 @@ def verify_stream(n_max: int, selection="all", precision: int | None = None):
     """verify_all's reports one at a time, each table dropped from its memo after its last reader.
 
     The request is checked at the call, before any report is built.  Only
-    the entries of table and _lhs_table that this run stores are dropped:
-    those stored before it stay, as a value query left them.
+    the entries of table, factor and _lhs_table that this run stores are
+    dropped: those stored before it stay, as a value query left them.
     """
     names, precision = _selected(n_max, selection, precision)
-    kept = {table: set(table.stored()), _lhs_table: set(_lhs_table.stored())}
+    kept = {memo: set(memo.stored()) for memo in (table, factor, _lhs_table)}
 
     def reports():
         for name, released in zip(names, _last_readers(names)):

@@ -37,8 +37,8 @@ class MomentTable(namedtuple("MomentTable", "k t values")):
         return self._replace(values=self.values[: precision + 1])
 
 
-@grow_only(lambda rows, precision: {t: row[: precision + 1] for t, row in rows.items()})
-def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
+@grow_only(lambda rows, precision: {t: row.truncate(precision) for t, row in rows.items()})
+def _f1_moment_rows(precision: int) -> dict[int, QSeries]:
     """One point per orbit of the form's 12 automorphisms: x >= y >= 0 with x^2 + xy + y^2 <= precision.
 
     The group is generated by (x, y) -> (-y, x + y) and (x, y) -> (y, x).  Over
@@ -47,6 +47,7 @@ def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
     y = x (an orbit of 6).  By Newton's identities for x, y and -(x + y), with
     n = x^2 + xy + y^2 and e = (xy(x + y))^2, rows 0..8 gain
     u(6, 4n, 4n^2, 4n^3 + 6e, 4n^4 + 16ne), u = 2 off the mirrors and 1 on them.
+    Each row is a series, so the products of every k convert it once.
     """
     rows = r0, r2, r4, r6, r8 = [[0] * (precision + 1) for _ in MOMENT_ORDERS]
     r0[0] = 1
@@ -57,15 +58,13 @@ def _f1_moment_rows(precision: int) -> dict[int, tuple[int, ...]]:
         r4[n] += (w := w * n)
         r6[n] += (w := w * n) + 6 * u * e
         r8[n] += n * (w + 16 * u * e)
-    return dict(zip(MOMENT_ORDERS, map(tuple, rows)))
+    return {t: QSeries._trusted(tuple(row)) for t, row in zip(MOMENT_ORDERS, rows)}
 
 
 def enumerate_f1(precision: int) -> tuple[QSeries, dict[int, MomentTable]]:
     """Theta series of one block and its x1-power moment tables, up to q^precision."""
     rows = _f1_moment_rows(precision)
-    series = QSeries._trusted(rows[0])
-    tables = {t: MomentTable(1, t, rows[t]) for t in MOMENT_ORDERS}
-    return series, tables
+    return rows[0], {t: MomentTable(1, t, row.coeffs) for t, row in rows.items()}
 
 
 @grow_only(QSeries.truncate)
@@ -117,8 +116,8 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
         return MomentTable(k, t, tuple([v // (3 * k) for v in twice]))
     row = _f1_moment_rows(precision)[t]
     if k > 1:
-        row = (QSeries._trusted(row) * theta_series(k - 1, precision)).coeffs
-    return MomentTable(k, t, row)
+        row *= theta_series(k - 1, precision)
+    return MomentTable(k, t, row.coeffs)
 
 
 # -- the catalog of finite sums ---------------------------------------------

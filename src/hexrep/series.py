@@ -19,8 +19,8 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import isqrt, lcm
+from operator import add, mul
 
 DEFAULT_PRECISION = 200
 
@@ -167,12 +167,12 @@ def _int64(ints) -> array | None:
 
 
 def _operand(coeffs: tuple) -> tuple[array | list | tuple, int, int]:
-    """(ints, d, m): the coefficients times d, the lcm of their denominators, and m = max|ints|; an _int64 array if they fit."""
+    """(ints, d, s): the coefficients times d, the lcm of their denominators, and s = sum(ints[i]^2); an _int64 array if they fit."""
     items = _int64(coeffs)
     if items is not None:
-        return items, 1, max(max(coeffs), -min(coeffs))
+        return items, 1, sum(map(mul, coeffs, coeffs))
     ints, d = _integral(coeffs)
-    return (_int64(ints) if d > 1 else None) or ints, d, max(max(ints), -min(ints))
+    return (_int64(ints) if d > 1 else None) or ints, d, sum(map(mul, ints, ints))
 
 
 def _signed_flip(width: int, count: int) -> int:
@@ -207,9 +207,16 @@ def _unpack(value: int, width: int, flip: int, count: int) -> list:
     if width > 16 or sys.byteorder != "little":
         return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, size, width)]
     low = raw if width == 8 else _restride(raw, width, 0, min(width, 8), 8, count)
-    if width <= 8:
-        return array("q", low).tolist()
-    high = _restride(raw, width, 8, width, 8, count)  # a signed limb above an unsigned one
+    if width > 8:  # int64 slots when every byte above byte 7 is its sign fill
+        sign = raw[7::width].translate(_SIGN_FILL)
+        if any(raw[j::width] != sign for j in range(8, width)):
+            return _two_limb(raw, low, width, count)
+    return array("q", low).tolist()
+
+
+def _two_limb(raw: bytes, low: bytearray, width: int, count: int) -> list:
+    """The count width-byte slots of raw, 8 < width <= 16, as a signed 64-bit limb above the unsigned one of low."""
+    high = _restride(raw, width, 8, width, 8, count)
     return [lo + (hi << 64) for lo, hi in zip(array("Q", low).tolist(), array("q", high).tolist())]
 
 
@@ -324,24 +331,31 @@ class QSeries:
         x = 2^(4w) and -x; the products P(x), P(-x) of half the bits give the
         even and odd coefficients, (P(x) + P(-x)) / 2 and (P(x) - P(-x)) / 2x,
         in w-byte slots again (Harvey, J. Symbolic Comput. 44, 2009).  w is
-        the exact byte width of every input coefficient and of the product
-        bound (n+1) * max|a| * max|b|.  A slot holds its coefficient in two's
-        complement: XOR with the top bit of every slot (flip) and subtracting
-        flip gives the signed int, and adding flip lifts each slot to
-        c + X/2 >= 0, so no slot borrows from its neighbour when split or read
-        back.  On a little-endian host an operand whose ints all fit in 64
-        bits is packed from one signed 64-bit array at any w, and a w of at
-        most 16 is read back as 64-bit limbs; larger ints and wider slots go
-        through bytes one coefficient at a time.  A series times itself is
-        packed once and squared twice.  Each side's operand at its full
-        precision is kept on the series (``_operand_at``) and never mutated,
-        so a memoized series feeding several products is converted once.
+        the byte width of the Cauchy-Schwarz bound isqrt(sum(a_i^2) *
+        sum(b_j^2)): it bounds every coefficient of the full product, those
+        past n that P(x) and P(-x) carry too, and every input coefficient, and
+        it never exceeds the bound (n+1) * max|a| * max|b|.  A zero side gives
+        the zero product, packing nothing.  A slot holds its coefficient in
+        two's complement: XOR with the top bit of every slot (flip) and
+        subtracting flip gives the signed int, and adding flip lifts each slot
+        to c + X/2 >= 0, so no slot borrows from its neighbour when split or
+        read back.  On a little-endian host an operand whose ints all fit in
+        64 bits is packed from one signed 64-bit array at any w, and a w of at
+        most 16 is read back as one such array when every slot's bytes above
+        byte 7 are its sign fill, else as 64-bit limbs; larger ints and wider
+        slots go through bytes one coefficient at a time.  A series times
+        itself is packed once and squared twice.  Each side's operand at its
+        full precision, with its sum of squares, is kept on the series
+        (``_operand_at``) and never mutated, so a memoized series feeding
+        several products is converted and scanned once.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            a, da, ma = self._operand_at(n)
-            b, db, mb = (a, da, ma) if other is self else other._operand_at(n)
-            w = (max((n + 1) * ma * mb, ma, mb).bit_length() + 8) // 8
+            a, da, sa = self._operand_at(n)
+            b, db, sb = (a, da, sa) if other is self else other._operand_at(n)
+            if not sa * sb:
+                return QSeries._trusted((0,) * (n + 1))
+            w = (isqrt(sa * sb).bit_length() + 8) // 8
             flip = _signed_flip(w, n + 1)
             a = _plus_minus(a, w, flip)
             b = a if other is self else _plus_minus(b, w, flip)

@@ -91,7 +91,7 @@ def f2_moments_direct(n_max: int) -> dict[int, list[int]]:
 
 def moment_product(k: int, t: int, precision: int) -> tuple[int, ...]:
     """M_t(k) as the one-block moment row times theta^(k-1): one series product for k > 1."""
-    row = _f1_moment_rows(precision)[t]
+    row = _f1_moment_rows(precision)[t].coeffs
     if k > 1:
         row = (QSeries._trusted(row) * theta_series(k - 1, precision)).coeffs
     return row

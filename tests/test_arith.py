@@ -257,17 +257,24 @@ def test_multiplicative_tables_against_sieve_and_trial_division():
                 assert table == sigma_table_sieve(r, chi, psi, precision) == tuple(scalar[: precision + 1]), (r, precision)
 
 
-def test_every_table_verify_reads_against_the_sieve_built_and_cut():
-    # the (r, chi, psi) of every divisor-sum table the catalog and SIDES read, from a cold verify
+#: characters equal to the module's, never the same objects
+FRESH = {CHI3: lambda: DirichletCharacter(3, (0, 1, -1)), CHI_TRIVIAL: lambda: DirichletCharacter(1, (1,))}
+
+
+def verify_table_keys() -> list:
+    """The (r, chi, psi) of every divisor-sum table the catalog and SIDES read, from a cold verify."""
     clear_all()
     identities.verify_all(200)
-    keys = set(sigma_table.stored())
+    keys = sorted(sigma_table.stored(), key=repr)
     clear_all()
     assert len(keys) == 14
+    return keys
+
+
+def test_every_table_verify_reads_against_the_sieve_built_and_cut():
     precisions = (*range(41), 200, 401)
-    fresh = {CHI3: lambda: DirichletCharacter(3, (0, 1, -1)), CHI_TRIVIAL: lambda: DirichletCharacter(1, (1,))}
-    for r, chi, psi in sorted(keys, key=repr):
-        chi, psi = fresh[chi](), fresh[psi]()  # equal to the module's characters, never the same objects
+    for r, chi, psi in verify_table_keys():
+        chi, psi = FRESH[chi](), FRESH[psi]()
         sieved = sigma_table_sieve(r, chi, psi, 401)
         for precision in precisions:
             assert sigma_table.__wrapped__(r, chi, psi, precision) == sieved[: precision + 1], (r, precision)
@@ -276,6 +283,20 @@ def test_every_table_verify_reads_against_the_sieve_built_and_cut():
             for precision in order:
                 assert sigma_table(r, chi, psi, precision) == sieved[: precision + 1], (r, precision)
     sigma_table.clear()
+
+
+@pytest.mark.parametrize("order", [(401, 200), (200, 401)])
+def test_tables_share_one_sieve_at_mixed_precisions(order):
+    keys = [(r, FRESH[chi](), FRESH[psi]()) for r, chi, psi in verify_table_keys()]
+    sieved = {key: sigma_table_sieve(*key, 401) for key in keys}
+    for precision in order:
+        sigma_table.clear()  # every table built afresh: at the second precision, from the sieve of the first
+        for key in keys:
+            assert sigma_table(*key, precision) == sieved[key][: precision + 1], (key, precision)
+    assert arith._sieve.stored() == {(): 401}  # grown from 200 to max(401, 2 * 200), or stored at 401 and cut
+    sieve = arith._sieve(200)
+    assert sieve == arith._sieve.__wrapped__(200) and [len(row) for row in sieve] == [201, 201]
+    clear_all()
 
 
 def test_starred_tables_at_small_precisions():

@@ -16,7 +16,10 @@ from hexrep.lattice import MomentTable
 from hexrep.series import QSeries, grow_only, prefix
 
 MEMOIZED = {
+    "hexrep.arith._sieve",
     "hexrep.arith.sigma_table",
+    "hexrep.forms._b_cube",
+    "hexrep.forms._c_prime",
     "hexrep.forms.eisenstein_classical",
     "hexrep.forms.named_form",
     "hexrep.lattice._f1_moment_rows",
@@ -24,12 +27,16 @@ MEMOIZED = {
     "hexrep.lattice.moment_table",
     "hexrep.lattice.lomadze_values",
     "hexrep.identities.table",
+    "hexrep.identities.factor",
     "hexrep.identities._lhs_table",
 }
 
 #: One call of each memoized quantity, as (memo, key arguments).
 QUANTITIES = (
+    (arith._sieve, ()),
     (arith.sigma_table, (6, CHI_TRIVIAL, CHI3)),
+    (forms._b_cube, ()),
+    (forms._c_prime, ()),
     (forms.eisenstein_classical, (4,)),
     (forms.named_form, ("delta_7_3",)),
     (lattice._f1_moment_rows, ()),
@@ -37,6 +44,7 @@ QUANTITIES = (
     (lattice.moment_table, (2, 4)),
     (lattice.lomadze_values, ("L_6_2",)),
     (identities.table, (("conv", 1, "delta", 3),)),
+    (identities.factor, ("L_8_4",)),
     (identities._lhs_table, ("f14-decomposition",)),
 )
 
@@ -45,7 +53,10 @@ def _precision(value) -> int:
     if isinstance(value, forms.NamedForm):
         value = value.series
     if isinstance(value, dict):  # the one-block moment rows, one per order
-        (precision,) = {len(row) - 1 for row in value.values()}
+        (precision,) = {row.precision for row in value.values()}
+        return precision
+    if type(value) is tuple and isinstance(value[0], list):  # the sieve, two lists of one length
+        (precision,) = {len(row) - 1 for row in value}
         return precision
     return value.precision if isinstance(value, (QSeries, MomentTable)) else len(value) - 1
 

@@ -72,13 +72,16 @@ def test_series_products_within_budget(name, monkeypatch):
 
 
 #: series._operand calls from cleared memos, pinned exactly: each product converts its two sides
-#: (a square one), except a side that is a memoized series already converted at its full precision
-#: (86 conversions for the 46 products of verify_all(200) when none is kept)
+#: (a square one), except a side that is a memoized series already converted at its full precision.
+#: Every table that feeds a product is such a series (theta powers, catalog forms, b^3 and c', the
+#: one-block moment rows and the factors of the convolutions), so each distinct table is converted
+#: once: 31 for the 46 products of verify_all(200), against 86 when none is kept
 CONVERSIONS = {
-    "verify_all(200)": (lambda: identities.verify_all(200), 55),
-    **{f"verify --all --nmax 200 --format {fmt}": (lambda fmt=fmt: cli_verify(200, fmt), 55) for fmt in FORMATS},
-    # 10 products, 4 of them squares; each convolution wraps its two tables in new series, so no series feeds two
-    "decomposition(14, 400)": (lambda: identities.decomposition(14, 400), 16),
+    "verify_all(200)": (lambda: identities.verify_all(200), 31),
+    **{f"verify --all --nmax 200 --format {fmt}": (lambda fmt=fmt: cli_verify(200, fmt), 31) for fmt in FORMATS},
+    # 10 products, 4 of them squares: Jacobi's cube and its square and fourth power, c', b^3,
+    # delta_6_3, theta, theta^2, delta_8_3, delta, sigma_7, sigma_5, sigma and sigma(./3)
+    "decomposition(14, 400)": (lambda: identities.decomposition(14, 400), 14),
 }
 
 
@@ -103,6 +106,35 @@ def cold_conversions(run, monkeypatch) -> int:
 def test_operand_conversions_are_pinned(name, monkeypatch):
     run, count = CONVERSIONS[name]
     assert cold_conversions(run, monkeypatch) == count
+
+
+def cold_read_backs(run, monkeypatch) -> tuple[int, int]:
+    """(products read back from slots wider than 8 bytes, two-limb read-backs) of run() from cleared memos."""
+    unpack, two_limb = series._unpack, series._two_limb
+    wide = limbs = 0
+
+    def counting_unpack(value, width, flip, count):
+        nonlocal wide
+        wide += width > 8
+        return unpack(value, width, flip, count)
+
+    def counting_two_limb(*args):
+        nonlocal limbs
+        limbs += 1
+        return two_limb(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(series, "_unpack", counting_unpack)
+        patched.setattr(series, "_two_limb", counting_two_limb)
+        clear_all()
+        run()
+    return wide, limbs
+
+
+def test_cold_verify_read_backs_are_pinned(monkeypatch):
+    # Cauchy-Schwarz slot widths put 17 of the 46 products in slots wider than 8 bytes; 8 of those 17
+    # hold a value past int64 and are read back as two limbs, the other 9 as one int64 array
+    assert cold_read_backs(lambda: identities.verify_all(200), monkeypatch) == (17, 8)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

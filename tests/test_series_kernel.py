@@ -7,7 +7,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -141,6 +141,42 @@ def test_plus_minus_is_the_evaluation_at_both_points(w, slot_path):
         assert minus == sum(c * (-x) ** i for i, c in enumerate(ints))
 
 
+def recorded_two_limb_reads(monkeypatch) -> list:
+    """The width of each two-limb read-back from here on."""
+    widths = []
+    two_limb = series._two_limb
+
+    def spy(raw, low, width, count):
+        widths.append(width)
+        return two_limb(raw, low, width, count)
+
+    monkeypatch.setattr(series, "_two_limb", spy)
+    return widths
+
+
+#: per value at the int64 edges: whether a slot of 9 to 16 bytes holding it is read back as two limbs
+INT64_EDGES = {2**63 - 1: False, -(2**63): False, 2**63: True, -(2**63) - 1: True}
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="the 64-bit read-back is the little-endian path")
+@pytest.mark.parametrize("w", range(9, 17))
+def test_read_back_at_the_int64_edges(w, monkeypatch):
+    limbs = recorded_two_limb_reads(monkeypatch)
+    packs = recorded_packs(monkeypatch)
+    for edge, two in INT64_EDGES.items():
+        for values in ([edge], [0, edge, -1], [-1, 1, 2**62, -(2**62), edge]):
+            flip = _signed_flip(w, len(values))
+            assert _unpack(_pack(values, w, flip), w, flip, len(values)) == values
+            assert limbs == [w] * two, (edge, values)
+            limbs.clear()
+        # [1, A] [0, edge] = [0, edge], in w-byte slots: the bound isqrt((1 + A^2) edge^2) is near A 2^63
+        big = 2 ** (8 * w - 70)
+        assert list((QSeries([1, big]) * QSeries([0, edge])).coeffs) == [0, edge]
+        assert [width for width, _ in packs] == [w, w] and limbs == [w] * two, edge
+        packs.clear()
+        limbs.clear()
+
+
 def test_int64_check(monkeypatch):
     assert series._int64([2**63 - 1, -(2**63), 0]).tolist() == [2**63 - 1, -(2**63), 0]
     assert series._int64([1, Fraction(1, 3)]) is None
@@ -169,7 +205,7 @@ def test_int64_operand_edges(a, b, from_array, slot_path, monkeypatch):
 
 
 def test_cold_verify_packs_every_operand_from_an_int64_array(monkeypatch):
-    """Every operand of a cold verify_all(200) fits int64, those of its 20 products in 9- to 16-byte slots too."""
+    """Every operand of a cold verify_all(200) fits int64, those of its 17 products in 9- to 16-byte slots too."""
     packs = recorded_packs(monkeypatch)
     clear_all()
     identities.verify_all(200)
@@ -333,6 +369,53 @@ else:
     def test_mul_matches_schoolbook(a, b):
         assert (QSeries(a) * QSeries(b)).coeffs == QSeries(mul_schoolbook(a, b)).coeffs
 
+
+    def cleared(values) -> list:
+        """The values times the lcm of their denominators."""
+        d = lcm(*(Fraction(v).denominator for v in values))
+        return [int(Fraction(v) * d) for v in values]
+
+    def bound_width(a, b, n) -> int:
+        """The slot width of the bound (n+1) max|a| max|b| over the coefficients 0..n cleared of denominators."""
+        ma, mb = (max(map(abs, cleared(x[: n + 1]))) for x in (a, b))
+        return (max((n + 1) * ma * mb, ma, mb).bit_length() + 8) // 8
+
+    magnitudes = st.one_of(st.integers(1, 2**130), st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 60)))
+    shaped = st.one_of(
+        st.lists(coefficients, min_size=1, max_size=30),  # mixed signs, ints and Fractions
+        st.integers(1, 30).map(lambda m: [0] * m),  # the zero series
+        # +-M: the Cauchy-Schwarz bound is tight
+        st.builds(lambda m, signs: [m if s else -m for s in signs], magnitudes, st.lists(st.booleans(), min_size=1, max_size=30)),
+        # one huge coefficient among small ones
+        st.builds(
+            lambda small, i, huge: small[:i] + [huge] + small[i:],
+            st.lists(st.integers(-9, 9), max_size=29),
+            st.integers(0, 29),
+            st.one_of(st.integers(2**60, 2**200), st.integers(-(2**200), -(2**60))),
+        ),
+    )
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(shaped, shaped)
+    @hypothesis.example([0, 0, 0], [2**62, 2**62, 2**62, 2**62])  # a zero side packs nothing
+    @hypothesis.example([2**62, -(2**62), 2**62, 2**62], [1, 1, -1, 1])  # tight, 9-byte slots
+    @hypothesis.example([1, 2, 3, 2**100], [2**100, 0, 0, 7])  # the huge ones meet past n only
+    def test_cauchy_schwarz_widths_never_exceed_the_old_bound(a, b):
+        for x, y in ((a, b), (a, a)):  # a product and a square
+            with pytest.MonkeyPatch.context() as patched:
+                packs = recorded_packs(patched)
+                s = QSeries(x)
+                product = s * (s if y is x else QSeries(y))
+            assert product.coeffs == QSeries(mul_schoolbook(x, y)).coeffs
+            n = min(len(x), len(y)) - 1
+            if not any(x[: n + 1]) or not any(y[: n + 1]):
+                assert packs == []
+                continue
+            (w,) = {width for width, _ in packs}
+            assert len(packs) == (1 if y is x else 2)
+            assert w <= bound_width(x, y, n)
+            if len({abs(v) for v in x[: n + 1]}) == len({abs(v) for v in y[: n + 1]}) == 1:  # +-M times +-N
+                assert w == bound_width(x, y, n)
 
     @hypothesis.settings(deadline=None)
     @hypothesis.given(st.lists(coefficients, min_size=1, max_size=40))

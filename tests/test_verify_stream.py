@@ -8,13 +8,14 @@ import contextlib
 import io
 
 import pytest
-from memos import clear_all
+from memos import all_memos, clear_all
 
 from hexrep import cli, identities
 from hexrep.identities import PrecisionTooLow, UnknownIdentity, verify_all, verify_stream
 from hexrep.series import grow_only, prefix
 
-IDENTITY_MEMOS = (identities.table, identities._lhs_table)
+#: the memos whose entries verify_stream releases
+IDENTITY_MEMOS = (identities.table, identities.factor, identities._lhs_table)
 
 
 def run_cli(argv):
@@ -55,7 +56,7 @@ def test_discard_drops_one_entry():
 def test_stream_gives_the_reports_of_verify_all(n_max, selection):
     clear_all()
     streamed = list(verify_stream(n_max, selection))
-    assert identities.table.stored() == identities._lhs_table.stored() == {}
+    assert all(memo.stored() == {} for memo in IDENTITY_MEMOS)
     clear_all()
     assert streamed == verify_all(n_max, selection)
 
@@ -87,8 +88,26 @@ def test_cold_cli_verify_keeps_nothing_it_built(fmt):
     clear_all()
     code, text = run_cli(["verify", "--all", "--nmax", "100", "--format", fmt])
     assert code == 0 and text
-    assert identities.table.stored() == {}
-    assert identities._lhs_table.stored() == {}
+    for memo in IDENTITY_MEMOS:
+        assert memo.stored() == {}, memo.__name__
+
+
+@pytest.mark.slow
+def test_a_streamed_cold_verify_stores_only_what_the_release_plan_keeps():
+    # every entry of a cold verify_all that the plan names is gone after the streamed command,
+    # every other entry is as verify_all leaves it, and the plan names every entry of IDENTITY_MEMOS
+    clear_all()
+    verify_all(2000)
+    whole = {name: memo.stored() for name, memo in all_memos().items()}
+    plan = {entry for entries in identities._last_readers(identities.IDENTITY_NAMES) for entry in entries}
+    clear_all()
+    code, _ = run_cli(["verify", "--all", "--nmax", "2000"])
+    assert code == 0
+    for name, memo in all_memos().items():
+        kept = {key: precision for key, precision in whole[name].items() if (memo, key) not in plan}
+        assert memo.stored() == kept, name
+        assert whole[name] and not (kept and memo in IDENTITY_MEMOS), name
+    clear_all()
 
 
 @pytest.mark.parametrize("nmax", ["100", "200", "300"])

@@ -89,6 +89,13 @@ MADE_UP_REPORTS = [
 ]
 
 
+def test_verify_csv_formats_a_matching_report_as_the_per_row_writer():
+    # a matching report's values are formatted once for both sides, a Fraction as p/q
+    reports = MADE_UP_REPORTS + [IdentityReport("fractions", 3, (Fraction(1, 3), -2, Fraction(8, 2)), (Fraction(1, 3), -2, 4))]
+    assert sum(r.all_match and any(type(v) is Fraction for v in r.lhs) for r in reports) == 2
+    assert written(_print_verify_csv, reports) == written(print_verify_csv_per_row, reports)
+
+
 JSON_REPORTS = {
     **{f"verify_all({n})": lambda n=n: verify_all(n) for n in (0, 1, 2, 30, 200)},
     **{name: lambda name=name: verify_all(30, [name]) for name in IDENTITY_NAMES},
