@@ -6,10 +6,13 @@ ints or Fractions, never floats, so every operation in this module is
 exact.  Instances are immutable and safe to share between threads.
 
 A product of two series is one two-point Kronecker substitution: each side
-packed once into one int, and two big-int products of half the bits.  A
-series keeps the integer operand of its coefficients from its first product
-at its full precision, so its later products do not convert them again (two
-threads may both convert them, and keep equal operands).
+packed once into one int, and two big-int products of half the bits, in
+slots as wide as the Cauchy-Schwarz bound needs, read off the float norms of
+the sides.  A series keeps the integer operand of its coefficients, with its
+norm, from its first product at its full precision, and a product read back
+as one 64-bit array keeps that array, so later products do not convert them
+again (two threads may both convert an operand or fill a norm, and keep
+equal ones).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from math import isqrt, lcm
+from math import frexp, hypot, inf, isqrt, lcm
 from operator import add, mul
 
 DEFAULT_PRECISION = 200
@@ -157,6 +160,13 @@ def _over(ints: list, den: int) -> tuple:
 #: the sign fill of a slot by its top byte: 0xFF if the top bit is set, else 0
 _SIGN_FILL = bytes(255 * (b >> 7) for b in range(256))
 
+#: each byte with its top bit flipped: the top byte of a two's complement slot in offset binary
+_TOP_FLIP = bytes(b ^ 0x80 for b in range(256))
+
+#: a relative error above that of the product of two _norm floats (each int rounds by at most
+#: 2^-53, hypot is within 1 ulp of its rounded inputs, the product rounds once: under 2^-49)
+_NORM_ERROR = 2.0**-40
+
 
 def _int64(ints) -> array | None:
     """The ints as one signed 64-bit array, or None: a Fraction, an int outside [-2^63, 2^63), or a big-endian host."""
@@ -166,13 +176,38 @@ def _int64(ints) -> array | None:
         return None
 
 
-def _operand(coeffs: tuple) -> tuple[array | list | tuple, int, int]:
-    """(ints, d, s): the coefficients times d, the lcm of their denominators, and s = sum(ints[i]^2); an _int64 array if they fit."""
+def _norm(ints) -> float:
+    """sqrt(sum(ints[i]^2)) as a float, by hypot: inf for ints past the float range."""
+    try:
+        return hypot(*ints)
+    except OverflowError:  # an int of 2^1024 or more
+        return inf
+
+
+def _operand(coeffs: tuple) -> tuple[array | list | tuple, int, float]:
+    """(ints, d, norm): the coefficients times d, the lcm of their denominators, and _norm(ints); an _int64 array if they fit."""
     items = _int64(coeffs)
     if items is not None:
-        return items, 1, sum(map(mul, coeffs, coeffs))
+        return items, 1, _norm(coeffs)
     ints, d = _integral(coeffs)
-    return (_int64(ints) if d > 1 else None) or ints, d, sum(map(mul, ints, ints))
+    return (_int64(ints) if d > 1 else None) or ints, d, _norm(ints)
+
+
+def _width(a, na: float, b, nb: float) -> int:
+    """The byte width, sign bit included, of isqrt(sum(a_i^2) * sum(b_j^2)), for na, nb the _norm of a and b, both nonzero.
+
+    For r = sqrt(sum(a_i^2) * sum(b_j^2)) >= 1 the isqrt has bit length L,
+    the frexp exponent of r, and takes L // 8 + 1 bytes.  The float na * nb
+    is within _NORM_ERROR of r, so when both ends of that bracket take one
+    width r takes it too; when they straddle a byte boundary, or a norm
+    overflowed, the exact isqrt decides.
+    """
+    r = na * nb
+    if r < inf:
+        low = frexp(r * (1 - _NORM_ERROR))[1] // 8
+        if low == frexp(r * (1 + _NORM_ERROR))[1] // 8:
+            return low + 1
+    return (isqrt(sum(map(mul, a, a)) * sum(map(mul, b, b))).bit_length() + 8) // 8
 
 
 def _signed_flip(width: int, count: int) -> int:
@@ -180,43 +215,58 @@ def _signed_flip(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _restride(raw: bytes, size: int, start: int, stop: int, to: int, count: int) -> bytearray:
-    """Bytes start .. stop-1 of each size-byte slot of raw as to-byte slots, filled above with their sign."""
-    out = bytearray(to * count)
+def _restride(raw: bytes, size: int, start: int, stop: int, count: int) -> bytearray:
+    """Bytes start .. stop-1 of each size-byte slot of raw as 8-byte slots, filled above with their sign."""
+    out = bytearray(8 * count)
     for j in range(start, stop):
-        out[j - start :: to] = raw[j::size]
+        out[j - start :: 8] = raw[j::size]
     sign = raw[stop - 1 :: size].translate(_SIGN_FILL)
-    for j in range(stop - start, to):
-        out[j::to] = sign
+    for j in range(stop - start, 8):
+        out[j::8] = sign
     return out
 
 
-def _pack(ints, width: int, flip: int) -> int:
-    """sum(ints[i] * X^i), X = 2^(8 width), for |ints[i]| < X/2 and flip = _signed_flip(width, len(ints))."""
-    if isinstance(ints, array):  # an _int64 array, at any width
-        cut = _restride(ints.tobytes(), 8, 0, min(width, 8), width, len(ints))
-    else:
+def _pack(ints, width: int, flip: int) -> tuple[int, int]:
+    """(V, L): V = sum((ints[i] + l) * X^i), X = 2^(8 width), every slot lifted to 0 <= ints[i] + l < X, and L = sum(l * X^i).
+
+    For |ints[i]| < X/2 and flip = _signed_flip(width, len(ints)): l = X/2 (L = flip), each slot in two's
+    complement with its top bit flipped, but l = 2^63 for an _int64 array in slots past 8 bytes, each slot
+    its item's bytes with the top bit of byte 7 flipped, zero above.
+    """
+    if not isinstance(ints, array):
         cut = b"".join(c.to_bytes(width, "little", signed=True) for c in ints)
-    return (int.from_bytes(cut, "little") ^ flip) - flip
+        return int.from_bytes(cut, "little") ^ flip, flip
+    raw = ints.tobytes()
+    if width == 8:
+        return int.from_bytes(raw, "little") ^ flip, flip
+    top = min(width, 8) - 1
+    out = bytearray(width * len(ints))
+    for j in range(top):
+        out[j::width] = raw[j::8]
+    out[top::width] = raw[top::8].translate(_TOP_FLIP)
+    return int.from_bytes(out, "little"), flip >> (8 * (width - 1 - top))
 
 
-def _unpack(value: int, width: int, flip: int, count: int) -> list:
-    """The ints[i] in [-X/2, X/2) with sum(ints[i] * X^i) = value mod X^count, for flip = _signed_flip(width, count)."""
+def _unpack(value: int, width: int, flip: int, count: int) -> array | list:
+    """The ints[i] in [-X/2, X/2) with sum(ints[i] * X^i) = value mod X^count, for flip = _signed_flip(width, count).
+
+    One _int64 array when each fits in 64 bits, width <= 16 and the host is little-endian, else a list.
+    """
     size = width * count
     raw = (((value + flip) & ((1 << (8 * size)) - 1)) ^ flip).to_bytes(size, "little")
     if width > 16 or sys.byteorder != "little":
         return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, size, width)]
-    low = raw if width == 8 else _restride(raw, width, 0, min(width, 8), 8, count)
+    low = raw if width == 8 else _restride(raw, width, 0, min(width, 8), count)
     if width > 8:  # int64 slots when every byte above byte 7 is its sign fill
         sign = raw[7::width].translate(_SIGN_FILL)
         if any(raw[j::width] != sign for j in range(8, width)):
             return _two_limb(raw, low, width, count)
-    return array("q", low).tolist()
+    return array("q", low)
 
 
 def _two_limb(raw: bytes, low: bytearray, width: int, count: int) -> list:
     """The count width-byte slots of raw, 8 < width <= 16, as a signed 64-bit limb above the unsigned one of low."""
-    high = _restride(raw, width, 8, width, 8, count)
+    high = _restride(raw, width, 8, width, count)
     return [lo + (hi << 64) for lo, hi in zip(array("Q", low).tolist(), array("q", high).tolist())]
 
 
@@ -224,16 +274,16 @@ def _plus_minus(ints, width: int, flip: int) -> tuple[int, int]:
     """(A(x), A(-x)), A(x) = sum(ints[i] * x^i), x = 2^(4 width): one _pack, evens below odds, by _signed_flip(width, len(ints))."""
     cut = 8 * width * ((len(ints) + 1) // 2)  # the bits of the even slots
     mask = (1 << cut) - 1
-    value = _pack(ints[0::2] + ints[1::2], width, flip) + flip  # slots lifted to c + X/2 >= 0: the split borrows nothing
-    even = (value & mask) - (flip & mask)
-    odd = ((value >> cut) - (flip >> cut)) << (4 * width)
+    value, lift = _pack(ints[0::2] + ints[1::2], width, flip)  # slots lifted to >= 0: the split borrows nothing
+    even = (value & mask) - (lift & mask)
+    odd = ((value >> cut) - (lift >> cut)) << (4 * width)
     return even + odd, even - odd
 
 
 class QSeries:
     """An immutable power series sum(c_n * q^n, 0 <= n <= precision)."""
 
-    __slots__ = ("_coeffs", "_kept_operand")  # the _operand of _coeffs, set by the first product that reads it
+    __slots__ = ("_coeffs", "_kept_operand")  # the _operand of _coeffs, set by the product making or first reading it
 
     def __init__(self, coeffs: Iterable, precision: int | None = None):
         cs = [_as_coeff(c) for c in coeffs]
@@ -287,15 +337,18 @@ class QSeries:
             return self
         return QSeries._trusted(self._coeffs[: precision + 1])
 
-    def _operand_at(self, n: int) -> tuple[array | list | tuple, int, int]:
+    def _operand_at(self, n: int) -> tuple[array | list | tuple, int, float]:
         """The _operand of the coefficients 0..n; at the full precision it is computed once and kept."""
         if n < len(self._coeffs) - 1:
             return _operand(self._coeffs[: n + 1])
         try:
-            return self._kept_operand
+            operand = self._kept_operand
         except AttributeError:
             self._kept_operand = operand = _operand(self._coeffs)
             return operand
+        if operand[2] is None:  # a product's read-back: its norm is filled on first use
+            self._kept_operand = operand = (operand[0], 1, _norm(self._coeffs))
+        return operand
 
     # -- ring operations ---------------------------------------------------
 
@@ -334,28 +387,29 @@ class QSeries:
         the byte width of the Cauchy-Schwarz bound isqrt(sum(a_i^2) *
         sum(b_j^2)): it bounds every coefficient of the full product, those
         past n that P(x) and P(-x) carry too, and every input coefficient, and
-        it never exceeds the bound (n+1) * max|a| * max|b|.  A zero side gives
-        the zero product, packing nothing.  A slot holds its coefficient in
-        two's complement: XOR with the top bit of every slot (flip) and
-        subtracting flip gives the signed int, and adding flip lifts each slot
-        to c + X/2 >= 0, so no slot borrows from its neighbour when split or
-        read back.  On a little-endian host an operand whose ints all fit in
-        64 bits is packed from one signed 64-bit array at any w, and a w of at
-        most 16 is read back as one such array when every slot's bytes above
-        byte 7 are its sign fill, else as 64-bit limbs; larger ints and wider
-        slots go through bytes one coefficient at a time.  A series times
-        itself is packed once and squared twice.  Each side's operand at its
-        full precision, with its sum of squares, is kept on the series
-        (``_operand_at``) and never mutated, so a memoized series feeding
-        several products is converted and scanned once.
+        it never exceeds the bound (n+1) * max|a| * max|b|; ``_width`` reads
+        it off the product of the sides' float norms.  A zero side gives the
+        zero product, packing nothing.  ``_pack`` lifts every slot to a value
+        >= 0, so no slot borrows from its neighbour when split, and packs an
+        operand whose ints all fit in 64 bits from one signed 64-bit array at
+        any w.  Read-back adds flip, the top bit of every slot, for the same
+        reason; on a little-endian host a w of at most 16 is read back as one
+        64-bit array when every slot's bytes above byte 7 are its sign fill,
+        else as 64-bit limbs, and larger ints and wider slots go through
+        bytes one coefficient at a time.  A series times itself is packed
+        once and squared twice.  Each side's operand at its full precision,
+        with its norm, is kept on the series (``_operand_at``) and never
+        mutated, so a memoized series feeding several products is converted
+        once; an integral product read back as one 64-bit array keeps that
+        array as its operand, its norm filled on first use.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            a, da, sa = self._operand_at(n)
-            b, db, sb = (a, da, sa) if other is self else other._operand_at(n)
-            if not sa * sb:
+            a, da, na = self._operand_at(n)
+            b, db, nb = (a, da, na) if other is self else other._operand_at(n)
+            if not (na and nb):
                 return QSeries._trusted((0,) * (n + 1))
-            w = (isqrt(sa * sb).bit_length() + 8) // 8
+            w = _width(a, na, b, nb)
             flip = _signed_flip(w, n + 1)
             a = _plus_minus(a, w, flip)
             b = a if other is self else _plus_minus(b, w, flip)
@@ -367,7 +421,11 @@ class QSeries:
             odd = (plus - minus) >> (4 * w + 1)
             ints = _unpack(even + (odd << (8 * w * half)), w, flip, n + 1)
             ints[0::2], ints[1::2] = ints[:half], ints[half:]
-            return QSeries._trusted(_over(ints, da * db))
+            den = da * db
+            product = QSeries._trusted(_over(ints, den))
+            if den == 1 and isinstance(ints, array):
+                product._kept_operand = (ints, 1, None)
+            return product
         if isinstance(other, (int, Fraction)):
             return linear_combination((other, self))
         return NotImplemented

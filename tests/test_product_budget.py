@@ -13,6 +13,7 @@ import tracemalloc
 
 import pytest
 from memos import clear_all
+from packings import SLOT_PATHS, packing
 
 from hexrep import cli, forms, identities, lattice, series
 from hexrep.series import QSeries
@@ -71,17 +72,24 @@ def test_series_products_within_budget(name, monkeypatch):
     assert 0 < products <= budget, products
 
 
-#: series._operand calls from cleared memos, pinned exactly: each product converts its two sides
-#: (a square one), except a side that is a memoized series already converted at its full precision.
-#: Every table that feeds a product is such a series (theta powers, catalog forms, b^3 and c', the
-#: one-block moment rows and the factors of the convolutions), so each distinct table is converted
-#: once: 31 for the 46 products of verify_all(200), against 86 when none is kept
+#: series._operand calls from cleared memos, pinned exactly per packing path: each product converts
+#: its two sides (a square one), except a side that already holds its operand at its full precision.
+#: A memoized series keeps the operand its first product converts (theta powers, catalog forms, b^3
+#: and c', the one-block moment rows and the factors of the convolutions), and on the array path an
+#: integral product read back as one int64 array keeps that array, so only a distinct table not made
+#: by such a product is converted: 18 for the 46 products of verify_all(200), against 31, one per
+#: distinct table, on the bytes path, which keeps no read-back, and 86 when nothing is kept
+VERIFY_CONVERSIONS = {"array": 18, "bytes": 31}
 CONVERSIONS = {
-    "verify_all(200)": (lambda: identities.verify_all(200), 31),
-    **{f"verify --all --nmax 200 --format {fmt}": (lambda fmt=fmt: cli_verify(200, fmt), 31) for fmt in FORMATS},
-    # 10 products, 4 of them squares: Jacobi's cube and its square and fourth power, c', b^3,
-    # delta_6_3, theta, theta^2, delta_8_3, delta, sigma_7, sigma_5, sigma and sigma(./3)
-    "decomposition(14, 400)": (lambda: identities.decomposition(14, 400), 14),
+    "verify_all(200)": (lambda: identities.verify_all(200), VERIFY_CONVERSIONS),
+    **{
+        f"verify --all --nmax 200 --format {fmt}": (lambda fmt=fmt: cli_verify(200, fmt), VERIFY_CONVERSIONS)
+        for fmt in FORMATS
+    },
+    # 10 products, 4 of them squares: Jacobi's cube, c', b^3, theta, delta (a shift of a product),
+    # sigma_7, sigma_5, sigma and sigma(./3); on the bytes path also Jacobi's cube squared and to the
+    # fourth, delta_6_3, theta^2 and delta_8_3
+    "decomposition(14, 400)": (lambda: identities.decomposition(14, 400), {"array": 9, "bytes": 14}),
 }
 
 
@@ -104,8 +112,11 @@ def cold_conversions(run, monkeypatch) -> int:
 
 @pytest.mark.parametrize("name", CONVERSIONS)
 def test_operand_conversions_are_pinned(name, monkeypatch):
-    run, count = CONVERSIONS[name]
-    assert cold_conversions(run, monkeypatch) == count
+    run, counts = CONVERSIONS[name]
+    for path in SLOT_PATHS:
+        with packing(path):
+            assert cold_conversions(run, monkeypatch) == counts[path], path
+    clear_all()  # no table built on the bytes path outlives the test
 
 
 def cold_read_backs(run, monkeypatch) -> tuple[int, int]:

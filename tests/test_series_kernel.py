@@ -2,19 +2,22 @@
 combination against plain per-coefficient Fraction arithmetic, and the
 products too long for that against their values at random points."""
 
+import contextlib
+import io
 import random
 import sys
 import threading
 from array import array
 from fractions import Fraction
-from math import isqrt, lcm
+from math import frexp, hypot, isqrt, lcm
 from types import SimpleNamespace
 
 import pytest
 from memos import clear_all
 from oracles import P61, mul_schoolbook, product_at_point
+from packings import SLOT_PATHS, packing
 
-from hexrep import forms, identities, lattice, series
+from hexrep import cli, forms, identities, lattice, series
 from hexrep.series import QSeries, _pack, _signed_flip, _unpack, linear_combination
 
 try:
@@ -22,12 +25,11 @@ try:
 except ImportError:  # the property tests below need it; the explicit width cases do not
     hypothesis = None
 
-@pytest.fixture(params=["array", "bytes"])
-def slot_path(request, monkeypatch):
-    """Run on both packing paths: a host reporting big-endian takes the per-coefficient bytes path."""
-    if request.param == "bytes":
-        monkeypatch.setattr(series, "sys", SimpleNamespace(byteorder="big"))
-    return request.param
+@pytest.fixture(params=SLOT_PATHS)
+def slot_path(request):
+    """Run on both packing paths."""
+    with packing(request.param) as path:
+        yield path
 
 
 def recorded_packs(monkeypatch) -> list:
@@ -40,6 +42,35 @@ def recorded_packs(monkeypatch) -> list:
 
     monkeypatch.setattr(series, "_pack", spy)
     return packs
+
+
+def recorded_exact_widths(monkeypatch) -> list:
+    """The argument of each exact isqrt `_width` falls back to from here on."""
+    bounds = []
+
+    def spy(value):
+        bounds.append(value)
+        return isqrt(value)
+
+    monkeypatch.setattr(series, "isqrt", spy)
+    return bounds
+
+
+def cleared(values) -> list:
+    """The values times the lcm of their denominators."""
+    d = lcm(*(Fraction(v).denominator for v in values))
+    return [int(Fraction(v) * d) for v in values]
+
+
+def exact_width(a, b, n) -> int:
+    """The slot width of isqrt(sum(a_i^2) * sum(b_j^2)) over the coefficients 0..n cleared of denominators, sign bit included."""
+    sa, sb = (sum(v * v for v in cleared(x[: n + 1])) for x in (a, b))
+    return (isqrt(sa * sb).bit_length() + 8) // 8
+
+
+def float_width(a, b) -> int:
+    """The slot width the float product of the norms of the ints a and b gives with no error bracket."""
+    return frexp(hypot(*a) * hypot(*b))[1] // 8 + 1
 
 
 @pytest.mark.parametrize("w", [*range(1, 18), 24])
@@ -85,21 +116,77 @@ def test_pack_unpack_round_trip(w, slot_path):
     half = 2 ** (8 * w - 1)
     rng = random.Random(w)
     ints = [half - 1, -half, 0, 1, -1, half // 3, -(half // 3)] + [rng.randrange(-half, half) for _ in range(40)]
-    # an int64 array fills slots of any width: its items up to +-2^63, sign bytes above
+    # an int64 array fills slots of any width: its items up to +-2^63, zero bytes above
     edge = min(half, 2**63)
     int64 = [edge - 1, -edge, -(edge - 1), 0, 1, -1] + [rng.randrange(-edge, edge) for _ in range(40)]
     for values in (ints, int64):
         items = series._int64(values)
         assert (items is not None) == (slot_path == "array" and (values is int64 or w <= 8))
         flip = _signed_flip(w, len(values))
-        packed = _pack(values if items is None else items, w, flip)
+        packed, lift = _pack(values if items is None else items, w, flip)
+        # every slot lifted by one l to 0 <= c + l < X: X/2, or 2^63 for an int64 array in slots past 8 bytes
+        l = half if items is None else 2 ** (8 * min(w, 8) - 1)
+        assert all(0 <= c + l < 2 * half for c in values)
+        assert lift == sum(l << (8 * w * i) for i in range(len(values)))
+        assert packed == sum((c + l) << (8 * w * i) for i, c in enumerate(values))
+        packed -= lift
         assert packed == sum(c << (8 * w * i) for i, c in enumerate(values))
-        assert _unpack(packed, w, flip, len(values)) == values
+        # read back as one int64 array when every value fits one, on the array path, in slots of at most 16 bytes
+        read = _unpack(packed, w, flip, len(values))
+        fits = -(2**63) <= min(values) and max(values) < 2**63
+        assert isinstance(read, array) == (slot_path == "array" and w <= 16 and fits)
+        assert list(read) == values
         # slots past count, as a product has them, do not reach the count read back
         beyond = 1 << (8 * w * len(values))
-        assert _unpack(packed + 5 * beyond, w, flip, len(values)) == values
-        assert _unpack(packed - 3 * beyond, w, flip, len(values)) == values
-        assert _unpack(packed, w, _signed_flip(w, 3), 3) == values[:3]
+        assert list(_unpack(packed + 5 * beyond, w, flip, len(values))) == values
+        assert list(_unpack(packed - 3 * beyond, w, flip, len(values))) == values
+        assert list(_unpack(packed, w, _signed_flip(w, 3), 3)) == values[:3]
+
+
+@pytest.mark.parametrize("w", range(1, 25))
+def test_widths_at_a_byte_boundary_take_the_exact_bound(w, slot_path, monkeypatch):
+    """Tight +-M times +-N bounds at and next to 2^(8w - 1), where a w-byte slot ends: the float brackets straddle it."""
+    top = 2 ** (8 * w - 1) - 1
+    edge = 2 ** (8 * w - 3)  # 4 edge = 2^(8w - 1): a bound that needs w + 1 bytes
+    cases = [
+        ([top], [1]),
+        ([top + 1], [-1]),
+        ([top // 4, -(top // 4), top // 4, -(top // 4)], [1, -1, 1, -1]),  # the bound is top - 3
+        ([edge, -edge, edge, -edge], [1, -1, 1, -1]),
+        ([edge // 2, -(edge // 2), edge // 2, edge // 2], [2, 2, -2, 2]),
+    ]
+    exact = recorded_exact_widths(monkeypatch)
+    packs = recorded_packs(monkeypatch)
+    for a, b in cases:
+        exact.clear()
+        product = QSeries(a) * QSeries(b)
+        assert list(product.coeffs) == mul_schoolbook(a, b)
+        (width,) = {width for width, _ in packs}
+        packs.clear()
+        bound = isqrt(sum(x * x for x in a) * sum(y * y for y in b))
+        assert width == exact_width(a, b, len(a) - 1) == (w if bound <= top else w + 1)
+        # a bound of 2^(8w - 1) sits on the boundary, and where the float alone rounds to the other width
+        # the exact isqrt decides
+        if bound == top + 1 or float_width(a, b) != width:
+            assert exact, (a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([2**1024, -1], [1, 1]),  # an int past the float range
+        ([-(2**1100), 3, 5], [7, 0, -(2**1030)]),
+        ([2**1023] * 4, [3, -1, 0, 2]),  # ints in range, a norm past it
+        ([2**600, 1], [-(2**600), 1]),  # norms in range, their product past it
+        ([Fraction(2**1030, 3), 1], [1, Fraction(1, 2)]),  # cleared of denominators: 2^1031 and 6
+    ],
+)
+def test_norms_past_the_float_range_take_the_exact_bound(a, b, slot_path, monkeypatch):
+    exact = recorded_exact_widths(monkeypatch)
+    packs = recorded_packs(monkeypatch)
+    assert list((QSeries(a) * QSeries(b)).coeffs) == mul_schoolbook(a, b)
+    assert len(exact) == 1
+    assert {width for width, _ in packs} == {exact_width(a, b, len(a) - 1)}
 
 
 #: per kind, (a, b) at length n + 1: small signed ints, int64 edges (array
@@ -163,16 +250,30 @@ INT64_EDGES = {2**63 - 1: False, -(2**63): False, 2**63: True, -(2**63) - 1: Tru
 def test_read_back_at_the_int64_edges(w, monkeypatch):
     limbs = recorded_two_limb_reads(monkeypatch)
     packs = recorded_packs(monkeypatch)
+    for path in SLOT_PATHS:
+        with packing(path):
+            read_back_at_the_int64_edges(w, path == "array", packs, limbs)
+
+
+def read_back_at_the_int64_edges(w, by_array, packs, limbs) -> None:
+    """The int64 edges in w-byte slots; without by_array every slot is read back through bytes, one coefficient at a time."""
     for edge, two in INT64_EDGES.items():
         for values in ([edge], [0, edge, -1], [-1, 1, 2**62, -(2**62), edge]):
             flip = _signed_flip(w, len(values))
-            assert _unpack(_pack(values, w, flip), w, flip, len(values)) == values
-            assert limbs == [w] * two, (edge, values)
+            items = series._int64(values)
+            packed, lift = _pack(values if items is None else items, w, flip)
+            read = _unpack(packed - lift, w, flip, len(values))
+            assert list(read) == values
+            assert isinstance(read, array) == (by_array and not two)
+            assert limbs == [w] * (by_array and two), (edge, values)
             limbs.clear()
         # [1, A] [0, edge] = [0, edge], in w-byte slots: the bound isqrt((1 + A^2) edge^2) is near A 2^63
         big = 2 ** (8 * w - 70)
-        assert list((QSeries([1, big]) * QSeries([0, edge])).coeffs) == [0, edge]
-        assert [width for width, _ in packs] == [w, w] and limbs == [w] * two, edge
+        product = QSeries([1, big]) * QSeries([0, edge])
+        assert list(product.coeffs) == [0, edge]
+        assert [width for width, _ in packs] == [w, w] and limbs == [w] * (by_array and two), edge
+        # a product read back as one int64 array keeps that array as its operand
+        assert hasattr(product, "_kept_operand") == (by_array and not two)
         packs.clear()
         limbs.clear()
 
@@ -207,10 +308,16 @@ def test_int64_operand_edges(a, b, from_array, slot_path, monkeypatch):
 def test_cold_verify_packs_every_operand_from_an_int64_array(monkeypatch):
     """Every operand of a cold verify_all(200) fits int64, those of its 17 products in 9- to 16-byte slots too."""
     packs = recorded_packs(monkeypatch)
-    clear_all()
-    identities.verify_all(200)
-    assert packs and all(from_array for _, from_array in packs)
-    assert any(width > 8 for width, _ in packs)
+    for path in SLOT_PATHS:
+        packs.clear()
+        with packing(path):
+            clear_all()
+            try:
+                identities.verify_all(200)
+            finally:
+                clear_all()  # no table built on the bytes path outlives it
+        assert packs and all(from_array == (path == "array") for _, from_array in packs)
+        assert any(width > 8 for width, _ in packs)
 
 
 def test_point_oracle_catches_one_wrong_coefficient():
@@ -228,31 +335,113 @@ def test_point_oracle_catches_one_wrong_coefficient():
 
 def test_cold_verify_products_at_two_random_points(monkeypatch):
     """Every product of a cold verify_all(2000), too long for the schoolbook oracle, checked at two points mod 2^61 - 1."""
-    rng = random.Random(2000)
-    kernel = QSeries.__mul__
-    checked = []
+    checked = points_checked(COLD_RUNS["verify_all(2000)"], monkeypatch)
+    assert len(checked) > 20 and max(checked) == 2000
+
+
+#: the value commands of the benchmark's cold value workload, over n = 1..400: the five
+#: decompositions, s_28 by brute force, tau from eta^24 and the 13 catalog sums
+VALUE_COMMANDS = (
+    [["s2k", "--k", str(k), "--n", "1..400", "--method", "decomposition"] for k in (7, 9, 11, 12, 14)]
+    + [["s2k", "--k", "14", "--n", "1..400"], ["tau", "--n", "1..400", "--method", "eta"]]
+    + [["lsum", spec.name, "--n", "1..400"] for spec in lattice.LOMADZE_CATALOG]
+)
+
+
+def cold_value_commands():
+    """Each of VALUE_COMMANDS through cli.main from cleared memos, as a fresh process runs it, its output kept in memory."""
+    for argv in VALUE_COMMANDS:
+        clear_all()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+
+
+COLD_RUNS = {"verify_all(2000)": lambda: identities.verify_all(2000), "value commands at 400": cold_value_commands}
+
+
+def cold_products(run, monkeypatch, check) -> None:
+    """run() from cleared memos, with check(a, b, product, width) after each series product; width is None for a zero side."""
+    kernel, unpack = QSeries.__mul__, series._unpack
+    widths = []
 
     def checked_mul(self, other):
+        read = len(widths)
         product = kernel(self, other)
         if isinstance(other, QSeries):
-            for r in (rng.randrange(2, P61 - 1), rng.randrange(2, P61 - 1)):
-                assert product_at_point(self.coeffs, other.coeffs, product.coeffs, r), (product.precision, r)
-            checked.append(product.precision)
+            check(self, other, product, widths[read] if len(widths) > read else None)
         return product
 
+    def recording_unpack(value, width, flip, count):
+        widths.append(width)
+        return unpack(value, width, flip, count)
+
     monkeypatch.setattr(QSeries, "__mul__", checked_mul)
+    monkeypatch.setattr(series, "_unpack", recording_unpack)
     clear_all()
     try:
-        identities.verify_all(2000)
+        run()
     finally:
         clear_all()  # no table built under the wrapper outlives the test
-    assert len(checked) > 20 and max(checked) == 2000
+
+
+def points_checked(run, monkeypatch) -> list:
+    """The precision of each product of run() from cleared memos, every one checked at two random points mod 2^61 - 1."""
+    rng = random.Random(2000)
+    checked = []
+
+    def check(a, b, product, width):
+        for r in (rng.randrange(2, P61 - 1), rng.randrange(2, P61 - 1)):
+            assert product_at_point(a.coeffs, b.coeffs, product.coeffs, r), (product.precision, r)
+        checked.append(product.precision)
+
+    cold_products(run, monkeypatch, check)
+    return checked
+
+
+def test_cold_value_command_products_at_two_random_points(monkeypatch):
+    checked = points_checked(cold_value_commands, monkeypatch)
+    assert len(checked) > 20 and max(checked) == 400
+
+
+@pytest.mark.parametrize("name", COLD_RUNS)
+def test_cold_products_take_the_exact_width(name, monkeypatch):
+    """Each product's slots are as wide as the exact isqrt(sum(a_i^2) * sum(b_j^2)), computed here; the float decides every one."""
+    exact = recorded_exact_widths(monkeypatch)
+    widths = []
+
+    def check(a, b, product, width):
+        n = product.precision
+        if not any(a.coeffs[: n + 1]) or not any(b.coeffs[: n + 1]):
+            assert width is None  # a zero side packs nothing
+        else:
+            assert width == exact_width(a.coeffs, b.coeffs, n), n
+            widths.append(width)
+
+    cold_products(COLD_RUNS[name], monkeypatch, check)
+    assert len(widths) > 20 and max(widths) > 8
+    assert exact == []
+
+
+def assert_fresh(s: QSeries, name: str) -> None:
+    """s keeps the _operand of its coefficients, unchanged; a product's read-back may not have its norm yet."""
+    ints, d, norm = s._kept_operand
+    fresh = series._operand(s.coeffs)
+    assert (ints, d) == fresh[:2] and type(ints) is type(fresh[0]), name
+    assert norm in (None, fresh[2]), name
 
 
 def test_a_series_converts_its_operand_once(monkeypatch):
     conversions = []
     operand = series._operand
     monkeypatch.setattr(series, "_operand", lambda coeffs: conversions.append(len(coeffs)) or operand(coeffs))
+    for path in SLOT_PATHS:
+        conversions.clear()
+        with packing(path):
+            converts_its_operand_once(operand, conversions, path == "array")
+
+
+def converts_its_operand_once(operand, conversions: list, by_array: bool) -> None:
+    """conversions: the length of each call of operand, the unpatched _operand, from here on."""
     a, b = QSeries([Fraction(1, 3), -2, 2**70, 5]), QSeries([7, Fraction(-1, 2), 3, 0])
     for _ in range(2):
         assert list((a * b).coeffs) == mul_schoolbook(a.coeffs, b.coeffs)
@@ -264,11 +453,37 @@ def test_a_series_converts_its_operand_once(monkeypatch):
         assert list((a * short).coeffs) == mul_schoolbook(a.coeffs, short.coeffs)
     assert conversions == [4, 4, 3, 3, 3]
     assert a._kept_operand == operand(a.coeffs)
+    # an integral product read back as one int64 array keeps it, and fills its norm on first use
+    c = QSeries([3, -1, 4, 1]) * QSeries([5, -9, 2, 6])
+    assert hasattr(c, "_kept_operand") == by_array
+    if by_array:
+        assert c._kept_operand[2] is None
+    conversions.clear()
+    for _ in range(2):
+        assert list((c * c).coeffs) == mul_schoolbook(c.coeffs, c.coeffs)
+        assert list((c * b).coeffs) == mul_schoolbook(c.coeffs, b.coeffs)
+    assert conversions == [4] * (not by_array)
+    assert c._kept_operand == operand(c.coeffs)
+    # one over a denominator keeps none: its operand is cleared by the lcm of its own denominators
+    half = QSeries([Fraction(1, 2), 2]) * QSeries([2, 4])
+    assert half.coeffs == (1, 6) and not hasattr(half, "_kept_operand")
 
 
 def test_shared_series_multiply_under_threads():
+    for path in SLOT_PATHS:
+        with packing(path):
+            multiply_under_threads(path == "array")
+
+
+def multiply_under_threads(by_array: bool) -> None:
     rng = random.Random(8)
     shared = [QSeries([rng.randrange(-(2**70), 2**70) if i % 3 else Fraction(i, 7) for i in range(80)]) for _ in range(3)]
+    # products read back as int64 arrays: the threads race to fill their norms
+    small = [QSeries([rng.randrange(-(2**20), 2**20) for _ in range(80)]) for _ in range(4)]
+    shared += [small[0] * small[1], small[2] * small[3]]
+    assert [hasattr(f, "_kept_operand") for f in shared] == [False] * 3 + [by_array] * 2
+    if by_array:
+        assert all(f._kept_operand[2] is None for f in shared[3:])
     expected = {(i, j): mul_schoolbook(f.coeffs, g.coeffs) for i, f in enumerate(shared) for j, g in enumerate(shared)}
     workers = 8
     start = threading.Barrier(workers)
@@ -276,11 +491,11 @@ def test_shared_series_multiply_under_threads():
 
     def work(w):
         start.wait()
-        order = sorted(expected, key=lambda ij: (ij[0] + w) % 3)  # the workers start on different series
+        order = sorted(expected, key=lambda ij: (ij[0] + w) % len(shared))  # the workers start on different series
         results[w] = {(i, j): list((shared[i] * shared[j]).coeffs) for i, j in order}
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so two threads race to keep one operand
+    sys.setswitchinterval(1e-6)  # switch threads often, so two threads race to keep one operand or fill one norm
     try:
         threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
         for thread in threads:
@@ -303,16 +518,27 @@ def kept_operands() -> list:
 
 
 def test_kept_operands_are_fresh_after_a_cold_verify():
-    clear_all()
-    identities.verify_all(200)
-    kept = kept_operands()
-    assert len(kept) >= 10
-    for name, s in kept:
-        assert s._kept_operand == series._operand(s.coeffs), name
+    for path in SLOT_PATHS:
+        with packing(path):
+            clear_all()
+            try:
+                identities.verify_all(200)
+                kept = kept_operands()
+                assert len(kept) >= 10
+                for name, s in kept:
+                    assert_fresh(s, name)
+            finally:
+                clear_all()
 
 
 @pytest.mark.parametrize("n", [60, 2000])
 def test_products_of_series_with_kept_operands(n):
+    for path in SLOT_PATHS:
+        with packing(path):
+            products_of_series_with_kept_operands(n)
+
+
+def products_of_series_with_kept_operands(n: int) -> None:
     rng = random.Random(n)
     clear_all()
     try:
@@ -327,7 +553,7 @@ def test_products_of_series_with_kept_operands(n):
                     assert product_at_point(f.coeffs, g.coeffs, (f * g).coeffs, rng.randrange(2, P61 - 1))
         short = kept[0].truncate(n // 2)  # a prefix of a series with a kept operand
         assert list((kept[-1] * short).coeffs) == mul_schoolbook(kept[-1].coeffs, short.coeffs)
-        for s in kept:  # no product changed a kept operand
+        for s in kept:  # no product changed a kept operand, and each read one with its norm
             assert s._kept_operand == series._operand(s.coeffs)
     finally:
         clear_all()
@@ -370,11 +596,6 @@ else:
         assert (QSeries(a) * QSeries(b)).coeffs == QSeries(mul_schoolbook(a, b)).coeffs
 
 
-    def cleared(values) -> list:
-        """The values times the lcm of their denominators."""
-        d = lcm(*(Fraction(v).denominator for v in values))
-        return [int(Fraction(v) * d) for v in values]
-
     def bound_width(a, b, n) -> int:
         """The slot width of the bound (n+1) max|a| max|b| over the coefficients 0..n cleared of denominators."""
         ma, mb = (max(map(abs, cleared(x[: n + 1]))) for x in (a, b))
@@ -413,7 +634,7 @@ else:
                 continue
             (w,) = {width for width, _ in packs}
             assert len(packs) == (1 if y is x else 2)
-            assert w <= bound_width(x, y, n)
+            assert w == exact_width(x, y, n) <= bound_width(x, y, n)
             if len({abs(v) for v in x[: n + 1]}) == len({abs(v) for v in y[: n + 1]}) == 1:  # +-M times +-N
                 assert w == bound_width(x, y, n)
 
