@@ -11,7 +11,6 @@ from __future__ import annotations
 import _thread
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt
 
 from .series import grow_only, prefix
@@ -172,7 +171,6 @@ def bernoulli(k: int) -> Fraction:
     return _BERNOULLI[k]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_generalized(k: int, psi: DirichletCharacter) -> Fraction:
     """Generalized Bernoulli number B_(k,psi) for a character psi of conductor f.
 

@@ -311,7 +311,8 @@ SIDES = {
 }
 
 #: Each SIDES name -> the first SIDES name with an equal lhs, whose stored table it shares.
-_LHS_OWNER = {name: next(first for first in SIDES if SIDES[first].lhs == sides.lhs) for name, sides in SIDES.items()}
+_owner_by_lhs: dict = {}
+_LHS_OWNER = {name: _owner_by_lhs.setdefault(sides.lhs, name) for name, sides in SIDES.items()}
 
 
 @grow_only(prefix)

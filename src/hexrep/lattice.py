@@ -10,6 +10,7 @@ one-block moment tables with s_2(k-1).
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import zip_longest
 from math import isqrt
 from operator import add, mul
 
@@ -98,22 +99,13 @@ def moment_table(k: int, t: int, precision: int) -> MomentTable:
     """M_t(k)(n) = sum of x1^t over F_k(x) = n, via the block convolution.
 
     M_t(k)(n) = sum(M_t(1)(a) * s_2(k-1)(n - a), 0 <= a <= n), the product
-    of the one-block moment series with the theta series of F_(k-1).  M_0
-    counts the solutions: it is the theta series of F_k.  M_2 takes no
-    product: (x, y) -> (y, -x-y) fixes x^2 + xy + y^2 and permutes x^2, y^2
-    and (x+y)^2, whose sum is twice it, so M_2(k)(n) is 2/3 of the first
-    block's value summed over the shell, n s_2k(n) / k as the k blocks are
-    alike: M_2(k)(n) = 2n s_2k(n) / (3k).
+    of the one-block moment series with the theta series of F_(k-1), one
+    path for every order (``lomadze_values`` reads orders 0 and 2 off s_2k).
     """
     if t not in MOMENT_ORDERS:
         raise ValueError(f"moment order must be one of {MOMENT_ORDERS}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if t == 0:
-        return MomentTable(k, t, theta_series(k, precision).coeffs)
-    if t == 2:
-        twice = map(mul, range(0, 2 * precision + 1, 2), theta_series(k, precision).coeffs)
-        return MomentTable(k, t, tuple([v // (3 * k) for v in twice]))
     row = _f1_moment_rows(precision)[t]
     if k > 1:
         row *= theta_series(k - 1, precision)
@@ -135,54 +127,50 @@ class LomadzeSumSpec(namedtuple("LomadzeSumSpec", "name weight blocks terms")):
     __slots__ = ()
 
 
-LOMADZE_CATALOG: tuple[LomadzeSumSpec, ...] = (
-    # weight-7/9/11 companion sums over F_3, F_5, F_7
-    LomadzeSumSpec("L_7_3", 7, 3, ((4, (15,)), (2, (0, -12)), (0, (0, 0, 1)))),
-    LomadzeSumSpec("L_9_5", 9, 5, ((4, (63,)), (2, (0, -36)), (0, (0, 0, 2)))),
-    LomadzeSumSpec("L_11_7", 11, 7, ((4, (54,)), (2, (0, -24)), (0, (0, 0, 1)))),
-    # low-weight sums feeding the newform coefficient identities
-    LomadzeSumSpec("L_6_2", 6, 2, ((4, (9,)), (2, (0, -9)), (0, (0, 0, 1)))),
-    LomadzeSumSpec("L_8_4", 8, 4, ((4, (45,)), (2, (0, -30)), (0, (0, 0, 2)))),
-    # corrected x1^2 coefficient: -21n (an often-miscopied 27 gives wrong values)
-    LomadzeSumSpec("L_10_6", 10, 6, ((4, (42,)), (2, (0, -21)), (0, (0, 0, 1)))),
-    # the 24-variable formula's sums
-    LomadzeSumSpec("L_12_8", 12, 8, ((4, (135,)), (2, (0, -54)), (0, (0, 0, 2)))),
-    LomadzeSumSpec(
-        "L_12_6", 12, 6, ((6, (162,)), (4, (0, -162)), (2, (0, 0, 36)), (0, (0, 0, 0, -1)))
-    ),
-    LomadzeSumSpec(
-        "L_12_4",
-        12,
-        4,
-        ((8, (1215,)), (6, (0, -2268)), (4, (0, 0, 1260)), (2, (0, 0, 0, -210)), (0, (0, 0, 0, 0, 5))),
-    ),
-    # combined F_4 sum 135*L_12_4 - 4121*L_8_4, as displayed in the tau formula
-    LomadzeSumSpec(
-        "Lcal_4",
-        12,
-        4,
-        (
-            (8, (164025,)),
-            (6, (0, -306180)),
-            (4, (-185445, 0, 170100)),
-            (2, (0, 123630, 0, -28350)),
-            (0, (0, 0, -8242, 0, 675)),
-        ),
-    ),
-    # the 28-variable formula's sums
-    LomadzeSumSpec("L_14_10", 14, 10, ((4, (99,)), (2, (0, -33)), (0, (0, 0, 1)))),
-    LomadzeSumSpec(
-        "L_14_8", 14, 8, ((6, (594,)), (4, (0, -495)), (2, (0, 0, 90)), (0, (0, 0, 0, -2)))
-    ),
-    LomadzeSumSpec(
-        "L_14_6",
-        14,
-        6,
-        ((8, (8019,)), (6, (0, -12474)), (4, (0, 0, 5670)), (2, (0, 0, 0, -756)), (0, (0, 0, 0, 0, 14))),
-    ),
-)
+def _catalog(rows) -> dict[str, LomadzeSumSpec]:
+    """Each row's spec by name, in row order.
 
-LOMADZE_BY_NAME = {spec.name: spec for spec in LOMADZE_CATALOG}
+    A row (name, weight, blocks, multiple) is multiple times the zonal harmonic
+    sum Z(m, d), m = blocks and d = weight - m: the sum over F_m(x) = n of
+    sum_j c_j n^j x1^(d-2j), where c_0 = multiple and
+    c_(j+1) = -c_j 4(d-2j)(d-2j-1) / (6(j+1)(2m+2d-2j-4)) makes the polynomial
+    harmonic (4/3 is the dual norm of x1 for x^2 + xy + y^2).  Each division
+    must be exact: a multiple that leaves a coefficient fractional raises
+    ValueError.  A row whose multiple is a {name: a} map is sum(a * spec) over
+    earlier rows, term by term.
+    """
+    specs = {}
+    for name, weight, blocks, multiple in rows:
+        if isinstance(multiple, dict):
+            terms = {}
+            for part, a in multiple.items():
+                for t, poly in specs[part].terms:
+                    terms[t] = tuple(u + a * v for u, v in zip_longest(terms.get(t, ()), poly, fillvalue=0))
+        else:
+            d, c = weight - blocks, multiple
+            terms = {d: (c,)}
+            for j in range(d // 2):
+                c, r = divmod(-4 * c * (d - 2 * j) * (d - 2 * j - 1), 6 * (j + 1) * (2 * blocks + 2 * d - 2 * j - 4))
+                if r:
+                    raise ValueError(f"{name}: multiple {multiple} leaves a fractional coefficient of n^{j + 1}")
+                terms[d - 2 * j - 2] = (0,) * (j + 1) + (c,)
+        specs[name] = LomadzeSumSpec(name, weight, blocks, tuple(terms.items()))
+    return specs
+
+
+LOMADZE_BY_NAME = _catalog((
+    # weight-7/9/11 companion sums over F_3, F_5, F_7
+    ("L_7_3", 7, 3, 15), ("L_9_5", 9, 5, 63), ("L_11_7", 11, 7, 54),
+    # low-weight sums feeding the newform coefficient identities
+    ("L_6_2", 6, 2, 9), ("L_8_4", 8, 4, 45), ("L_10_6", 10, 6, 42),
+    # the 24-variable formula's sums
+    ("L_12_8", 12, 8, 135), ("L_12_6", 12, 6, 162), ("L_12_4", 12, 4, 1215),
+    # combined F_4 sum of the tau formula: it mixes weights 12 and 8, so it is no single zonal sum
+    ("Lcal_4", 12, 4, {"L_12_4": 135, "L_8_4": -4121}),
+    # the 28-variable formula's sums
+    ("L_14_10", 14, 10, 99), ("L_14_8", 14, 8, 594), ("L_14_6", 14, 6, 8019),
+))
+LOMADZE_CATALOG: tuple[LomadzeSumSpec, ...] = tuple(LOMADZE_BY_NAME.values())
 
 
 def lomadze_spec(name: str) -> LomadzeSumSpec:
@@ -215,7 +203,9 @@ def lomadze_sum(spec: LomadzeSumSpec, n: int, precision: int | None = None) -> i
 def lomadze_values(name: str, precision: int) -> tuple[int, ...]:
     """All values L(0..precision) of the named sum (L(0) = 0 for every catalog entry).
 
-    M_0(k) = s_2k and 3k M_2(k)(n) = 2n s_2k(n) (see ``moment_table``), so
+    M_0(k) = s_2k, and 3k M_2(k)(n) = 2n s_2k(n): (x, y) -> (y, -x-y) fixes
+    x^2 + xy + y^2 and permutes x^2, y^2 and (x+y)^2, whose sum is twice it, so
+    over a shell M_2(1) is 2/3 of n s_2, and the k blocks are alike.  Hence
     3k L = (3k P_0 + 2n P_2) s_2k + sum(3k P_t M_t, t >= 4), divided once, exactly.
     """
     spec = lomadze_spec(name)

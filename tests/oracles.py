@@ -10,7 +10,7 @@ from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
 from hexrep.forms import CATALOG_NAMES, EtaQuotientSpec, eisenstein_classical, eta_quotient, named_form
 from hexrep.identities import DOCUMENTED_DISCREPANCIES, WEIGHTS
-from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_spec, lomadze_values, theta_series
+from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_values, theta_series
 from hexrep.series import QSeries, linear_combination
 
 
@@ -202,29 +202,88 @@ def invert_dense(a) -> list:
     return [v.numerator if v.denominator == 1 else v for v in out]
 
 
-def lomadze_term(spec, t: int, n: int) -> int:
-    """The polynomial in n that multiplies x1^t in a catalog sum, evaluated at n (0 for a missing t)."""
-    for power, poly in spec.terms:
+#: The finite-sum catalog as printed: (name, weight, blocks, terms), terms as (x1 power t, polynomial in n from
+#: degree 0 upward).  These are the claims the catalog's zonal rule must reproduce, coefficient by coefficient.
+LOMADZE_CLAIMS = (
+    # weight-7/9/11 companion sums over F_3, F_5, F_7
+    ("L_7_3", 7, 3, ((4, (15,)), (2, (0, -12)), (0, (0, 0, 1)))),
+    ("L_9_5", 9, 5, ((4, (63,)), (2, (0, -36)), (0, (0, 0, 2)))),
+    ("L_11_7", 11, 7, ((4, (54,)), (2, (0, -24)), (0, (0, 0, 1)))),
+    # low-weight sums feeding the newform coefficient identities
+    ("L_6_2", 6, 2, ((4, (9,)), (2, (0, -9)), (0, (0, 0, 1)))),
+    ("L_8_4", 8, 4, ((4, (45,)), (2, (0, -30)), (0, (0, 0, 2)))),
+    # corrected x1^2 coefficient: -21n (an often-miscopied 27 gives wrong values)
+    ("L_10_6", 10, 6, ((4, (42,)), (2, (0, -21)), (0, (0, 0, 1)))),
+    # the 24-variable formula's sums
+    ("L_12_8", 12, 8, ((4, (135,)), (2, (0, -54)), (0, (0, 0, 2)))),
+    ("L_12_6", 12, 6, ((6, (162,)), (4, (0, -162)), (2, (0, 0, 36)), (0, (0, 0, 0, -1)))),
+    ("L_12_4", 12, 4, ((8, (1215,)), (6, (0, -2268)), (4, (0, 0, 1260)), (2, (0, 0, 0, -210)), (0, (0, 0, 0, 0, 5)))),
+    # combined F_4 sum 135*L_12_4 - 4121*L_8_4, as displayed in the tau formula
+    (
+        "Lcal_4",
+        12,
+        4,
+        (
+            (8, (164025,)),
+            (6, (0, -306180)),
+            (4, (-185445, 0, 170100)),
+            (2, (0, 123630, 0, -28350)),
+            (0, (0, 0, -8242, 0, 675)),
+        ),
+    ),
+    # the 28-variable formula's sums
+    ("L_14_10", 14, 10, ((4, (99,)), (2, (0, -33)), (0, (0, 0, 1)))),
+    ("L_14_8", 14, 8, ((6, (594,)), (4, (0, -495)), (2, (0, 0, 90)), (0, (0, 0, 0, -2)))),
+    ("L_14_6", 14, 6, ((8, (8019,)), (6, (0, -12474)), (4, (0, 0, 5670)), (2, (0, 0, 0, -756)), (0, (0, 0, 0, 0, 14)))),
+)
+
+LOMADZE_CLAIM = {claim[0]: claim for claim in LOMADZE_CLAIMS}
+
+
+def lomadze_term(name: str, t: int, n: int) -> int:
+    """The printed polynomial in n that multiplies x1^t in a catalog sum, evaluated at n (0 for a missing t)."""
+    for power, poly in LOMADZE_CLAIM[name][3]:
         if power == t:
             return sum(c * n**i for i, c in enumerate(poly))
     return 0
 
 
 def lomadze_values_per_coefficient(name: str, precision: int) -> tuple[int, ...]:
-    """A catalog sum's values L(0..precision), one list pass per coefficient of each polynomial in n.
+    """A printed catalog sum's values L(0..precision), one list pass per coefficient of each polynomial in n.
 
     Every term reads its own moment row, the one-block row times theta^(k-1)
     (``moment_product``), orders 0 and 2 included.
     """
-    spec = lomadze_spec(name)
+    _, _, blocks, terms = LOMADZE_CLAIM[name]
     values = [0] * (precision + 1)
-    for t, poly in spec.terms:
-        row = moment_product(spec.blocks, t, precision)
+    for t, poly in terms:
+        row = moment_product(blocks, t, precision)
         for c in poly:  # c n^i M_t(n) for i = 0, 1, ...: row holds n^i M_t(n)
             if c:
                 values = [s + c * v for s, v in zip(values, row)]
             row = [n * v for n, v in enumerate(row)]
     return tuple(values)
+
+
+def laplacian_in_x1_and_norm(blocks: int, terms) -> dict[tuple[int, int], Fraction]:
+    """The Laplacian of P = sum_t poly_t(n) x1^t on Z^(2 blocks), n = F_blocks(x), as {(x1 power, n power): coefficient}.
+
+    The Laplacian of the form with Gram matrix A is sum(A^-1_ij d_i d_j); A^-1_11 = 4/3 for
+    x^2 + xy + y^2, and with u = x1, v = n: |grad u|^2 = 4/3, <grad u, grad v> = 2u, |grad v|^2 = 4v
+    and the Laplacian of v is 4 blocks, so P(u, v) maps to (4/3) P_uu + 4u P_uv + 4v P_vv + 4 blocks P_v.
+    P is harmonic exactly when every coefficient is 0 (absent).
+    """
+    out: dict[tuple[int, int], Fraction] = {}
+
+    def add(a: int, b: int, c) -> None:
+        if c:
+            out[(a, b)] = out.get((a, b), 0) + c
+
+    for a, poly in terms:
+        for b, c in enumerate(poly):  # the monomial c u^a v^b
+            add(a - 2, b, Fraction(4, 3) * c * a * (a - 1))
+            add(a, b - 1, 4 * c * a * b + 4 * c * b * (b - 1) + 4 * blocks * c * b)
+    return {key: c for key, c in out.items() if c}
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:

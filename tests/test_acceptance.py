@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import f2_moments_direct, lomadze_term, report_json_dict
+from oracles import LOMADZE_CLAIM, f2_moments_direct, lomadze_term, report_json_dict
 
 from hexrep import forms, identities, lattice
 from hexrep.cli import main
@@ -75,7 +75,8 @@ def test_criterion_5_lomadze_cross_checks():
     for n in range(1, 61):
         assert s24[n] == ref12[n]
         assert s28[n] == ref14[n]
-    assert lomadze_term(lattice.lomadze_spec("L_10_6"), 2, 1) == -21
+    assert lomadze_term("L_10_6", 2, 1) == -21
+    assert lattice.lomadze_spec("L_10_6") == LOMADZE_CLAIM["L_10_6"]
     _announce("5 lomadze-formulas", "24- and 28-variable formulas exact for n=1..60")
 
 

@@ -229,7 +229,7 @@ def test_bernoulli_generalized_against_generating_function():
 def test_bernoulli_generalized_against_polynomial_at_fractions():
     for psi in (CHI_TRIVIAL, CHI3):
         for k in range(1, 25):
-            value = bernoulli_generalized.__wrapped__(k, psi)
+            value = bernoulli_generalized(k, psi)
             assert type(value) is Fraction
             assert value == bernoulli_generalized_at_fractions(k, psi), (k, psi)
 

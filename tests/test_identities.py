@@ -459,6 +459,17 @@ def test_equal_lhs_share_one_stored_table():
         assert check(formula, 5, N).lhs == check(decomposed, 5, N).lhs
 
 
+def test_lhs_owner_is_the_first_name_with_an_equal_lhs():
+    # the one-pass map against its pairwise definition over SIDES
+    sides = identities.SIDES
+    pairwise = {name: next(first for first in sides if sides[first].lhs == entry.lhs) for name, entry in sides.items()}
+    assert identities._LHS_OWNER == pairwise
+    assert {name: owner for name, owner in pairwise.items() if name != owner} == {
+        "s24-formula": "f12-decomposition",
+        "s28-formula": "f14-decomposition",
+    }
+
+
 def _replace_coefficient(terms, old, new):
     return tuple((new if c == old else c, source) for c, source in terms)
 

@@ -6,10 +6,13 @@ import pytest
 
 from memos import clear_all
 from oracles import (
+    LOMADZE_CLAIM,
+    LOMADZE_CLAIMS,
     f1_moments_direct,
     f1_moments_discriminant,
     f1_shell_invariant,
     f2_moments_direct,
+    laplacian_in_x1_and_norm,
     lomadze_term,
     lomadze_values_per_coefficient,
     moment_product,
@@ -22,6 +25,7 @@ from hexrep.lattice import (
     LOMADZE_BY_NAME,
     LOMADZE_CATALOG,
     MOMENT_ORDERS,
+    LomadzeSumSpec,
     UnknownSum,
     enumerate_f1,
     lomadze_spec,
@@ -108,11 +112,13 @@ def test_moment_tables_k2_against_four_variable_loop():
 
 
 def test_second_moments_against_block_product():
-    # M_2 is read off theta^k; the product of the one-block row with theta^(k-1)
-    # is its oracle (the k = 2 four-variable loop above covers every order)
+    # the one path, the one-block row times theta^(k-1), against the oracle product and against
+    # the closed form M_2(k)(n) = 2n s_2k(n) / (3k) that lomadze_values reads off theta^k
     clear_all()
     for k in range(1, 15):
-        assert moment_table(k, 2, 400).values == moment_product(k, 2, 400), k
+        values = moment_table(k, 2, 400).values
+        assert values == moment_product(k, 2, 400), k
+        assert [3 * k * v for v in values] == [2 * n * s for n, s in enumerate(s2k_bruteforce(k, 400))], k
 
 
 def test_moment_examples():
@@ -156,11 +162,54 @@ def test_moments_nonnegative_and_supported():
 
 def test_catalog_contents():
     assert len(LOMADZE_CATALOG) == 13
-    l106 = LOMADZE_BY_NAME["L_10_6"]
-    assert lomadze_term(l106, 2, 5) == -21 * 5  # the corrected x1^2 coefficient
-    l1410 = LOMADZE_BY_NAME["L_14_10"]
-    assert [lomadze_term(l1410, t, 1) for t in (4, 2, 0)] == [99, -33, 1]
-    assert l1410.blocks == 10
+    assert lomadze_term("L_10_6", 2, 5) == -21 * 5  # the corrected x1^2 coefficient
+    assert [lomadze_term("L_14_10", t, 1) for t in (4, 2, 0)] == [99, -33, 1]
+    assert LOMADZE_BY_NAME["L_14_10"].blocks == 10
+
+
+def test_catalog_equals_the_printed_claims():
+    # every field of every entry, names in the printed order
+    assert all(type(spec) is LomadzeSumSpec for spec in LOMADZE_CATALOG)
+    assert [spec.name for spec in LOMADZE_CATALOG] == [claim[0] for claim in LOMADZE_CLAIMS]
+    assert [tuple(spec) for spec in LOMADZE_CATALOG] == list(LOMADZE_CLAIMS)
+    assert list(LOMADZE_BY_NAME) == [spec.name for spec in LOMADZE_CATALOG]
+
+
+@pytest.mark.parametrize("claim", [claim for claim in LOMADZE_CLAIMS if claim[0] != "Lcal_4"], ids=lambda claim: claim[0])
+def test_zonal_rule_gives_each_printed_sum_from_its_multiple(claim):
+    name, weight, blocks, terms = claim
+    (top,) = terms[0][1]  # c_0, the multiple, multiplies x1^(weight - blocks)
+    assert terms[0][0] == weight - blocks
+    assert lattice._catalog([(name, weight, blocks, top)]) == {name: claim}
+
+
+def test_lcal_4_is_no_single_zonal_sum():
+    name, weight, blocks, terms = LOMADZE_CLAIM["Lcal_4"]
+    assert dict(terms)[4] == (-185445, 0, 170100)
+    # the rule gives every x1^t a single power of n; only the top multiple could match, and it does not
+    (top,) = terms[0][1]
+    single = lattice._catalog([(name, weight, blocks, top)])[name]
+    assert all(sum(map(bool, poly)) == 1 for _, poly in single.terms)
+    assert single != LOMADZE_CLAIM["Lcal_4"]
+    # the stated combination, term by term, is the printed sum
+    rows = [LOMADZE_CLAIM["L_12_4"][:3] + (1215,), LOMADZE_CLAIM["L_8_4"][:3] + (45,)]
+    rows.append((name, weight, blocks, {"L_12_4": 135, "L_8_4": -4121}))
+    assert lattice._catalog(rows)[name] == LOMADZE_CLAIM["Lcal_4"]
+
+
+def test_a_multiple_with_a_fractional_coefficient_is_refused():
+    # L_7_3's c_1 = -16 * 48 / 60 is not an integer
+    with pytest.raises(ValueError, match="L_7_3: multiple 16"):
+        lattice._catalog([("L_7_3", 7, 3, 16)])
+    assert lattice._catalog([("L_7_3", 7, 3, 30)])["L_7_3"].terms == ((4, (30,)), (2, (0, -24)), (0, (0, 0, 2)))
+
+
+def test_printed_sums_are_harmonic():
+    # an independent check of the rule: each printed polynomial is killed by the dual form's Laplacian
+    for name, _, blocks, terms in LOMADZE_CLAIMS:
+        assert laplacian_in_x1_and_norm(blocks, terms) == {}, name
+    miscopied = ((4, (42,)), (2, (0, -27)), (0, (0, 0, 1)))  # L_10_6 with the often-miscopied 27
+    assert laplacian_in_x1_and_norm(6, miscopied) != {}
 
 
 def test_lomadze_spec_lookup():

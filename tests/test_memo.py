@@ -5,11 +5,10 @@ the precision it was computed at; these tests check that, and that the
 memo stays bounded while precisions are swept.
 """
 
-import inspect
-
 import pytest
 from memos import all_memos, clear_all
 
+import hexrep
 from hexrep import arith, cli, forms, identities, lattice, series
 from hexrep.arith import CHI3, CHI_TRIVIAL
 from hexrep.lattice import MomentTable
@@ -67,16 +66,12 @@ def test_every_memo_is_listed():
 
 
 def test_no_lru_cache_is_keyed_by_precision():
-    cached = {
-        name: fn
-        for module in (arith, cli, forms, identities, lattice, series)
-        for name, fn in vars(module).items()
-        if hasattr(fn, "cache_info")
-    }
-    # the one functools cache left takes no precision
-    assert set(cached) == {"bernoulli_generalized"}
-    for fn in cached.values():
-        assert "precision" not in inspect.signature(fn.__wrapped__).parameters
+    # grow_only is the one memo: no functools cache is left in any hexrep module or class, precision-keyed or not
+    modules = (hexrep, arith, cli, forms, identities, lattice, series)
+    scopes = [vars(module) for module in modules]
+    scopes += [vars(value) for scope in list(scopes) for value in scope.values() if isinstance(value, type)]
+    cached = [name for scope in scopes for name, fn in scope.items() if hasattr(fn, "cache_info")]
+    assert cached == []
 
 
 def test_grow_only_contract():
