@@ -1,6 +1,6 @@
 """Exact arithmetic for representation numbers of sums of hexagonal forms.
 
-The package computes, entirely in exact rational arithmetic, the theta
+The package computes, entirely in exact integer arithmetic, the theta
 series of the quadratic forms F_k (direct sums of k blocks
 x^2 + xy + y^2), the q-expansions of the Eisenstein series, eta quotients
 and level-3 cusp forms that decompose them, and the finite lattice sums

@@ -13,7 +13,6 @@ q (eta^3)^8 from Jacobi's cube.  ``eta_quotient`` is the general constructor.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import reduce
 from math import isqrt
 from operator import mul
@@ -27,7 +26,7 @@ from .arith import (
     sigma_table,
 )
 from .lattice import theta_series
-from .series import QSeries, grow_only, linear_combination
+from .series import QSeries, grow_only
 
 
 class NonIntegralExponent(ValueError):
@@ -124,7 +123,7 @@ def eta_quotient(spec: EtaQuotientSpec, precision: int) -> QSeries:
 def _b_cube(precision: int) -> QSeries:
     """b^3 = eta(z)^9 / eta(3z)^3 = 1 - 9 sum(sigma_(2; 1, chi_-3)(n) q^n)
     (Borwein, Borwein and Garvan, Trans. AMS 343, 1994; theta^3 = b^3 + 27 c')."""
-    return linear_combination((-9, sigma_table(2, CHI_TRIVIAL, CHI3, precision))) + 1
+    return -9 * QSeries._trusted(sigma_table(2, CHI_TRIVIAL, CHI3, precision)) + 1
 
 
 @grow_only(QSeries.truncate)
@@ -133,16 +132,20 @@ def _c_prime(precision: int) -> QSeries:
     return QSeries._trusted(sigma_table(2, CHI3, CHI_TRIVIAL, precision))
 
 
+#: the even k whose -2k/B_k is an integer: past k = 14 the numerator of B_k does not divide 2k
+_INTEGRAL_WEIGHTS = (2, 4, 6, 8, 10, 14)
+
+
 @grow_only(QSeries.truncate)
 def eisenstein_classical(k: int, precision: int) -> QSeries:
-    """Normalized Eisenstein series 1 - (2k/B_k) * sum(sigma_(k-1)(n) q^n), k even.
+    """Normalized Eisenstein series 1 - (2k/B_k) * sum(sigma_(k-1)(n) q^n), k in _INTEGRAL_WEIGHTS.
 
-    k = 2 is admitted (the quasimodular series 1 - 24 sum(sigma(n) q^n)).
+    k = 2 is admitted (the quasimodular series 1 - 24 sum(sigma(n) q^n)); any other k is a ValueError.
     """
-    if k < 2 or k % 2:
-        raise ValueError("weight must be an even integer >= 2")
-    factor = Fraction(-2 * k) / bernoulli(k)
-    return linear_combination((factor, sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, precision))) + 1
+    if k not in _INTEGRAL_WEIGHTS:
+        raise ValueError(f"E_{k} has integer coefficients only at k = {', '.join(map(str, _INTEGRAL_WEIGHTS))}")
+    factor = (-2 * k / bernoulli(k)).numerator  # its denominator is 1 at these weights
+    return factor * QSeries._trusted(sigma_table(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, precision)) + 1
 
 
 def eisenstein_twisted(
@@ -153,8 +156,8 @@ def eisenstein_twisted(
 ) -> QSeries:
     """Character-twisted Eisenstein series with coefficients sigma_(k-1; chi, psi)(n).
 
-    The constant term is 0 when chi has conductor > 1 and
-    -B_(k,psi) / (2k) when chi is the conductor-1 character.
+    The constant term is 0 when chi has conductor > 1 and -B_(k,psi) / (2k),
+    a ValueError unless an integer, when chi is the conductor-1 character.
     """
     if not isinstance(k, int) or k <= 2:
         raise ValueError("weight must be an integer > 2")
@@ -165,7 +168,9 @@ def eisenstein_twisted(
     if chi.conductor == 1 and psi.conductor == 1:
         raise ValueError("both characters trivial: use eisenstein_classical")
     c0 = 0 if chi.conductor > 1 else -bernoulli_generalized(k, psi) / (2 * k)
-    return QSeries._trusted((c0.numerator if c0.denominator == 1 else c0,) + sigma_table(k - 1, chi, psi, precision)[1:])
+    if c0.denominator != 1:
+        raise ValueError(f"constant term {c0} of the weight-{k} series is not an integer")
+    return QSeries._trusted((c0.numerator,) + sigma_table(k - 1, chi, psi, precision)[1:])
 
 
 class NamedForm(namedtuple("NamedForm", "name weight level character series")):

@@ -16,7 +16,7 @@ from math import lcm
 from . import forms, lattice
 from .arith import CHI3, CHI_TRIVIAL, bernoulli, bernoulli_generalized, rho_star_table, sigma_star_table, sigma_table
 from .lattice import lomadze_values
-from .series import DEFAULT_PRECISION, QSeries, _over, grow_only, prefix
+from .series import DEFAULT_PRECISION, QSeries, grow_only, prefix
 
 
 class PrecisionTooLow(ValueError):
@@ -77,6 +77,15 @@ def factor(source, precision: int) -> QSeries:
     if source in forms.CATALOG_NAMES:
         return forms.named_form(source, precision).series
     return QSeries._trusted(table(source, precision))
+
+
+def _over(ints: list, den: int) -> tuple:
+    """The coefficients ints[i] / den: ints when den divides every one, else Fractions."""
+    if den == 1:
+        return tuple(ints)
+    if any(map(den.__rmod__, ints)):  # stops at the first remainder
+        return tuple(Fraction(c, den) if c % den else c // den for c in ints)
+    return tuple(map(den.__rfloordiv__, ints))
 
 
 def combine(terms: tuple, precision: int) -> tuple:

@@ -1,9 +1,9 @@
-"""Truncated formal power series in q with exact rational coefficients.
+"""Truncated formal power series in q with integer coefficients.
 
 A series is stored as its coefficients c_0 .. c_N; it is known exactly
 modulo q^(N+1) and N is called the precision.  Coefficients are Python
-ints or Fractions, never floats, so every operation in this module is
-exact.  Instances are immutable and safe to share between threads.
+ints only (no bool, float or Fraction), so every operation is exact.
+Instances are immutable and safe to share between threads.
 
 A product of two series is one two-point Kronecker substitution: each side
 packed once into one int, and two big-int products of half the bits, in
@@ -21,9 +21,8 @@ import functools
 import sys
 from array import array
 from collections.abc import Callable, Iterable
-from fractions import Fraction
-from math import frexp, hypot, inf, isqrt, lcm
-from operator import add, mul
+from math import frexp, hypot, inf, isqrt
+from operator import add, mul, sub
 
 DEFAULT_PRECISION = 200
 
@@ -120,41 +119,11 @@ class OutOfPrecision(ValueError):
     """Raised when a coefficient beyond the stored truncation is requested."""
 
 
-def _as_coeff(value) -> int | Fraction:
-    """Validate and normalize a coefficient (Fractions with denominator 1 become ints)."""
-    if isinstance(value, bool):
-        raise TypeError("coefficients must be int or Fraction, got bool")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
-
-
-def _normal(values: Iterable) -> tuple:
-    """Ring results as coefficients: a Fraction of denominator 1 becomes its int."""
-    return tuple(v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in values)
-
-
-def _integral(coeffs: tuple) -> tuple[tuple | list, int]:
-    """Integers c * d for the coefficients c, with d the lcm of their denominators; any other type (bool, float) is a TypeError."""
-    kinds = set(map(type, coeffs))
-    for kind in kinds:  # the types _as_coeff accepts
-        if kind is bool or not issubclass(kind, (int, Fraction)):
-            raise TypeError(f"coefficients must be int or Fraction, got {kind.__name__}")
-    if Fraction not in kinds:
-        return coeffs, 1
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
-def _over(ints: list, den: int) -> tuple:
-    """The coefficients ints[i] / den: ints when den divides every one, else Fractions."""
-    if den == 1:
-        return tuple(ints)
-    if any(map(den.__rmod__, ints)):  # stops at the first remainder
-        return tuple(Fraction(c, den) if c % den else c // den for c in ints)
-    return tuple(map(den.__rfloordiv__, ints))
+def _check_ints(kinds: Iterable[type]) -> None:
+    """Refuse any coefficient type but int itself: a bool, a float or a Fraction, even an integral one, is a TypeError."""
+    for kind in kinds:
+        if kind is not int:
+            raise TypeError(f"coefficients must be int, got {kind.__name__}")
 
 
 #: the sign fill of a slot by its top byte: 0xFF if the top bit is set, else 0
@@ -169,10 +138,10 @@ _NORM_ERROR = 2.0**-40
 
 
 def _int64(ints) -> array | None:
-    """The ints as one signed 64-bit array, or None: a Fraction, an int outside [-2^63, 2^63), or a big-endian host."""
+    """The ints as one signed 64-bit array, or None: an int outside [-2^63, 2^63), or a big-endian host."""
     try:
         return array("q", ints) if sys.byteorder == "little" else None
-    except (TypeError, OverflowError):  # the array is also the integrality check
+    except OverflowError:
         return None
 
 
@@ -184,13 +153,9 @@ def _norm(ints) -> float:
         return inf
 
 
-def _operand(coeffs: tuple) -> tuple[array | list | tuple, int, float]:
-    """(ints, d, norm): the coefficients times d, the lcm of their denominators, and _norm(ints); an _int64 array if they fit."""
-    items = _int64(coeffs)
-    if items is not None:
-        return items, 1, _norm(coeffs)
-    ints, d = _integral(coeffs)
-    return (_int64(ints) if d > 1 else None) or ints, d, _norm(ints)
+def _operand(coeffs: tuple) -> tuple[array | tuple, float]:
+    """(ints, norm): the coefficients as an _int64 array if they fit, else as they are, and their _norm."""
+    return _int64(coeffs) or coeffs, _norm(coeffs)
 
 
 def _width(a, na: float, b, nb: float) -> int:
@@ -286,7 +251,8 @@ class QSeries:
     __slots__ = ("_coeffs", "_kept_operand")  # the _operand of _coeffs, set by the product making or first reading it
 
     def __init__(self, coeffs: Iterable, precision: int | None = None):
-        cs = [_as_coeff(c) for c in coeffs]
+        cs = list(coeffs)
+        _check_ints(set(map(type, cs)))
         if precision is not None:
             if precision < 0:
                 raise ValueError("precision must be >= 0")
@@ -298,7 +264,7 @@ class QSeries:
 
     @classmethod
     def _trusted(cls, coeffs: tuple) -> "QSeries":
-        """A series on a tuple of coefficients this module made: already valid and normal."""
+        """A series on a tuple of ints made by hexrep itself: not checked again."""
         series = object.__new__(cls)
         series._coeffs = coeffs
         return series
@@ -319,7 +285,7 @@ class QSeries:
     def coeffs(self) -> tuple:
         return self._coeffs
 
-    def coefficient(self, n: int) -> int | Fraction:
+    def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.precision:
             raise OutOfPrecision(
                 f"coefficient {n} requested, series only known for 0..{self.precision}"
@@ -337,7 +303,7 @@ class QSeries:
             return self
         return QSeries._trusted(self._coeffs[: precision + 1])
 
-    def _operand_at(self, n: int) -> tuple[array | list | tuple, int, float]:
+    def _operand_at(self, n: int) -> tuple[array | tuple, float]:
         """The _operand of the coefficients 0..n; at the full precision it is computed once and kept."""
         if n < len(self._coeffs) - 1:
             return _operand(self._coeffs[: n + 1])
@@ -346,31 +312,31 @@ class QSeries:
         except AttributeError:
             self._kept_operand = operand = _operand(self._coeffs)
             return operand
-        if operand[2] is None:  # a product's read-back: its norm is filled on first use
-            self._kept_operand = operand = (operand[0], 1, _norm(self._coeffs))
+        if operand[1] is None:  # a product's read-back: its norm is filled on first use
+            self._kept_operand = operand = (operand[0], _norm(self._coeffs))
         return operand
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, QSeries):
-            n = min(self.precision, other.precision)
-            a, b = self._coeffs, other._coeffs
-            return QSeries._trusted(_normal(a[i] + b[i] for i in range(n + 1)))
-        if isinstance(other, (int, Fraction)):  # a bool is refused by _as_coeff
-            return QSeries._trusted((_as_coeff(self._coeffs[0] + _as_coeff(other)),) + self._coeffs[1:])
+            return QSeries._trusted(tuple(map(add, self._coeffs, other._coeffs)))
+        if isinstance(other, int):
+            _check_ints((type(other),))
+            return QSeries._trusted((self._coeffs[0] + other,) + self._coeffs[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._trusted(tuple(-c for c in self._coeffs))
+        return QSeries._trusted(tuple(map(int.__neg__, self._coeffs)))
 
     def __sub__(self, other):
         if isinstance(other, QSeries):
-            return self + (-other)
-        if isinstance(other, (int, Fraction)):
-            return self + -_as_coeff(other)
+            return QSeries._trusted(tuple(map(sub, self._coeffs, other._coeffs)))
+        if isinstance(other, int):
+            _check_ints((type(other),))
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
@@ -379,11 +345,11 @@ class QSeries:
     def __mul__(self, other):
         """Product truncated at the smaller precision, by two-point Kronecker substitution.
 
-        Both sides, cleared of denominators, are packed once each into w-byte
-        slots, even-indexed coefficients below odd ones, and evaluated at
-        x = 2^(4w) and -x; the products P(x), P(-x) of half the bits give the
-        even and odd coefficients, (P(x) + P(-x)) / 2 and (P(x) - P(-x)) / 2x,
-        in w-byte slots again (Harvey, J. Symbolic Comput. 44, 2009).  w is
+        Both sides are packed once each into w-byte slots, even-indexed
+        coefficients below odd ones, and evaluated at x = 2^(4w) and -x; the
+        products P(x), P(-x) of half the bits give the even and odd
+        coefficients, (P(x) + P(-x)) / 2 and (P(x) - P(-x)) / 2x, in w-byte
+        slots again (Harvey, J. Symbolic Comput. 44, 2009).  w is
         the byte width of the Cauchy-Schwarz bound isqrt(sum(a_i^2) *
         sum(b_j^2)): it bounds every coefficient of the full product, those
         past n that P(x) and P(-x) carry too, and every input coefficient, and
@@ -400,13 +366,14 @@ class QSeries:
         once and squared twice.  Each side's operand at its full precision,
         with its norm, is kept on the series (``_operand_at``) and never
         mutated, so a memoized series feeding several products is converted
-        once; an integral product read back as one 64-bit array keeps that
-        array as its operand, its norm filled on first use.
+        once; a product read back as one 64-bit array keeps that array as its
+        operand, its norm filled on first use.  A product with an int c is
+        c times each coefficient.
         """
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            a, da, na = self._operand_at(n)
-            b, db, nb = (a, da, na) if other is self else other._operand_at(n)
+            a, na = self._operand_at(n)
+            b, nb = (a, na) if other is self else other._operand_at(n)
             if not (na and nb):
                 return QSeries._trusted((0,) * (n + 1))
             w = _width(a, na, b, nb)
@@ -421,13 +388,13 @@ class QSeries:
             odd = (plus - minus) >> (4 * w + 1)
             ints = _unpack(even + (odd << (8 * w * half)), w, flip, n + 1)
             ints[0::2], ints[1::2] = ints[:half], ints[half:]
-            den = da * db
-            product = QSeries._trusted(_over(ints, den))
-            if den == 1 and isinstance(ints, array):
-                product._kept_operand = (ints, 1, None)
+            product = QSeries._trusted(tuple(ints))
+            if isinstance(ints, array):
+                product._kept_operand = (ints, None)
             return product
-        if isinstance(other, (int, Fraction)):
-            return linear_combination((other, self))
+        if isinstance(other, int):
+            _check_ints((type(other),))
+            return QSeries._trusted(tuple(map(other.__mul__, self._coeffs)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -449,26 +416,23 @@ class QSeries:
             base = base * base
 
     def invert(self) -> "QSeries":
-        """Multiplicative inverse at the same precision.
+        """Multiplicative inverse at the same precision, of a series with constant term a_0 = 1 or -1.
 
-        Uses the term-by-term recurrence b_0 = 1/a_0,
-        b_n = -(1/a_0) * sum(a_i * b_(n-i), 1 <= i <= n), summed over the
-        nonzero a_i only: O(precision * nonzero terms).
+        Uses the term-by-term recurrence b_0 = a_0, b_n = -a_0 * sum(a_i * b_(n-i), 1 <= i <= n),
+        over the nonzero a_i only: O(precision * nonzero terms).  Any other a_0 has no integer
+        inverse and is a ValueError (ZeroConstantTerm for 0).
         """
         a = self._coeffs
-        if a[0] == 0:
+        a0 = a[0]
+        if a0 == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        inv0 = _as_coeff(Fraction(1, 1) / a[0])
+        if a0 not in (1, -1):
+            raise ValueError(f"constant term {a0} is not 1 or -1: the inverse is not an integer series")
         n = self.precision
         support = [(i, ai) for i, ai in enumerate(a) if i and ai]
-        out: list = [inv0] + [0] * n
+        out: list = [a0] + [0] * n
         for m in range(1, n + 1):
-            acc = 0
-            for i, ai in support:
-                if i > m:
-                    break
-                acc += ai * out[m - i]
-            out[m] = _as_coeff(-inv0 * acc) if acc else 0
+            out[m] = -a0 * sum([ai * out[m - i] for i, ai in support if i <= m])
         return QSeries._trusted(tuple(out))
 
     # -- substitutions -----------------------------------------------------
@@ -508,26 +472,3 @@ class QSeries:
         tail = ", ..." if self.precision >= 6 else ""
         return f"QSeries([{head}{tail}], precision={self.precision})"
 
-
-def linear_combination(*terms: tuple[int | Fraction, QSeries | tuple]) -> QSeries:
-    """sum(c * s) over the (c, s) terms, truncated at the smallest precision.
-
-    Each c is an int or Fraction, each s a series or a table of coefficients
-    (a tuple of ints and Fractions); a float or bool in either place is a
-    TypeError.  Every term is cleared of denominators and the sum is taken
-    in int arithmetic over one common denominator, so each coefficient is
-    reduced once instead of once per term.
-    """
-    tables = [s._coeffs if isinstance(s, QSeries) else s for _, s in terms]
-    n = min(map(len, tables)) - 1
-    parts = []
-    for (c, _), table in zip(terms, tables):
-        ints, d = _integral(table[: n + 1])
-        (p,), q = _integral((c,))  # c = p / q, its type checked as a table entry is
-        parts.append((p, q * d, ints))
-    den = lcm(*(q for _, q, _ in parts))
-    total = [0] * (n + 1)
-    for p, q, ints in parts:
-        factor = p * (den // q)
-        total = list(map(add, total, ints if factor == 1 else map(factor.__mul__, ints)))
-    return QSeries._trusted(_over(total, den))

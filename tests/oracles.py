@@ -4,14 +4,14 @@ import argparse
 import functools
 import json
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from hexrep import cli
 from hexrep.arith import CHI3, CHI_TRIVIAL, DirichletCharacter, bernoulli, rho_star, sigma_star, sigma_twisted
 from hexrep.forms import CATALOG_NAMES, EtaQuotientSpec, eisenstein_classical, eta_quotient, named_form
 from hexrep.identities import DOCUMENTED_DISCREPANCIES, WEIGHTS
 from hexrep.lattice import MOMENT_ORDERS, _f1_moment_rows, lomadze_values, theta_series
-from hexrep.series import QSeries, linear_combination
+from hexrep.series import QSeries
 
 
 def f1_moments_direct(n_max: int) -> dict[int, list[int]]:
@@ -103,26 +103,25 @@ def eta_spec(*factors: tuple[int, int]) -> EtaQuotientSpec:
 
 
 def delta_7_3_eisenstein_eta(precision: int) -> QSeries:
-    """(E_4(z) - E_4(3z)) eta(z)^9 / eta(3z)^3 / 240, the weight-7 newform from an Eisenstein difference."""
-    # The Eisenstein difference starts at 240q, so the product is scaled by
-    # 1/240 to make this the normalized newform (first coefficient 1); the
-    # check below fails hard if that normalization is ever off.
+    """(E_4(z) - E_4(3z)) eta(z)^9 / eta(3z)^3, 240 times the weight-7 newform, from an Eisenstein difference."""
+    # The Eisenstein difference starts at 240q, so the product is 240 times
+    # the normalized newform (first coefficient 1); the check below fails
+    # hard if that normalization is ever off.
     e4 = eisenstein_classical(4, precision)
-    raw = (e4 - e4.scale_argument(3)) * eta_quotient(eta_spec((1, 9), (3, -3)), precision)
-    series = Fraction(1, 240) * raw
-    if precision >= 1 and series.coefficient(1) != 1:
+    series = (e4 - e4.scale_argument(3)) * eta_quotient(eta_spec((1, 9), (3, -3)), precision)
+    if precision >= 1 and series.coefficient(1) != 240:
         raise AssertionError(
-            f"normalization failure: leading coefficient {series.coefficient(1)} != 1"
+            f"normalization failure: leading coefficient {series.coefficient(1)} != 240"
         )
     return series
 
 
 def delta_8_3_eta_sum(precision: int) -> QSeries:
     """The weight-8 newform as a sum of three quotients of eta(z), eta(3z) and eta(9z)."""
-    return linear_combination(
-        (1, eta_quotient(eta_spec((1, 12), (3, 4)), precision)),
-        (81, eta_quotient(eta_spec((1, 6), (3, 4), (9, 6)), precision)),
-        (18, eta_quotient(eta_spec((1, 9), (3, 4), (9, 3)), precision)),
+    return (
+        eta_quotient(eta_spec((1, 12), (3, 4)), precision)
+        + 81 * eta_quotient(eta_spec((1, 6), (3, 4), (9, 6)), precision)
+        + 18 * eta_quotient(eta_spec((1, 9), (3, 4), (9, 3)), precision)
     )
 
 
@@ -169,28 +168,55 @@ def product_at_point(a, b, c, r: int, p: int = P61) -> bool:
     """Whether c = a * b mod q^(n+1), n = len(c) - 1, holds at q = r mod the prime p, in O(n).
 
     sum c_k r^k must equal sum a_i r^i B_(n-i), B_m = sum(b_j r^j, j <= m)
-    the prefix sums of b at r; a Fraction is its numerator times the inverse
-    of its denominator mod p.  A wrong c passes at a random r with
-    probability at most n / p (Schwartz, J. ACM 27, 1980).
+    the prefix sums of b at r, for int sequences.  A wrong c passes at a
+    random r with probability at most n / p (Schwartz, J. ACM 27, 1980).
     """
-
-    def mod(x):
-        return x % p if type(x) is int else x.numerator * pow(x.denominator, -1, p) % p
-
     n = len(c) - 1
     prefix, acc, power = [], 0, 1
     for bj in b[: n + 1]:
-        acc = (acc + mod(bj) * power) % p
+        acc = (acc + bj * power) % p
         prefix.append(acc)
         power = power * r % p
     lhs = 0
     for ck in reversed(c):
-        lhs = (lhs * r + mod(ck)) % p
+        lhs = (lhs * r + ck) % p
     rhs, power = 0, 1
     for i, ai in enumerate(a[: n + 1]):
-        rhs = (rhs + mod(ai) * power * prefix[n - i]) % p
+        rhs = (rhs + ai * power * prefix[n - i]) % p
         power = power * r % p
     return lhs == rhs
+
+
+def _integral(values) -> tuple[list, int]:
+    """Integers v * d for the int or Fraction values v, d the lcm of their denominators; any other type is a TypeError."""
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, (int, Fraction)):
+            raise TypeError(f"coefficients must be int or Fraction, got {kind.__name__}")
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def linear_combination(*terms) -> tuple:
+    """sum(c * s) over the (c, s) terms, truncated at the shortest s: the oracle of ``identities.combine``.
+
+    Each c is an int or Fraction, each s a table of them (a tuple) or a
+    series; a float or bool in either place is a TypeError.  Every term is
+    cleared of denominators and the sum is taken in int arithmetic over one
+    common denominator; a coefficient comes back as an int where that
+    denominator divides it, else as a Fraction.
+    """
+    tables = [s.coeffs if isinstance(s, QSeries) else s for _, s in terms]
+    n = min(map(len, tables)) - 1
+    parts = []
+    for (c, _), table in zip(terms, tables):
+        ints, d = _integral(table[: n + 1])
+        (p,), q = _integral((c,))  # c = p / q, its type checked as a table entry is
+        parts.append((p, q * d, ints))
+    den = lcm(*(q for _, q, _ in parts))
+    total = [0] * (n + 1)
+    for p, q, ints in parts:
+        total = [t + p * (den // q) * v for t, v in zip(total, ints)]
+    return tuple(Fraction(t, den) if t % den else t // den for t in total)
 
 
 def invert_dense(a) -> list:
@@ -368,10 +394,22 @@ def eisenstein_times_form(k: int, name: str, precision: int) -> QSeries:
 
 
 def quasimodular_combination(precision: int) -> QSeries:
-    """The weight-14 cusp expansion (1/2) * (3 E_2(3z) - E_2(z)) * delta, by one series product."""
+    """(3 E_2(3z) - E_2(z)) * delta, twice the weight-14 cusp expansion, by one series product."""
     e2 = eisenstein_classical(2, precision)
     delta = eta_quotient(eta_spec((1, 24)), precision)
-    return linear_combination((Fraction(3, 2), e2.scale_argument(3)), (Fraction(-1, 2), e2)) * delta
+    return (3 * e2.scale_argument(3) - e2) * delta
+
+
+def eisenstein_classical_rational(k: int, precision: int) -> list:
+    """1 - (2k/B_k) sum(sigma_(k-1)(n) q^n) for any even k >= 2, by trial-division divisor sums: ints and Fractions."""
+    factor = Fraction(-2 * k) / bernoulli(k)
+    return [1] + [factor * sigma_twisted(k - 1, CHI_TRIVIAL, CHI_TRIVIAL, n) for n in range(1, precision + 1)]
+
+
+def eisenstein_twisted_rational(k: int, chi, psi, precision: int) -> list:
+    """The twisted Eisenstein series of weight k, its constant term -B_(k,psi)/(2k) (0 when chi has conductor > 1) a Fraction."""
+    c0 = 0 if chi.conductor > 1 else -bernoulli_generalized_at_fractions(k, psi) / (2 * k)
+    return [Fraction(c0)] + [sigma_twisted(k - 1, chi, psi, n) for n in range(1, precision + 1)]
 
 
 def euler_product_direct(scale: int, precision: int) -> list[int]:

@@ -7,7 +7,6 @@ up as an ordinary pytest failure.
 import math
 import random
 import time
-from fractions import Fraction
 
 from oracles import LOMADZE_CLAIM, f2_moments_direct, lomadze_term, report_json_dict
 
@@ -115,13 +114,12 @@ def test_criterion_7_property_suites():
     # series ring axioms and inversion on randomized exact inputs
     rng = random.Random(99)
     for _ in range(25):
-        coeffs = [Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3])) for _ in range(9)]
-        a = QSeries(coeffs)
+        a = QSeries([rng.randint(-(2**70), 2**70) for _ in range(9)])
         b = QSeries([rng.randint(-5, 5) for _ in range(9)])
         c = QSeries([rng.randint(-5, 5) for _ in range(9)])
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        unit = QSeries([1] + list(a.coeffs[1:]))
+        unit = QSeries([rng.choice((1, -1))] + list(a.coeffs[1:]))
         assert unit * unit.invert() == QSeries.one(a.precision)
     _announce("7 properties", "multiplicativity, odd moments, ring axioms, inversion")
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from memos import clear_all
-from oracles import bernoulli_generalized_at_fractions, bernoulli_polynomial, sigma_table_sieve
+from oracles import bernoulli_generalized_at_fractions, bernoulli_polynomial, invert_dense, mul_schoolbook, sigma_table_sieve
 
 from hexrep import arith, identities
 from hexrep.arith import (
@@ -25,7 +25,6 @@ from hexrep.arith import (
     sigma_table,
     sigma_twisted,
 )
-from hexrep.series import QSeries
 
 
 def test_chi3_values():
@@ -177,12 +176,10 @@ def test_bernoulli_table_grows_once_under_threads(monkeypatch):
 
 
 def _bernoulli_series_oracle(n_terms):
-    # x / (e^x - 1) generating function, expanded with the series kernel
-    exp_tail = QSeries(
-        [Fraction(1, math.factorial(m + 1)) for m in range(n_terms + 1)]
-    )  # (e^x - 1) / x
-    series = exp_tail.invert()
-    return [series.coefficient(k) * math.factorial(k) for k in range(n_terms + 1)]
+    # x / (e^x - 1) generating function, inverted by the dense recurrence in Fractions
+    exp_tail = [Fraction(1, math.factorial(m + 1)) for m in range(n_terms + 1)]  # (e^x - 1) / x
+    series = invert_dense(exp_tail)
+    return [series[k] * math.factorial(k) for k in range(n_terms + 1)]
 
 
 def test_bernoulli_against_generating_function():
@@ -192,20 +189,15 @@ def test_bernoulli_against_generating_function():
 
 
 def _generalized_bernoulli_oracle(k, psi):
-    # sum over a of psi(a) * t * e^(a t) / (e^(f t) - 1), coefficient of t^k times k!
+    # sum over a of psi(a) * t * e^(a t) / (e^(f t) - 1), coefficient of t^k times k!, in Fraction arithmetic
     f = psi.conductor
     n_terms = k + 2
-    denom = QSeries(
-        [Fraction(f ** (m + 1), math.factorial(m + 1)) for m in range(n_terms + 1)]
-    )  # (e^(f t) - 1) / t
-    inv = denom.invert()
-    total = QSeries.zero(n_terms)
+    inv = invert_dense([Fraction(f ** (m + 1), math.factorial(m + 1)) for m in range(n_terms + 1)])  # t / (e^(f t) - 1)
+    total = [0] * (n_terms + 1)
     for a in range(1, f + 1):
-        numer = QSeries(
-            [Fraction(a**m, math.factorial(m)) for m in range(n_terms + 1)]
-        )  # e^(a t)
-        total = total + psi(a) * (numer * inv)
-    return total.coefficient(k) * math.factorial(k)
+        numer = [Fraction(a**m, math.factorial(m)) for m in range(n_terms + 1)]  # e^(a t)
+        total = [t + psi(a) * v for t, v in zip(total, mul_schoolbook(numer, inv))]
+    return total[k] * math.factorial(k)
 
 
 def test_bernoulli_generalized_examples():

@@ -8,6 +8,8 @@ from memos import clear_all
 from oracles import (
     delta_7_3_eisenstein_eta,
     delta_8_3_eta_sum,
+    eisenstein_classical_rational,
+    eisenstein_twisted_rational,
     eta_spec,
     euler_product_direct,
     invert_dense,
@@ -142,7 +144,7 @@ def test_delta_from_eisenstein_quotient():
     N = 60
     e4 = eisenstein_classical(4, N)
     e6 = eisenstein_classical(6, N)
-    assert Fraction(1, 1728) * (e4**3 - e6**2) == named_form("delta", N).series
+    assert e4**3 - e6**2 == 1728 * named_form("delta", N).series
 
 
 def test_eta_quotient_examples():
@@ -175,17 +177,34 @@ def test_eta_inverse_factor_consistency():
 def test_eisenstein_classical_values():
     assert eisenstein_classical(4, 3).coeffs == (1, 240, 2160, 6720)
     assert eisenstein_classical(2, 2).coeffs == (1, -24, -72)
-    assert eisenstein_classical(12, 5).coefficient(0) == 1
     with pytest.raises(ValueError):
         eisenstein_classical(3, 5)
+
+
+def test_eisenstein_classical_serves_the_integral_weights_only():
+    # E_k is an integer series exactly where -2k/B_k is an integer; every other weight is refused by name
+    integral = (2, 4, 6, 8, 10, 14)
+    for k in range(2, 41, 2):
+        expected = eisenstein_classical_rational(k, 60)
+        assert all(type(c) is int or c.denominator == 1 for c in expected) == (k in integral), k
+        if k in integral:
+            assert eisenstein_classical(k, 60).coeffs == tuple(expected), k
+        else:
+            with pytest.raises(ValueError, match=rf"^E_{k} has integer coefficients only at k = 2, 4, 6, 8, 10, 14$"):
+                eisenstein_classical(k, 60)
+    for k in (-2, 0, 1, 3, 13):
+        with pytest.raises(ValueError, match=rf"^E_{k} has integer coefficients only at k = 2, 4, 6, 8, 10, 14$"):
+            eisenstein_classical(k, 5)
 
 
 def test_eisenstein_twisted_constant_terms():
     e_chi_first = eisenstein_twisted(7, CHI3, CHI_TRIVIAL, 10)
     assert e_chi_first.coefficient(0) == 0  # conductor of chi is 3
     assert e_chi_first.coefficient(1) == 1
-    e_triv_first = eisenstein_twisted(7, CHI_TRIVIAL, CHI3, 10)
-    assert e_triv_first.coefficient(0) == Fraction(-7, 3)  # -B_(7,chi3) / 14
+    # a constant term off the integers is refused: -B_(7,chi3) / 14 = -7/3
+    assert eisenstein_twisted_rational(7, CHI_TRIVIAL, CHI3, 10)[0] == Fraction(-7, 3)
+    with pytest.raises(ValueError, match=r"^constant term -7/3 of the weight-7 series is not an integer$"):
+        eisenstein_twisted(7, CHI_TRIVIAL, CHI3, 10)
     # an integral constant term is stored as an int: -B_(4,chi5) / 8 = 1 for the character (5/.)
     chi5 = DirichletCharacter(5, (0, 1, -1, -1, 1))
     assert type(eisenstein_twisted(4, CHI_TRIVIAL, chi5, 10).coefficient(0)) is int
@@ -193,9 +212,15 @@ def test_eisenstein_twisted_constant_terms():
 
 
 def test_eisenstein_twisted_coefficients_are_twisted_sums():
-    e = eisenstein_twisted(9, CHI_TRIVIAL, CHI3, 20)
-    for n in range(1, 21):
-        assert e.coefficient(n) == sigma_twisted(8, CHI_TRIVIAL, CHI3, n)
+    chi5 = DirichletCharacter(5, (0, 1, -1, -1, 1))
+    for k, chi, psi in ((9, CHI3, CHI_TRIVIAL), (7, CHI3, CHI_TRIVIAL), (4, CHI_TRIVIAL, chi5), (9, CHI_TRIVIAL, CHI3)):
+        expected = eisenstein_twisted_rational(k, chi, psi, 20)
+        assert expected[1:] == [sigma_twisted(k - 1, chi, psi, n) for n in range(1, 21)]
+        if expected[0].denominator == 1:
+            assert eisenstein_twisted(k, chi, psi, 20).coeffs == tuple(expected), (k, chi, psi)
+        else:  # -B_(9,chi3) / 18 = 809/27
+            with pytest.raises(ValueError, match="is not an integer$"):
+                eisenstein_twisted(k, chi, psi, 20)
 
 
 def test_eisenstein_twisted_contracts():
@@ -225,11 +250,12 @@ def test_theta_multiples_of_delta_6_3_against_eta_constructions(name, oracle):
     clear_all()
     for precision in (1, 2, 400):  # normalized, q + O(q^2), at each precision the memo grows to
         assert named_form(name, precision).series.coeffs[:2] == (0, 1), (name, precision)
-    assert named_form(name, 400).series == oracle(400)
+    multiple = 240 if name == "delta_7_3" else 1  # the Eisenstein difference starts at 240q
+    assert multiple * named_form(name, 400).series == oracle(400)
 
 
 def test_delta_7_3_spot_coefficients():
-    # frozen from the normalized Eisenstein-eta product (oracles.delta_7_3_eisenstein_eta)
+    # frozen from the Eisenstein-eta product over 240 (oracles.delta_7_3_eisenstein_eta)
     series = named_form("delta_7_3", 10).series
     assert series.coeffs[1:6] == (1, 0, -27, 64, 0)
 
@@ -245,13 +271,14 @@ def test_theta_Fk():
 
 def test_quasimodular_combination():
     N = 30
-    combo = quasimodular_combination(N)
+    combo = quasimodular_combination(N)  # twice the cusp expansion
     assert combo.coefficient(0) == 0
-    assert combo.coefficient(1) == 1
+    assert combo.coefficient(1) == 2
+    assert all(c % 2 == 0 for c in combo.coeffs)
     # independent composition order
     e2 = eisenstein_classical(2, N)
     delta = named_form("delta", N).series
-    other = Fraction(3, 2) * (e2.scale_argument(3) * delta) - Fraction(1, 2) * (e2 * delta)
+    other = 3 * (e2.scale_argument(3) * delta) - e2 * delta
     assert combo == other
 
 

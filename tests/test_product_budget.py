@@ -1,15 +1,16 @@
-"""How many series products and combinations the memoized paths take, from cleared memos.
+"""How many series products and operand conversions the memoized paths take, from cleared memos.
 
 Each power of a series is one product on a shared ladder of squarings and
 no product is taken twice, so the counts below are budgets, not exact
 figures: a change that multiplies more has lost that.
 """
 
+import ast
 import contextlib
 import gc
 import io
-import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from memos import clear_all
@@ -211,20 +212,14 @@ def test_streamed_verify_peaks_below_verify_all():
     assert streamed <= 0.8 * whole, (streamed, whole)
 
 
-def test_identity_sides_skip_linear_combination(monkeypatch):
-    # identities.combine sums every side in ints; only the catalog's b^3 and E_4 builds in forms
-    # go through series.linear_combination
-    combination = series.linear_combination
-    calls = 0
-
-    def counting(*terms):
-        nonlocal calls
-        calls += 1
-        return combination(*terms)
-
-    for name, module in list(sys.modules.items()):  # every hexrep module that imported it
-        if name.split(".")[0] == "hexrep" and getattr(module, "linear_combination", None) is combination:
-            monkeypatch.setattr(module, "linear_combination", counting)
-    clear_all()
-    identities.verify_all(200)
-    assert 0 < calls <= 3, calls
+def test_series_module_holds_no_rational_machinery():
+    # series hold ints only: the module imports nothing from fractions and defines none of the helpers that
+    # cleared denominators; the common-denominator linear combination is an oracle in tests/oracles.py
+    tree = ast.parse(Path(series.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported and "Fraction" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    assert defined.isdisjoint({"linear_combination", "_as_coeff", "_normal", "_integral", "_over"}), defined
+    assert {"QSeries", "invert", "_operand"} <= defined  # the walk sees the module's definitions

@@ -1,6 +1,7 @@
-"""The Kronecker-substitution product and the common-denominator linear
-combination against plain per-coefficient Fraction arithmetic, and the
-products too long for that against their values at random points."""
+"""The Kronecker-substitution product against the schoolbook product, the
+products too long for that against their values at random points, and the
+common-denominator linear combination of the tests' oracles against plain
+per-coefficient Fraction arithmetic."""
 
 import contextlib
 import io
@@ -9,16 +10,16 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from math import frexp, hypot, isqrt, lcm
+from math import frexp, hypot, isqrt
 from types import SimpleNamespace
 
 import pytest
-from memos import clear_all
-from oracles import P61, mul_schoolbook, product_at_point
+from memos import all_memos, clear_all
+from oracles import P61, linear_combination, mul_schoolbook, product_at_point
 from packings import SLOT_PATHS, packing
 
-from hexrep import cli, forms, identities, lattice, series
-from hexrep.series import QSeries, _pack, _signed_flip, _unpack, linear_combination
+from hexrep import cli, identities, lattice, series
+from hexrep.series import QSeries, _pack, _signed_flip, _unpack
 
 try:
     import hypothesis
@@ -56,15 +57,9 @@ def recorded_exact_widths(monkeypatch) -> list:
     return bounds
 
 
-def cleared(values) -> list:
-    """The values times the lcm of their denominators."""
-    d = lcm(*(Fraction(v).denominator for v in values))
-    return [int(Fraction(v) * d) for v in values]
-
-
 def exact_width(a, b, n) -> int:
-    """The slot width of isqrt(sum(a_i^2) * sum(b_j^2)) over the coefficients 0..n cleared of denominators, sign bit included."""
-    sa, sb = (sum(v * v for v in cleared(x[: n + 1])) for x in (a, b))
+    """The slot width of isqrt(sum(a_i^2) * sum(b_j^2)) over the coefficients 0..n, sign bit included."""
+    sa, sb = (sum(v * v for v in x[: n + 1]) for x in (a, b))
     return (isqrt(sa * sb).bit_length() + 8) // 8
 
 
@@ -178,7 +173,7 @@ def test_widths_at_a_byte_boundary_take_the_exact_bound(w, slot_path, monkeypatc
         ([-(2**1100), 3, 5], [7, 0, -(2**1030)]),
         ([2**1023] * 4, [3, -1, 0, 2]),  # ints in range, a norm past it
         ([2**600, 1], [-(2**600), 1]),  # norms in range, their product past it
-        ([Fraction(2**1030, 3), 1], [1, Fraction(1, 2)]),  # cleared of denominators: 2^1031 and 6
+        ([3, 1], [1, -(2**1030)]),  # an int past the float range on the second side only
     ],
 )
 def test_norms_past_the_float_range_take_the_exact_bound(a, b, slot_path, monkeypatch):
@@ -190,13 +185,12 @@ def test_norms_past_the_float_range_take_the_exact_bound(a, b, slot_path, monkey
 
 
 #: per kind, (a, b) at length n + 1: small signed ints, int64 edges (array
-#: packs, 17-byte slots past n = 0), ints past 2^64 (18 bytes and more, bytes
-#: read-back) and Fractions
+#: packs, 17-byte slots past n = 0) and ints past 2^64 (18 bytes and more, bytes
+#: read-back)
 KERNEL_KINDS = {
     "signed": lambda rng, m: [rng.randrange(-1000, 1000) for _ in range(m)],
     "int64 edges": lambda rng, m: [rng.choice((-(2**63), 2**63 - 1, 0, 1, -1)) for _ in range(m)],
     "past int64": lambda rng, m: [rng.choice((2**64, -(2**64), 2**63, 3, -(2**70) + 1)) for _ in range(m)],
-    "fractions": lambda rng, m: [Fraction(rng.randrange(-99, 99), rng.randrange(1, 12)) for _ in range(m)],
 }
 
 
@@ -280,7 +274,6 @@ def read_back_at_the_int64_edges(w, by_array, packs, limbs) -> None:
 
 def test_int64_check(monkeypatch):
     assert series._int64([2**63 - 1, -(2**63), 0]).tolist() == [2**63 - 1, -(2**63), 0]
-    assert series._int64([1, Fraction(1, 3)]) is None
     assert series._int64([2**63]) is None
     assert series._int64([-(2**63) - 1]) is None
     monkeypatch.setattr(series, "sys", SimpleNamespace(byteorder="big"))
@@ -293,10 +286,8 @@ def test_int64_check(monkeypatch):
         ([2**63 - 1, -(2**63 - 1), -(2**63)], [-(2**63), 2**63 - 1, 1], [True, True]),
         ([-(2**63), -(2**63)], [-(2**63)], [True, True]),
         ([2**63, 1], [-1, 2**63 - 1], [False, True]),  # 2^63 is refused by the array
-        # cleared of denominators (lcm 6): 2, -3, 24, which fit an int64 array
-        ([Fraction(1, 3), Fraction(-1, 2), 4], [5, -(2**62)], [True, True]),
-        # cleared (lcm 6): 2^63 + 2 and 3, past the array
-        ([Fraction(2**62 + 1, 3), Fraction(1, 2)], [1, 2], [False, True]),
+        ([2, -3, 24], [5, -(2**62)], [True, True]),
+        ([2**63 + 2, 3], [1, 2], [False, True]),  # 2^63 + 2 is past the array
     ],
 )
 def test_int64_operand_edges(a, b, from_array, slot_path, monkeypatch):
@@ -323,13 +314,13 @@ def test_cold_verify_packs_every_operand_from_an_int64_array(monkeypatch):
 def test_point_oracle_catches_one_wrong_coefficient():
     rng = random.Random(5)
     a = [rng.randrange(-(2**80), 2**80) for _ in range(300)]
-    b = [Fraction(rng.randrange(-99, 99), rng.randrange(1, 9)) for _ in range(301)]
+    b = [rng.randrange(-99, 99) for _ in range(301)]
     c = list((QSeries(a) * QSeries(b)).coeffs)
     assert c == mul_schoolbook(a, b)
     r = rng.randrange(2, P61 - 1)
     assert product_at_point(a, b, c, r)
     for k in (0, 150, 299):
-        wrong = c[:k] + [c[k] + Fraction(1, 7)] + c[k + 1 :]
+        wrong = c[:k] + [c[k] + 1] + c[k + 1 :]
         assert not product_at_point(a, b, wrong, r)
 
 
@@ -424,10 +415,10 @@ def test_cold_products_take_the_exact_width(name, monkeypatch):
 
 def assert_fresh(s: QSeries, name: str) -> None:
     """s keeps the _operand of its coefficients, unchanged; a product's read-back may not have its norm yet."""
-    ints, d, norm = s._kept_operand
+    ints, norm = s._kept_operand
     fresh = series._operand(s.coeffs)
-    assert (ints, d) == fresh[:2] and type(ints) is type(fresh[0]), name
-    assert norm in (None, fresh[2]), name
+    assert ints == fresh[0] and type(ints) is type(fresh[0]), name
+    assert norm in (None, fresh[1]), name
 
 
 def test_a_series_converts_its_operand_once(monkeypatch):
@@ -442,7 +433,7 @@ def test_a_series_converts_its_operand_once(monkeypatch):
 
 def converts_its_operand_once(operand, conversions: list, by_array: bool) -> None:
     """conversions: the length of each call of operand, the unpatched _operand, from here on."""
-    a, b = QSeries([Fraction(1, 3), -2, 2**70, 5]), QSeries([7, Fraction(-1, 2), 3, 0])
+    a, b = QSeries([1, -2, 2**70, 5]), QSeries([7, -1, 3, 0])
     for _ in range(2):
         assert list((a * b).coeffs) == mul_schoolbook(a.coeffs, b.coeffs)
         assert list((b * a).coeffs) == mul_schoolbook(a.coeffs, b.coeffs)
@@ -453,20 +444,20 @@ def converts_its_operand_once(operand, conversions: list, by_array: bool) -> Non
         assert list((a * short).coeffs) == mul_schoolbook(a.coeffs, short.coeffs)
     assert conversions == [4, 4, 3, 3, 3]
     assert a._kept_operand == operand(a.coeffs)
-    # an integral product read back as one int64 array keeps it, and fills its norm on first use
+    # a product read back as one int64 array keeps it, and fills its norm on first use
     c = QSeries([3, -1, 4, 1]) * QSeries([5, -9, 2, 6])
     assert hasattr(c, "_kept_operand") == by_array
     if by_array:
-        assert c._kept_operand[2] is None
+        assert c._kept_operand[1] is None
     conversions.clear()
     for _ in range(2):
         assert list((c * c).coeffs) == mul_schoolbook(c.coeffs, c.coeffs)
         assert list((c * b).coeffs) == mul_schoolbook(c.coeffs, b.coeffs)
     assert conversions == [4] * (not by_array)
     assert c._kept_operand == operand(c.coeffs)
-    # one over a denominator keeps none: its operand is cleared by the lcm of its own denominators
-    half = QSeries([Fraction(1, 2), 2]) * QSeries([2, 4])
-    assert half.coeffs == (1, 6) and not hasattr(half, "_kept_operand")
+    # one read back past int64 keeps none: its operand would be its coefficient tuple
+    wide = a * b
+    assert max(map(abs, wide.coeffs)) >= 2**63 and not hasattr(wide, "_kept_operand")
 
 
 def test_shared_series_multiply_under_threads():
@@ -477,13 +468,13 @@ def test_shared_series_multiply_under_threads():
 
 def multiply_under_threads(by_array: bool) -> None:
     rng = random.Random(8)
-    shared = [QSeries([rng.randrange(-(2**70), 2**70) if i % 3 else Fraction(i, 7) for i in range(80)]) for _ in range(3)]
+    shared = [QSeries([rng.randrange(-(2**70), 2**70) if i % 3 else i for i in range(80)]) for _ in range(3)]
     # products read back as int64 arrays: the threads race to fill their norms
     small = [QSeries([rng.randrange(-(2**20), 2**20) for _ in range(80)]) for _ in range(4)]
     shared += [small[0] * small[1], small[2] * small[3]]
     assert [hasattr(f, "_kept_operand") for f in shared] == [False] * 3 + [by_array] * 2
     if by_array:
-        assert all(f._kept_operand[2] is None for f in shared[3:])
+        assert all(f._kept_operand[1] is None for f in shared[3:])
     expected = {(i, j): mul_schoolbook(f.coeffs, g.coeffs) for i, f in enumerate(shared) for j, g in enumerate(shared)}
     workers = 8
     start = threading.Barrier(workers)
@@ -511,10 +502,65 @@ def multiply_under_threads(by_array: bool) -> None:
 
 
 def kept_operands() -> list:
-    """(name, series) of every memoized theta power and catalog form whose operand a product kept."""
-    held = [(f"theta^{k}", lattice.theta_series(k, p)) for (k,), p in lattice.theta_series.stored().items()]
-    held += [(name, forms.named_form(name, p).series) for (name,), p in forms.named_form.stored().items()]
-    return [(name, s) for name, s in held if hasattr(s, "_kept_operand")]
+    """(memo name, series) of every memoized series whose operand a product kept."""
+    return [(name, s) for name, s in held_series() if hasattr(s, "_kept_operand")]
+
+
+def held_series() -> list:
+    """(memo name, series) of every QSeries a grow-only memo holds, found in its values at each stored precision."""
+
+    def found(value):
+        if isinstance(value, QSeries):
+            yield value
+        elif isinstance(value, (tuple, list, dict)):  # a NamedForm or MomentTable, the moment rows by order
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from found(item)
+
+    return [
+        (name, s)
+        for name, memo in all_memos().items()
+        for key, p in memo.stored().items()
+        for s in found(memo(*key, p))
+    ]
+
+
+def test_every_series_holds_ints_after_the_cold_runs(monkeypatch):
+    """A cold verify_all(400) and each cold value command at n <= 400 make int series only.
+
+    The constructor refuses any other coefficient, but ``QSeries._trusted``
+    takes its tuple unchecked: every series it makes is checked here as it is
+    made (an ``identities.decomposition`` series wraps a ``combine`` table,
+    which may hold Fractions), and every series the memos hold after each run.
+    """
+    trusted = QSeries._trusted.__func__
+    made, off_the_integers = [], []
+
+    def checked(cls, coeffs):
+        made.append(len(coeffs))
+        if set(map(type, coeffs)) != {int}:
+            off_the_integers.append(coeffs[:6])
+        return trusted(cls, coeffs)
+
+    monkeypatch.setattr(QSeries, "_trusted", classmethod(checked))
+    decompositions = []
+    monkeypatch.setattr(identities, "decomposition", lambda k, p, f=identities.decomposition: decompositions.append(k) or f(k, p))
+    runs = [lambda: identities.verify_all(400)] + [
+        lambda argv=argv: cli.main(argv) == 0 or pytest.fail(f"{argv} failed") for argv in VALUE_COMMANDS
+    ]
+    assert len(runs) == 21
+    held = 0
+    try:
+        for run in runs:
+            clear_all()
+            with contextlib.redirect_stdout(io.StringIO()):
+                run()
+            for name, s in held_series():
+                assert all(type(c) is int for c in s.coeffs), name
+                held += 1
+    finally:
+        clear_all()
+    assert off_the_integers == []
+    assert sorted(decompositions) == [7, 9, 11, 12, 14] and len(made) > 300 and held > 200, (len(made), held)
 
 
 def test_kept_operands_are_fresh_after_a_cold_verify():
@@ -567,10 +613,8 @@ if hypothesis is None:
 else:
     st = hypothesis.strategies
 
-    coefficients = st.one_of(
-        st.integers(-(2**70), 2**70),
-        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 60)),
-    )
+    coefficients = st.integers(-(2**70), 2**70)
+    rationals = st.one_of(coefficients, st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 60)))
 
 
     @hypothesis.settings(deadline=None)
@@ -581,7 +625,7 @@ else:
     # slots must hold the inputs too: the product bound of an all-zero side is 0
     @hypothesis.example([0, 0, 0], [2**70, -(2**65), 3])
     @hypothesis.example([2**64 + 1], [0])
-    @hypothesis.example([Fraction(1, 3), Fraction(-1, 2)], [-7])
+    @hypothesis.example([2, -3], [-7])
     # slot widths w of 1, 2, 3, 4, 6, 8 and 9 bytes, all packed from int64
     # arrays and read back as 64-bit limbs; every width is also a case of
     # test_products_at_exact_slot_widths
@@ -597,13 +641,13 @@ else:
 
 
     def bound_width(a, b, n) -> int:
-        """The slot width of the bound (n+1) max|a| max|b| over the coefficients 0..n cleared of denominators."""
-        ma, mb = (max(map(abs, cleared(x[: n + 1]))) for x in (a, b))
+        """The slot width of the bound (n+1) max|a| max|b| over the coefficients 0..n."""
+        ma, mb = (max(map(abs, x[: n + 1])) for x in (a, b))
         return (max((n + 1) * ma * mb, ma, mb).bit_length() + 8) // 8
 
-    magnitudes = st.one_of(st.integers(1, 2**130), st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 60)))
+    magnitudes = st.integers(1, 2**130)
     shaped = st.one_of(
-        st.lists(coefficients, min_size=1, max_size=30),  # mixed signs, ints and Fractions
+        st.lists(coefficients, min_size=1, max_size=30),  # mixed signs
         st.integers(1, 30).map(lambda m: [0] * m),  # the zero series
         # +-M: the Cauchy-Schwarz bound is tight
         st.builds(lambda m, signs: [m if s else -m for s in signs], magnitudes, st.lists(st.booleans(), min_size=1, max_size=30)),
@@ -644,7 +688,7 @@ else:
     @hypothesis.example([3, -2, 1])  # 1-byte slots
     @hypothesis.example([2**30, -(2**30), 7])  # 8-byte slots, whole array items
     @hypothesis.example([2**64 + 1, -5])  # past 2^63 and 17-byte slots: bytes both ways
-    @hypothesis.example([Fraction(1, 3), Fraction(-1, 2), 4])
+    @hypothesis.example([2, -3, 24])
     def test_square_matches_schoolbook(a):
         s = QSeries(a)  # s * s packs once and squares two ints, A(x)^2 and A(-x)^2
         assert (s * s).coeffs == QSeries(mul_schoolbook(a, a)).coeffs
@@ -653,7 +697,7 @@ else:
     @hypothesis.settings(deadline=None)
     @hypothesis.given(
         st.lists(
-            st.tuples(coefficients, st.lists(coefficients, min_size=1, max_size=40)),
+            st.tuples(rationals, st.lists(rationals, min_size=1, max_size=40)),
             min_size=1,
             max_size=5,
         )
@@ -666,7 +710,7 @@ else:
     def test_linear_combination_matches_fraction_sums(terms):
         n = min(len(cs) for _, cs in terms) - 1
         expected = [sum(Fraction(c) * cs[i] for c, cs in terms) for i in range(n + 1)]
-        result = linear_combination(*((c, QSeries(cs)) for c, cs in terms))
-        assert result.coeffs == QSeries(expected).coeffs
-        # integral values come back as ints, as the public constructor makes them
-        assert [type(v) for v in result.coeffs] == [type(v) for v in QSeries(expected).coeffs]
+        result = linear_combination(*((c, tuple(cs)) for c, cs in terms))
+        assert result == tuple(expected)
+        # integral values come back as ints, as identities.combine returns them
+        assert [type(v) for v in result] == [int if v.denominator == 1 else Fraction for v in expected]
